@@ -192,7 +192,7 @@ sim::Task<> bulkServer(net::Host& host, net::PortId port, std::int64_t bytes,
                        std::int64_t* delivered) {
   tcp::TcpListener listener(host, port);
   auto socket = co_await listener.accept();
-  *delivered = co_await socket->drain(bytes);
+  *delivered = co_await socket->drain(bytes, /*verify_pattern=*/true);
 }
 
 sim::Task<> bulkClient(net::Host& host, net::NodeId dst, net::PortId port,

@@ -183,6 +183,9 @@ WallResult runChaosBatch(const std::string& scenario, int seeds, int threads,
     const auto outcome = runner.runSeeds(scenario, /*first_seed=*/1, seeds,
                                          options);
     r.ok = outcome.ok();
+    for (const auto& report : outcome.reports) {
+      r.events_executed += report.events_executed;
+    }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "chaos batch failed: %s\n", e.what());
     r.ok = false;

@@ -140,7 +140,7 @@ ChaosRunReport ChaosRunner::runPlan(const ChaosPlan& plan,
   };
 
   scenario::ScenarioRunner runner(/*echo=*/nullptr);
-  runner.run(spec, hooks);
+  report.events_executed = runner.run(spec, hooks).events_executed;
 
   if (monitor != nullptr) report.violations = monitor->violations();
   report.log =

@@ -18,6 +18,20 @@ thread_local BufferPool* tls_pool = nullptr;
 
 }  // namespace
 
+static_assert(sizeof(Buffer) == 16 + 2 * sizeof(void*),
+              "the pattern tag must fit the header's padding");
+
+void writePattern(std::uint8_t* out, std::size_t n, std::uint8_t phase) {
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<std::uint8_t>(phase + i);
+  }
+}
+
+void Buffer::writeOutPattern() {
+  writePattern(reinterpret_cast<std::uint8_t*>(this + 1), capacity_, phase_);
+  pattern_ = Pattern::kWritten;
+}
+
 BufferPool& BufferPool::local() {
   static thread_local BufferPool pool;
   return pool;
@@ -101,6 +115,7 @@ BufferRef BufferPool::allocate(std::size_t capacity) {
     free_lists_[cls] = b->next_free_;
     --free_counts_[cls];
     b->next_free_ = nullptr;
+    b->pattern_ = Buffer::Pattern::kNone;
     return BufferRef(b);
   }
   ++stats_.fresh;

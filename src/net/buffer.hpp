@@ -20,6 +20,14 @@
 // are immutable for the slice's lifetime. Producers may keep appending to
 // the *tail* of a buffer they exclusively grow (the ring does this), but
 // must never rewrite bytes a slice can already see.
+//
+// Pattern tag: a buffer may be tagged as holding the bulk-transfer pattern
+// (byte i is (phase + i) & 0xff) instead of being written. Bulk streams
+// then move descriptors, not bytes: the ring tags chunks instead of
+// filling them, the wire checksum folds the tag in O(1), and a verifying
+// drain checks one phase per chunk. A reader that asks for raw bytes
+// (data()) still sees the pattern: the buffer writes it out on that first
+// raw access. allocate() clears the tag.
 #pragma once
 
 #include <cstdint>
@@ -35,24 +43,54 @@ class BufferPool;
 /// allocation. Never constructed directly — see BufferPool::allocate().
 class Buffer {
  public:
-  std::uint8_t* data() { return reinterpret_cast<std::uint8_t*>(this + 1); }
+  /// The raw bytes. A pattern-tagged buffer writes its pattern out on the
+  /// first call, so raw readers always see the bytes the tag defines.
+  std::uint8_t* data() {
+    if (pattern_ == Pattern::kTagged) writeOutPattern();
+    return reinterpret_cast<std::uint8_t*>(this + 1);
+  }
   const std::uint8_t* data() const {
-    return reinterpret_cast<const std::uint8_t*>(this + 1);
+    return const_cast<Buffer*>(this)->data();
   }
   std::uint32_t capacity() const { return capacity_; }
+
+  /// Defines every byte as the bulk pattern, byte i = (phase + i) & 0xff,
+  /// without writing any. Only for a buffer no slice has seen yet.
+  void tagPattern(std::uint8_t phase) {
+    pattern_ = Pattern::kTagged;
+    phase_ = phase;
+  }
+  bool isPattern() const { return pattern_ != Pattern::kNone; }
+  /// Pattern value of byte 0; meaningful only when isPattern().
+  std::uint8_t patternPhase() const { return phase_; }
 
  private:
   friend class BufferPool;
   friend class BufferRef;
 
+  enum class Pattern : std::uint8_t {
+    kNone,     // real bytes
+    kTagged,   // pattern by tag, bytes not yet written
+    kWritten,  // pattern by tag, bytes written out for a raw reader
+  };
+
+  void writeOutPattern();
+
   std::uint32_t refs_ = 0;
   std::uint32_t capacity_ = 0;
   std::int8_t size_class_ = -1;  // -1: exact-size, never recycled
+  // The pattern tag sits in the header's padding: sizeof(Buffer) is the
+  // same as without it.
+  Pattern pattern_ = Pattern::kNone;
+  std::uint8_t phase_ = 0;
   BufferPool* owner_ = nullptr;
   Buffer* next_free_ = nullptr;  // free-list link while pooled
 
   void release();
 };
+
+/// Writes `n` bytes of the bulk pattern, starting at value `phase`.
+void writePattern(std::uint8_t* out, std::size_t n, std::uint8_t phase);
 
 /// Owning handle to a pooled buffer. Copyable (refcount bump), movable.
 class BufferRef {
@@ -106,6 +144,12 @@ struct BufSlice {
 
   bool empty() const { return length == 0; }
   std::size_t size() const { return length; }
+  /// True when the window holds bulk-pattern bytes by tag (see Buffer).
+  bool isPattern() const { return buffer && buffer->isPattern(); }
+  /// Pattern value of the window's first byte; requires isPattern().
+  std::uint8_t patternPhase() const {
+    return static_cast<std::uint8_t>(buffer->patternPhase() + offset);
+  }
   const std::uint8_t* data() const { return buffer->data() + offset; }
   const std::uint8_t& operator[](std::size_t i) const { return data()[i]; }
   std::span<const std::uint8_t> span() const { return {data(), length}; }

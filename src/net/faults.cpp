@@ -78,12 +78,19 @@ bool CorruptionInjector::corrupt(Packet& p) {
   if (!h->payload.empty()) {
     // Copy-on-corrupt: the original buffer may back retransmission-queue
     // slices and duplicate clones, whose visible windows are immutable.
+    // A tagged payload's pattern is written straight into the clone, so
+    // the clone holds real bytes and fails the checksum the tag stamped.
     auto copy = BufferPool::local().tryAllocate(h->payload.size());
     if (!copy) {
       ++skipped_;  // pool at its ceiling: degrade rather than force
       return false;
     }
-    std::memcpy(copy->data(), h->payload.data(), h->payload.size());
+    if (h->payload.isPattern()) {
+      writePattern(copy->data(), h->payload.size(),
+                   h->payload.patternPhase());
+    } else {
+      std::memcpy(copy->data(), h->payload.data(), h->payload.size());
+    }
     const auto bit = rng_.uniformInt(
         0, static_cast<std::int64_t>(h->payload.size()) * 8 - 1);
     copy->data()[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));

@@ -14,6 +14,9 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// Sets a pattern-tag fold apart from any hash of real bytes.
+constexpr std::uint64_t kPatternMarker = 0x7061747465726e00ull;
+
 }  // namespace
 
 std::uint32_t tcpWireChecksum(const TcpHeader& h) {
@@ -22,6 +25,14 @@ std::uint32_t tcpWireChecksum(const TcpHeader& h) {
                (static_cast<std::uint64_t>(h.syn) << 2) |
                (static_cast<std::uint64_t>(h.fin) << 1) |
                static_cast<std::uint64_t>(h.is_ack));
+  if (h.payload.isPattern()) {
+    // The tag defines every byte: fold (marker, first byte's phase,
+    // length) instead of reading them.
+    acc ^= mix64(kPatternMarker ^
+                 (static_cast<std::uint64_t>(h.payload.patternPhase()) << 32) ^
+                 h.payload.size());
+    return static_cast<std::uint32_t>(acc ^ (acc >> 32));
+  }
   const std::uint8_t* p = h.payload.empty() ? nullptr : h.payload.data();
   std::size_t n = h.payload.size();
   std::uint64_t sum = 0x100000001b3ull;

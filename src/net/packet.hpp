@@ -84,12 +84,16 @@ struct TcpHeader {
 };
 
 /// Wire checksum over a TCP segment's header fields (seq, ack, window,
-/// flags) and payload bytes — everything a fault injector may flip. The
-/// `checksum` field itself is excluded. Word-at-a-time multiply-xor with a
-/// splitmix finalizer: any single bit flip avalanches into the result, and
-/// bulk throughput stays ~8 bytes/cycle so the per-segment cost is noise
-/// against the copy the payload already paid. Stamped by the sender at
-/// segment emission, verified at receive (see tcp/tcp_socket.cpp).
+/// flags) and payload — everything a fault injector may flip. The
+/// `checksum` field itself is excluded. Real payload bytes (MPI payloads,
+/// application sends) are hashed word-at-a-time with multiply-xor. A
+/// pattern-tagged payload (bulk transfers, see net/buffer.hpp) is defined
+/// by its tag, so the hash folds (tag marker, first byte's phase, length)
+/// in O(1) instead of reading bytes. A splitmix finalizer makes any single
+/// bit flip avalanche into the result. A corrupted copy of a tagged
+/// payload holds real bytes, so its hash is the byte hash and it fails the
+/// stamped fold. Stamped by the sender at segment emission, verified at
+/// receive (see tcp/tcp_socket.cpp).
 std::uint32_t tcpWireChecksum(const TcpHeader& h);
 
 /// UDP datagram metadata. Contention traffic is size-only (`payload`

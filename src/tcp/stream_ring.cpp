@@ -1,18 +1,26 @@
 #include "tcp/stream_ring.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
 namespace mgq::tcp {
 
-StreamRing::Chunk& StreamRing::writableTail() {
+StreamRing::Chunk& StreamRing::writableTail(
+    std::optional<std::uint8_t> phase) {
   if (!chunks_.empty()) {
     Chunk& tail = chunks_.back();
-    if (tail.writable && tail.end < tail.buf->capacity()) return tail;
+    const net::Buffer& b = *tail.buf.get();
+    const bool same_run =
+        phase ? b.isPattern() && static_cast<std::uint8_t>(
+                                     b.patternPhase() + tail.end) == *phase
+              : !b.isPattern();
+    if (tail.writable && tail.end < b.capacity() && same_run) return tail;
   }
   Chunk fresh;
   fresh.buf = net::BufferPool::local().allocate(
       static_cast<std::size_t>(chunk_bytes_));
+  if (phase) fresh.buf->tagPattern(*phase);
   fresh.writable = true;
   chunks_.push_back(std::move(fresh));
   return chunks_.back();
@@ -21,7 +29,7 @@ StreamRing::Chunk& StreamRing::writableTail() {
 void StreamRing::append(std::span<const std::uint8_t> data) {
   std::size_t offset = 0;
   while (offset < data.size()) {
-    Chunk& tail = writableTail();
+    Chunk& tail = writableTail(std::nullopt);
     const auto room = tail.buf->capacity() - tail.end;
     const auto take = std::min<std::size_t>(room, data.size() - offset);
     std::memcpy(tail.buf->data() + tail.end, data.data() + offset, take);
@@ -45,15 +53,11 @@ void StreamRing::appendSlice(net::BufSlice s) {
 void StreamRing::appendPattern(std::int64_t stream_offset, std::int64_t n) {
   std::int64_t produced = 0;
   while (produced < n) {
-    Chunk& tail = writableTail();
+    Chunk& tail = writableTail(
+        static_cast<std::uint8_t>((stream_offset + produced) & 0xff));
     const auto room =
         static_cast<std::int64_t>(tail.buf->capacity() - tail.end);
     const auto take = std::min(room, n - produced);
-    std::uint8_t* out = tail.buf->data() + tail.end;
-    for (std::int64_t i = 0; i < take; ++i) {
-      out[i] = static_cast<std::uint8_t>((stream_offset + produced + i) &
-                                         0xff);
-    }
     tail.end += static_cast<std::uint32_t>(take);
     produced += take;
   }
@@ -126,11 +130,66 @@ net::BufSlice StreamRing::slice(std::int64_t offset, std::int32_t len) const {
     }
     break;  // straddles a chunk boundary
   }
-  // Gather-copy into a fresh pooled buffer.
+  // Gather into a fresh pooled buffer: tagged when the window continues
+  // one pattern run, a byte copy otherwise.
   s.buffer = net::BufferPool::local().allocate(static_cast<std::size_t>(len));
   s.length = static_cast<std::uint32_t>(len);
-  copyOut(offset, {s.buffer->data(), static_cast<std::size_t>(len)});
+  if (const auto phase = patternRunAt(offset, len)) {
+    s.buffer->tagPattern(*phase);
+  } else {
+    copyOut(offset, {s.buffer->data(), static_cast<std::size_t>(len)});
+  }
   return s;
+}
+
+std::optional<std::uint8_t> StreamRing::patternRunAt(std::int64_t offset,
+                                                     std::int64_t len) const {
+  std::optional<std::uint8_t> first;
+  std::int64_t covered = 0;
+  for (const Chunk& c : chunks_) {
+    if (covered >= len) break;
+    const auto clen = static_cast<std::int64_t>(c.size());
+    if (offset >= clen) {
+      offset -= clen;
+      continue;
+    }
+    if (!c.buf->isPattern()) return std::nullopt;
+    const auto phase = static_cast<std::uint8_t>(c.buf->patternPhase() +
+                                                 c.begin + offset);
+    if (!first) {
+      first = phase;
+    } else if (phase != static_cast<std::uint8_t>(*first + covered)) {
+      return std::nullopt;
+    }
+    covered += clen - offset;
+    offset = 0;
+  }
+  return first;
+}
+
+bool StreamRing::frontIsPattern(std::int64_t n,
+                                std::uint64_t stream_offset) const {
+  assert(n >= 0 && n <= size_);
+  for (const Chunk& c : chunks_) {
+    if (n == 0) break;
+    const auto take =
+        std::min<std::int64_t>(n, static_cast<std::int64_t>(c.size()));
+    const auto phase = static_cast<std::uint8_t>(stream_offset);
+    if (c.buf->isPattern()) {
+      if (static_cast<std::uint8_t>(c.buf->patternPhase() + c.begin) !=
+          phase) {
+        return false;
+      }
+    } else {
+      const std::uint8_t* bytes = c.buf->data() + c.begin;
+      for (std::int64_t i = 0; i < take; ++i) {
+        if (bytes[i] != static_cast<std::uint8_t>(phase + i)) return false;
+      }
+    }
+    n -= take;
+    stream_offset += static_cast<std::uint64_t>(take);
+  }
+  return true;
 }
 
 }  // namespace mgq::tcp

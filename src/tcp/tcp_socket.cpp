@@ -137,19 +137,23 @@ sim::Task<std::size_t> TcpSocket::recv(std::span<std::uint8_t> out) {
   co_await awaitUntil(recv_data_cond_,
                       [this] { return !recv_buf_.empty() || peer_fin_; });
   if (recv_buf_.empty()) co_return 0;  // EOF
-  const bool was_starved =
-      advertisedWindow() < static_cast<std::uint32_t>(config_.mss);
   const auto n = static_cast<std::size_t>(std::min<std::int64_t>(
       static_cast<std::int64_t>(out.size()), recv_buf_.size()));
   recv_buf_.copyOut(0, out.first(n));
-  recv_buf_.popFront(static_cast<std::int64_t>(n));
-  stats_.bytes_delivered += static_cast<std::int64_t>(n);
+  consumeFront(static_cast<std::int64_t>(n));
+  co_return n;
+}
+
+void TcpSocket::consumeFront(std::int64_t n) {
+  const bool was_starved =
+      advertisedWindow() < static_cast<std::uint32_t>(config_.mss);
+  recv_buf_.popFront(n);
+  stats_.bytes_delivered += n;
   drain_cursor_ += static_cast<std::uint64_t>(n);
   if (was_starved &&
       advertisedWindow() >= static_cast<std::uint32_t>(config_.mss)) {
     sendAck();  // window update so the sender does not stall
   }
-  co_return n;
 }
 
 sim::Task<> TcpSocket::recvExactly(std::span<std::uint8_t> out) {
@@ -162,31 +166,29 @@ sim::Task<> TcpSocket::recvExactly(std::span<std::uint8_t> out) {
 }
 
 sim::Task<std::int64_t> TcpSocket::drain(std::int64_t n, bool verify_pattern) {
+  // Consumed straight from the receive ring in the pieces a recv() into a
+  // 64 KB buffer would take, so window updates and a reset land on the
+  // same events as an application reading the bytes.
+  constexpr std::int64_t kMaxPiece = 64 * 1024;
   std::int64_t consumed = 0;
-  std::vector<std::uint8_t> scratch(
-      static_cast<std::size_t>(std::min<std::int64_t>(n, 64 * 1024)));
   while (consumed < n) {
-    const auto want = std::min<std::int64_t>(
-        n - consumed, static_cast<std::int64_t>(scratch.size()));
-    const auto offset_before = drain_cursor_;
-    const auto got = co_await recv(
-        std::span(scratch.data(), static_cast<std::size_t>(want)));
-    if (got == 0) break;  // EOF
-    if (verify_pattern) {
-      for (std::size_t i = 0; i < got; ++i) {
-        if (scratch[i] !=
-            static_cast<std::uint8_t>((offset_before + i) & 0xff)) {
-          // Corrupted bytes reached the application: tear the connection
-          // down as an observable, counted reset (stats().resets,
-          // resetDetected()) instead of throwing — an exception here
-          // would unwind through the Simulator's event loop. The
-          // corrupted chunk is not counted as consumed.
-          enterReset();
-          co_return consumed;
-        }
-      }
+    co_await awaitUntil(recv_data_cond_,
+                        [this] { return !recv_buf_.empty() || peer_fin_; });
+    if (recv_buf_.empty()) break;  // EOF
+    const auto got = std::min({n - consumed, kMaxPiece, recv_buf_.size()});
+    const bool intact =
+        !verify_pattern || recv_buf_.frontIsPattern(got, drain_cursor_);
+    consumeFront(got);
+    if (!intact) {
+      // Corrupted bytes reached the application: tear the connection
+      // down as an observable, counted reset (stats().resets,
+      // resetDetected()) instead of throwing — an exception here would
+      // unwind through the Simulator's event loop. The corrupted piece
+      // is not counted as consumed.
+      enterReset();
+      co_return consumed;
     }
-    consumed += static_cast<std::int64_t>(got);
+    consumed += got;
   }
   co_return consumed;
 }

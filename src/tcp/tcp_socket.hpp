@@ -16,7 +16,9 @@
 // Payload bytes are carried end to end, so tests can assert exact stream
 // integrity under arbitrary loss. Bulk helpers generate a deterministic
 // byte pattern (byte k of the stream = k & 0xff) that the receiver can
-// verify without the application materializing gigabytes.
+// verify without the application materializing gigabytes. The pattern
+// travels as tagged buffers (net/buffer.hpp): no end writes, hashes or
+// compares those bytes one by one.
 #pragma once
 
 #include <cstdint>
@@ -149,6 +151,9 @@ class TcpSocket : public net::PacketReceiver {
   // Receiver path.
   void processData(std::uint64_t seq, const net::BufSlice& data);
   void processFin(std::uint64_t fin_seq);
+  /// Retires `n` bytes delivered to the application from the receive
+  /// ring, sending a window update when that reopens a starved window.
+  void consumeFront(std::int64_t n);
   std::uint32_t advertisedWindow() const;
   void scheduleAckForData();
 

@@ -54,7 +54,7 @@ TEST(TcpAckAllocTest, BulkTransferAcksAreAllocationFree) {
   }
   // The transfer moves ~2740 data segments and triggers at least as many
   // ACKs. The data path allocates one 16 KB ring chunk per 16 KB of
-  // stream (sender pattern fill + receiver reassembly) plus an occasional
+  // stream (sender pattern chunks + receiver reassembly) plus an occasional
   // boundary gather — a few thousand allocations in total. ACKs touching
   // the pool would at least double that; a tight ceiling pins them to
   // zero-allocation.
