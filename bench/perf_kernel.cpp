@@ -80,15 +80,15 @@ MixResult runCancelHeavy(int timers, int steps) {
   for (std::size_t k = 0; k < pending.size(); ++k) arm(k);
   for (int s = 0; s < steps; ++s) {
     const auto k = static_cast<std::size_t>(s) % pending.size();
-    // Restart the timer before it fires — the churn that used to strand
-    // a tombstone (and its captured state) in the heap per ACK.
+    // Restart the timer before it fires — the per-ACK RTO churn. Each
+    // cancel removes its heap entry in place and frees the capture.
     if (armed[k]) {
       simulator.cancel(pending[k]);
       ++ops;
     }
     arm(k);
     // Periodically let ~10% of a ring's deadlines actually surface so the
-    // pop path (and tombstone skipping) is part of the measurement.
+    // pop path is part of the measurement.
     if (k + 1 == pending.size()) {
       simulator.runFor(sim::Duration::nanos(100'000));
     }

@@ -23,7 +23,7 @@ void UdpSocket::sendTo(NodeId dst, PortId dst_port,
     Packet p;
     p.flow = FlowKey{host_.id(), dst, port_, dst_port, Protocol::kUdp};
     p.size_bytes = chunk + kIpHeaderBytes + kUdpHeaderBytes;
-    p.header = UdpHeader{next_datagram_id_};
+    p.header = UdpHeader{next_datagram_id_, BufSlice{}};
     host_.sendPacket(std::move(p));
     remaining -= chunk;
   }

@@ -8,6 +8,13 @@
 // closures. Move-only, so move-only captures (unique_ptr and friends)
 // work too.
 //
+// Inline callables that are trivially copyable and trivially destructible
+// — the hot `[this]` / `[this, id]` link and TCP lambdas — carry null
+// relocate and destroy ops: moving one copies the raw storage and reset()
+// has nothing to run. The heap fallback's storage is just an owning
+// pointer, so it relocates the same way. Only inline callables with
+// non-trivial captures pay an indirect call per move.
+//
 // EventFn::resume(h) is the dedicated wakeup representation: the
 // delay()/Condition fast paths build it directly, so a coroutine resume
 // costs one inline store — no lambda object, no type erasure beyond the
@@ -16,6 +23,7 @@
 
 #include <coroutine>
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -44,21 +52,12 @@ class EventFn {
     return fn;
   }
 
-  EventFn(EventFn&& o) noexcept : ops_(o.ops_) {
-    if (ops_ != nullptr) {
-      ops_->relocate(storage_, o.storage_);
-      o.ops_ = nullptr;
-    }
-  }
+  EventFn(EventFn&& o) noexcept { take(o); }
 
   EventFn& operator=(EventFn&& o) noexcept {
     if (this != &o) {
       reset();
-      ops_ = o.ops_;
-      if (ops_ != nullptr) {
-        ops_->relocate(storage_, o.storage_);
-        o.ops_ = nullptr;
-      }
+      take(o);
     }
     return *this;
   }
@@ -75,7 +74,7 @@ class EventFn {
   /// Destroys the held callable (and everything it captures) immediately.
   void reset() noexcept {
     if (ops_ != nullptr) {
-      ops_->destroy(storage_);
+      if (ops_->destroy != nullptr) ops_->destroy(storage_);
       ops_ = nullptr;
     }
   }
@@ -83,8 +82,10 @@ class EventFn {
  private:
   struct Ops {
     void (*invoke)(void* storage);
-    /// Move-constructs dst from src, then destroys src.
+    /// Move-constructs dst from src, then destroys src. Null when a plain
+    /// copy of the storage bytes does both.
     void (*relocate)(void* dst, void* src) noexcept;
+    /// Null when destruction is a no-op.
     void (*destroy)(void* storage) noexcept;
   };
 
@@ -93,6 +94,12 @@ class EventFn {
     return sizeof(F) <= kInlineBytes &&
            alignof(F) <= alignof(std::max_align_t) &&
            std::is_nothrow_move_constructible_v<F>;
+  }
+
+  template <typename F>
+  static constexpr bool isTrivial() {
+    return std::is_trivially_copyable_v<F> &&
+           std::is_trivially_destructible_v<F>;
   }
 
   template <typename F>
@@ -106,32 +113,35 @@ class EventFn {
     static void destroy(void* storage) noexcept {
       std::launder(reinterpret_cast<F*>(storage))->~F();
     }
-    static constexpr Ops ops{&invoke, &relocate, &destroy};
+    static constexpr Ops ops = isTrivial<F>()
+                                   ? Ops{&invoke, nullptr, nullptr}
+                                   : Ops{&invoke, &relocate, &destroy};
   };
 
   template <typename F>
   struct HeapOps {
-    static F*& ptr(void* storage) { return *reinterpret_cast<F**>(storage); }
+    static F* ptr(void* storage) { return *reinterpret_cast<F**>(storage); }
     static void invoke(void* storage) { (*ptr(storage))(); }
-    static void relocate(void* dst, void* src) noexcept {
-      *reinterpret_cast<F**>(dst) = ptr(src);
-    }
     static void destroy(void* storage) noexcept { delete ptr(storage); }
-    static constexpr Ops ops{&invoke, &relocate, &destroy};
+    static constexpr Ops ops{&invoke, nullptr, &destroy};
   };
 
-  struct ResumeOps {
-    static std::coroutine_handle<>& handle(void* storage) {
-      return *std::launder(reinterpret_cast<std::coroutine_handle<>*>(storage));
+  static void resumeHandle(void* storage) {
+    std::launder(reinterpret_cast<std::coroutine_handle<>*>(storage))->resume();
+  }
+  static constexpr Ops kResumeOps{&resumeHandle, nullptr, nullptr};
+
+  /// Moves o's callable into this (empty) EventFn and leaves o empty.
+  void take(EventFn& o) noexcept {
+    ops_ = o.ops_;
+    if (ops_ == nullptr) return;
+    if (ops_->relocate != nullptr) {
+      ops_->relocate(storage_, o.storage_);
+    } else {
+      std::memcpy(storage_, o.storage_, kInlineBytes);
     }
-    static void invoke(void* storage) { handle(storage).resume(); }
-    static void relocate(void* dst, void* src) noexcept {
-      ::new (dst) std::coroutine_handle<>(handle(src));
-    }
-    static void destroy(void*) noexcept {}
-  };
-  static constexpr Ops kResumeOps{&ResumeOps::invoke, &ResumeOps::relocate,
-                                  &ResumeOps::destroy};
+    o.ops_ = nullptr;
+  }
 
   template <typename F>
   void emplace(F&& f) {

@@ -1,27 +1,35 @@
 #include "sim/event_queue.hpp"
 
 #include <cassert>
-#include <limits>
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 namespace mgq::sim {
 namespace {
 
-constexpr std::size_t kNpos = std::numeric_limits<std::size_t>::max();
+// Four children per node: a shallower tree than a binary heap, and the
+// four 16-byte children of a node span a single cache line's worth.
+constexpr std::size_t kArity = 4;
 
-// Compaction is only worth a full rebuild once the tombstone population
-// is both absolutely non-trivial and at least half the heap.
-constexpr std::size_t kMinDeadForCompaction = 64;
+constexpr std::uint64_t kMaxSeq = (std::uint64_t{1} << 40) - 1;
+
+// The encoding limits are enforced in every build type, NDEBUG included:
+// overflowing either would silently corrupt pop order.
+[[noreturn]] void limitExceeded(const char* what) {
+  std::fprintf(stderr, "EventQueue: %s limit exceeded\n", what);
+  std::abort();
+}
 
 }  // namespace
 
-std::size_t EventQueue::decodeLive(EventId id) const {
+EventQueue::Slot* EventQueue::decodeLive(EventId id) {
   const auto slot = static_cast<std::uint32_t>(id & 0xffffffffu);
   const auto gen = static_cast<std::uint32_t>(id >> 32);
-  if (slot >= slots_.size()) return kNpos;
-  const Slot& s = slots_[slot];
-  if (!s.armed || s.gen != gen) return kNpos;
-  return slot;
+  if (slot >= slots_.size()) return nullptr;
+  Slot& s = slots_[slot];
+  if (s.pos == kIdle || s.gen != gen) return nullptr;
+  return &s;
 }
 
 std::uint32_t EventQueue::acquireSlot() {
@@ -30,6 +38,7 @@ std::uint32_t EventQueue::acquireSlot() {
     free_slots_.pop_back();
     return slot;
   }
+  if (slots_.size() > kSlotMask) limitExceeded("slot index");
   slots_.emplace_back();
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
@@ -37,23 +46,26 @@ std::uint32_t EventQueue::acquireSlot() {
 void EventQueue::releaseSlot(std::uint32_t slot) {
   Slot& s = slots_[slot];
   s.fn.reset();
-  s.armed = false;
+  s.pos = kIdle;
   s.resume = false;
-  ++s.gen;  // orphans any heap entry (and id) still carrying the old gen
+  ++s.gen;  // invalidates every id issued for the old occupant
   free_slots_.push_back(slot);
 }
 
+std::uint64_t EventQueue::nextOrder(std::uint32_t slot) {
+  if (next_seq_ > kMaxSeq) limitExceeded("sequence number");
+  return (next_seq_++ << kSlotBits) | slot;
+}
+
 EventId EventQueue::pushEntry(TimePoint at, std::uint32_t slot) {
-  heap_.push_back(Entry{at, next_seq_++, slot, slots_[slot].gen});
-  siftUp(heap_.size() - 1);
+  heap_.emplace_back();
+  siftUp(heap_.size() - 1, Entry{at, nextOrder(slot)});
   return makeId(slots_[slot].gen, slot);
 }
 
 EventId EventQueue::push(TimePoint at, EventFn fn) {
   const std::uint32_t slot = acquireSlot();
-  Slot& s = slots_[slot];
-  s.fn = std::move(fn);
-  s.armed = true;
+  slots_[slot].fn = std::move(fn);
   return pushEntry(at, slot);
 }
 
@@ -61,135 +73,118 @@ EventId EventQueue::pushResume(TimePoint at, std::coroutine_handle<> h) {
   const std::uint32_t slot = acquireSlot();
   Slot& s = slots_[slot];
   s.fn = EventFn::resume(h);
-  s.armed = true;
   s.resume = true;
   return pushEntry(at, slot);
 }
 
 bool EventQueue::cancel(EventId id) {
-  const std::size_t slot = decodeLive(id);
-  if (slot == kNpos) return false;
-  releaseSlot(static_cast<std::uint32_t>(slot));
-  ++dead_;
-  maybeCompact();
+  Slot* s = decodeLive(id);
+  if (s == nullptr) return false;
+  // Take the callback out first: its captures die when this function
+  // returns, after the queue is consistent again, so a destructor that
+  // re-enters the queue sees no half-removed entry.
+  const EventFn doomed = std::move(s->fn);
+  const std::size_t i = s->pos;
+  releaseSlot(static_cast<std::uint32_t>(s - slots_.data()));
+  removeAt(i);
   return true;
 }
 
 EventId EventQueue::reschedule(EventId id, TimePoint at) {
-  const std::size_t slot = decodeLive(id);
-  if (slot == kNpos) return 0;
-  // Bump the generation to tombstone the old entry, keep the callback
-  // armed in place, and enqueue a fresh entry as if just pushed.
-  ++slots_[slot].gen;
-  ++dead_;
-  const EventId fresh = pushEntry(at, static_cast<std::uint32_t>(slot));
-  maybeCompact();
-  return fresh;
+  Slot* s = decodeLive(id);
+  if (s == nullptr) return 0;
+  const auto slot = static_cast<std::uint32_t>(s - slots_.data());
+  // Keep the callback armed in place; the entry takes a fresh sequence
+  // number, as if just pushed, and sifts from where it stands.
+  ++s->gen;
+  const std::size_t i = s->pos;
+  const Entry moved{at, nextOrder(slot)};
+  if (later(moved, heap_[i])) {
+    siftDown(i, moved);
+  } else {
+    siftUp(i, moved);
+  }
+  return makeId(s->gen, slot);
 }
 
 std::size_t EventQueue::cancelResumeEvents() {
   std::size_t cancelled = 0;
   for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
-    if (slots_[slot].armed && slots_[slot].resume) {
+    const Slot& s = slots_[slot];
+    if (s.pos != kIdle && s.resume) {
+      const std::size_t i = s.pos;
       releaseSlot(slot);
-      ++dead_;
+      removeAt(i);
       ++cancelled;
     }
   }
-  maybeCompact();
   return cancelled;
 }
 
 TimePoint EventQueue::nextTime() {
-  dropDeadTop();
   assert(!heap_.empty());
   return heap_.front().at;
 }
 
 EventFn EventQueue::pop(TimePoint* at) {
-  dropDeadTop();
   assert(!heap_.empty());
-  const Entry& top = heap_.front();
+  const Entry top = heap_.front();
   if (at != nullptr) *at = top.at;
-  EventFn fn = std::move(slots_[top.slot].fn);
-  releaseSlot(top.slot);
-  popTop();
+  const std::uint32_t slot = slotOf(top);
+  EventFn fn = std::move(slots_[slot].fn);
+  releaseSlot(slot);
+  removeAt(0);
   return fn;
 }
 
 void EventQueue::clear() {
-  // Release (not reset) every armed slot so generations keep advancing —
+  // Release (not reset) every queued slot so generations keep advancing —
   // an id issued before clear() must never match an event pushed after.
   for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
-    if (slots_[slot].armed) releaseSlot(slot);
+    if (slots_[slot].pos != kIdle) releaseSlot(slot);
   }
   heap_.clear();
-  dead_ = 0;
 }
 
-void EventQueue::popTop() {
-  const Entry back = heap_.back();
+void EventQueue::removeAt(std::size_t i) {
+  const Entry last = heap_.back();
   heap_.pop_back();
-  if (!heap_.empty()) {
-    heap_.front() = back;
-    siftDown(0);
+  if (i == heap_.size()) return;  // it was the last leaf
+  if (i > 0 && later(heap_[(i - 1) / kArity], last)) {
+    siftUp(i, last);
+  } else {
+    siftDown(i, last);
   }
 }
 
-void EventQueue::dropDeadTop() {
-  while (!heap_.empty() && isDead(heap_.front())) {
-    popTop();
-    assert(dead_ > 0);
-    --dead_;
-  }
-}
+// Both sifts move a hole instead of swapping — one Entry store (and one
+// position update) per level rather than three.
 
-void EventQueue::maybeCompact() {
-  if (dead_ >= kMinDeadForCompaction && dead_ * 2 >= heap_.size()) compact();
-}
-
-void EventQueue::compact() {
-  std::size_t w = 0;
-  for (std::size_t r = 0; r < heap_.size(); ++r) {
-    if (!isDead(heap_[r])) heap_[w++] = heap_[r];
-  }
-  heap_.resize(w);
-  dead_ = 0;
-  // Floyd heapify; legal because (at, seq) is a total order, so the heap's
-  // internal arrangement cannot influence pop order.
-  for (std::size_t i = heap_.size() / 2; i-- > 0;) siftDown(i);
-  ++compactions_;
-}
-
-// Both sifts move a hole instead of swapping — one Entry store per level
-// rather than three. (at, seq) is a strict total order, so — as with
-// compact()'s Floyd heapify — the heap's internal arrangement cannot
-// influence pop order and the cheaper sift is observationally identical.
-
-void EventQueue::siftUp(std::size_t i) {
-  const Entry item = heap_[i];
+void EventQueue::siftUp(std::size_t i, Entry item) {
   while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
+    const std::size_t parent = (i - 1) / kArity;
     if (!later(heap_[parent], item)) break;
-    heap_[i] = heap_[parent];
+    place(i, heap_[parent]);
     i = parent;
   }
-  heap_[i] = item;
+  place(i, item);
 }
 
-void EventQueue::siftDown(std::size_t i) {
+void EventQueue::siftDown(std::size_t i, Entry item) {
   const std::size_t n = heap_.size();
-  const Entry item = heap_[i];
   for (;;) {
-    std::size_t child = 2 * i + 1;
-    if (child >= n) break;
-    const std::size_t r = child + 1;
-    if (r < n && later(heap_[child], heap_[r])) child = r;
+    const std::size_t first = kArity * i + 1;
+    if (first >= n) break;
+    const std::size_t end = first + kArity < n ? first + kArity : n;
+    std::size_t child = first;
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (later(heap_[child], heap_[c])) child = c;
+    }
     if (!later(item, heap_[child])) break;
-    heap_[i] = heap_[child];
+    place(i, heap_[child]);
     i = child;
   }
-  heap_[i] = item;
+  place(i, item);
 }
 
 }  // namespace mgq::sim

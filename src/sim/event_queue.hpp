@@ -1,23 +1,21 @@
 // Pending-event set for the discrete-event kernel.
 //
-// A binary min-heap ordered by (time, insertion sequence); the sequence
-// tie-break makes same-timestamp events fire in FIFO order, which is what
-// keeps coroutine wakeups deterministic. Heap entries are 24-byte PODs —
-// the callback itself lives in a stable generation-tagged slot table, so
-// sift operations never move a callable and cancel() is O(1): it bumps
-// the slot's generation (orphaning the heap entry as a tombstone) and
-// destroys the callback *immediately*, releasing everything it captured.
-//
-// Tombstones are skipped when they surface, and eagerly compacted away
-// whenever they outnumber live entries (>= 50% dead) — so cancel-heavy
-// callers (RTO restarts in src/tcp/) never grow the heap beyond ~2x the
-// live set. Compaction cannot change pop order: the (time, seq) key is a
+// An indexed 4-ary min-heap ordered by (time, insertion sequence); the
+// sequence tie-break makes same-timestamp events fire in FIFO order, which
+// is what keeps coroutine wakeups deterministic. (time, seq) is a strict
 // total order, so the pop sequence is a function of the entry set alone,
-// not of the heap's internal layout.
+// never of the heap's internal layout.
+//
+// Heap entries are 16-byte PODs {at, seq << 24 | slot}; the callback lives
+// in a stable slot table, so sifts never move a callable. Each slot records
+// its entry's heap position, which makes cancel() and reschedule() in-place
+// O(log n) operations: the heap holds exactly the live events
+// (heapEntries() == size()), and cancel() destroys the callback — and
+// everything it captured — immediately.
 //
 // EventIds encode (generation << 32 | slot). Generations start at 1 and
-// bump on every release, so stale ids — including id 0, the callers'
-// "no event" sentinel — never match a reused slot.
+// bump on every release and reschedule, so stale ids — including id 0, the
+// callers' "no event" sentinel — never match a reused slot.
 #pragma once
 
 #include <coroutine>
@@ -40,10 +38,9 @@ class EventQueue {
   /// lambda. The entry is tagged so cancelResumeEvents() can find it.
   EventId pushResume(TimePoint at, std::coroutine_handle<> h);
 
-  /// Marks a still-queued event as cancelled and destroys its callback
-  /// (and captures) immediately; the tombstone is dropped when it
-  /// surfaces or at the next compaction. Returns false if the event
-  /// already fired or was cancelled.
+  /// Removes a still-queued event and destroys its callback (and captures)
+  /// immediately. Returns false if the event already fired or was
+  /// cancelled.
   bool cancel(EventId id);
 
   /// Atomically retargets a still-pending event to fire at `at` instead,
@@ -58,71 +55,72 @@ class EventQueue {
   /// fire into a destroyed coroutine frame. Returns the number cancelled.
   std::size_t cancelResumeEvents();
 
-  bool empty() const { return liveCount() == 0; }
-  std::size_t size() const { return liveCount(); }
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
 
-  /// Time of the earliest live event. Requires !empty().
+  /// Time of the earliest event. Requires !empty().
   TimePoint nextTime();
 
-  /// Removes and returns the earliest live event's action, advancing past
-  /// cancelled entries. Requires !empty().
+  /// Removes and returns the earliest event's action. Requires !empty().
   EventFn pop(TimePoint* at = nullptr);
 
   void clear();
 
-  /// Introspection for tests and the perf harness.
+  /// Introspection for tests: always equals size().
   std::size_t heapEntries() const { return heap_.size(); }
-  std::size_t tombstones() const { return dead_; }
-  std::uint64_t compactions() const { return compactions_; }
 
  private:
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr std::uint64_t kSlotMask = (std::uint64_t{1} << kSlotBits) - 1;
+  static constexpr std::uint32_t kIdle = UINT32_MAX;  // Slot::pos when unqueued
+
   struct Entry {
     TimePoint at;
-    std::uint64_t seq;   // global insertion order: the FIFO tie-break
-    std::uint32_t slot;  // index into slots_
-    std::uint32_t gen;   // must match slots_[slot].gen to be live
+    std::uint64_t order;  // seq << kSlotBits | slot; seq is the FIFO tie-break
   };
 
   struct Slot {
     EventFn fn;
     std::uint32_t gen = 1;
-    bool armed = false;   // a live heap entry references this slot
-    bool resume = false;  // armed via pushResume
+    std::uint32_t pos = kIdle;  // index of this slot's entry in heap_
+    bool resume = false;        // armed via pushResume
   };
 
-  // Min-heap predicate: true when a fires *after* b. (at, seq) is a
-  // strict total order — seq is unique — so pop order is deterministic.
+  // Min-heap predicate: true when a fires *after* b. Comparing `order`
+  // compares seq, which is unique, so the order is strict and total.
   static bool later(const Entry& a, const Entry& b) {
     if (a.at != b.at) return a.at > b.at;
-    return a.seq > b.seq;
+    return a.order > b.order;
+  }
+
+  static std::uint32_t slotOf(const Entry& e) {
+    return static_cast<std::uint32_t>(e.order & kSlotMask);
   }
 
   static EventId makeId(std::uint32_t gen, std::uint32_t slot) {
     return (static_cast<EventId>(gen) << 32) | slot;
   }
 
-  bool isDead(const Entry& e) const { return slots_[e.slot].gen != e.gen; }
-  /// Decodes `id`; returns the slot index when it names a live event,
-  /// npos otherwise.
-  std::size_t decodeLive(EventId id) const;
+  /// Decodes `id`; returns the slot when it names a queued event, or
+  /// nullptr.
+  Slot* decodeLive(EventId id);
 
   std::uint32_t acquireSlot();
   void releaseSlot(std::uint32_t slot);
+  std::uint64_t nextOrder(std::uint32_t slot);
   EventId pushEntry(TimePoint at, std::uint32_t slot);
-  void popTop();
-  void dropDeadTop();
-  void maybeCompact();
-  void compact();
-  void siftUp(std::size_t i);
-  void siftDown(std::size_t i);
-  std::size_t liveCount() const { return heap_.size() - dead_; }
+  void removeAt(std::size_t i);
+  void place(std::size_t i, const Entry& e) {
+    heap_[i] = e;
+    slots_[slotOf(e)].pos = static_cast<std::uint32_t>(i);
+  }
+  void siftUp(std::size_t i, Entry item);
+  void siftDown(std::size_t i, Entry item);
 
   std::vector<Entry> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 1;
-  std::size_t dead_ = 0;  // tombstones currently in heap_
-  std::uint64_t compactions_ = 0;
 };
 
 }  // namespace mgq::sim

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <coroutine>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -128,16 +129,45 @@ TEST(EventQueueTest, ManyRandomOrderInsertionsPopSorted) {
 TEST(EventQueueTest, CancelReleasesCapturedStateImmediately) {
   // Regression: a cancelled entry's callback (and everything it captured
   // — sockets, shared_ptrs) used to stay alive in the heap until the
-  // tombstone surfaced, extending object lifetimes unpredictably.
+  // entry surfaced, extending object lifetimes unpredictably.
   EventQueue q;
   auto sentinel = std::make_shared<int>(7);
   const auto id = q.push(TimePoint::fromSeconds(1), [sentinel] {});
   q.push(TimePoint::fromSeconds(2), [] {});
   EXPECT_EQ(sentinel.use_count(), 2);
   EXPECT_TRUE(q.cancel(id));
-  // Destroyed at cancel time, not when the tombstone would surface.
+  // Destroyed at cancel time, and the entry left the heap with it.
   EXPECT_EQ(sentinel.use_count(), 1);
-  EXPECT_EQ(q.tombstones(), 1u);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.heapEntries(), q.size());
+}
+
+TEST(EventQueueTest, CancelledCaptureMayReenterTheQueue) {
+  // A capture's destructor (a socket's last reference, say) may cancel
+  // and push other events while cancel() is running.
+  struct OnDestroy {
+    std::function<void()> fn;
+    ~OnDestroy() { fn(); }
+  };
+  EventQueue q;
+  std::vector<int> order;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 12; ++i) {
+    ids.push_back(q.push(TimePoint::fromSeconds(1 + i),
+                         [&order, i] { order.push_back(i); }));
+  }
+  auto hook = std::make_shared<OnDestroy>();
+  hook->fn = [&] {
+    EXPECT_TRUE(q.cancel(ids[0]));
+    EXPECT_TRUE(q.cancel(ids[11]));
+    q.push(TimePoint::fromSeconds(0.5), [&order] { order.push_back(100); });
+  };
+  const auto id = q.push(TimePoint::fromSeconds(6.5), [h = std::move(hook)] {});
+  EXPECT_TRUE(q.cancel(id));
+  EXPECT_EQ(q.size(), 11u);
+  EXPECT_EQ(q.heapEntries(), q.size());
+  while (!q.empty()) q.pop()();
+  EXPECT_EQ(order, (std::vector<int>{100, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
 }
 
 TEST(EventQueueTest, ClearReleasesCapturedState) {
@@ -224,25 +254,28 @@ TEST(EventQueueTest, RescheduleIsFifoAsIfFreshlyPushed) {
   EXPECT_EQ(order, (std::vector<int>{2, 3, 1}));
 }
 
-TEST(EventQueueTest, CancelChurnCompactsTombstonesEagerly) {
-  // RTO-style churn: one live timer is cancelled and re-pushed thousands
-  // of times without ever firing. The heap must stay bounded by the live
-  // set (plus at most the <50% dead fraction), not grow with the churn.
+TEST(EventQueueTest, CancelChurnKeepsHeapAtLiveSize) {
+  // RTO-style churn: one live timer is cancelled and re-pushed (or
+  // rescheduled) thousands of times without ever firing. Both remove the
+  // old entry in place, so the heap never holds more than the live set.
   EventQueue q;
   EventId id = q.push(TimePoint::fromSeconds(1), [] {});
   for (int i = 0; i < 10'000; ++i) {
-    EXPECT_TRUE(q.cancel(id));
+    ASSERT_TRUE(q.cancel(id));
     id = q.push(TimePoint::fromSeconds(1 + i), [] {});
+    ASSERT_EQ(q.heapEntries(), 1u);
+    id = q.reschedule(id, TimePoint::fromSeconds(2 + i));
+    ASSERT_NE(id, 0u);
+    ASSERT_EQ(q.heapEntries(), 1u);
   }
   EXPECT_EQ(q.size(), 1u);
-  EXPECT_GT(q.compactions(), 0u);
-  EXPECT_LE(q.heapEntries(), 128u);
-  EXPECT_LT(q.tombstones(), q.heapEntries());
+  EXPECT_EQ(q.heapEntries(), 1u);
 }
 
-TEST(EventQueueTest, CompactionPreservesPopOrder) {
-  // Interleave cancels with pushes across duplicate timestamps, forcing
-  // compactions, and check the survivors still pop in (time, FIFO) order.
+TEST(EventQueueTest, BulkCancelPreservesPopOrder) {
+  // Interleave cancels with pushes across duplicate timestamps, so every
+  // cancel removes an entry from the middle of the heap, and check the
+  // survivors still pop in (time, FIFO) order.
   EventQueue q;
   std::vector<int> order;
   std::vector<EventId> cancel_me;
@@ -254,7 +287,8 @@ TEST(EventQueueTest, CompactionPreservesPopOrder) {
     }
   }
   for (const auto id : cancel_me) EXPECT_TRUE(q.cancel(id));
-  EXPECT_GT(q.compactions(), 0u);
+  EXPECT_EQ(q.size(), 300u);
+  EXPECT_EQ(q.heapEntries(), q.size());
   while (!q.empty()) q.pop()();
   ASSERT_EQ(order.size(), 300u);
   // Rounds grouped by timestamp (1s, 2s, 3s), FIFO within each group.
@@ -262,6 +296,56 @@ TEST(EventQueueTest, CompactionPreservesPopOrder) {
   for (int rem = 0; rem < 3; ++rem) {
     for (int round = rem; round < 300; round += 3) expected.push_back(round);
   }
+  EXPECT_EQ(order, expected);
+}
+
+TEST(EventQueueTest, RescheduleToEarlierOvertakesQueuedEvents) {
+  // Moving an event earlier sifts it up past entries it used to trail;
+  // moving one to its own time keeps it but behind its equal-time peers.
+  EventQueue q;
+  std::vector<int> order;
+  for (int i = 0; i < 20; ++i) {
+    q.push(TimePoint::fromSeconds(10 + i), [&order, i] { order.push_back(i); });
+  }
+  const auto last =
+      q.push(TimePoint::fromSeconds(50), [&] { order.push_back(99); });
+  const auto same =
+      q.push(TimePoint::fromSeconds(10), [&] { order.push_back(98); });
+  const auto moved = q.reschedule(last, TimePoint::fromSeconds(5));
+  ASSERT_NE(moved, 0u);
+  EXPECT_EQ(q.nextTime(), TimePoint::fromSeconds(5));
+  ASSERT_NE(q.reschedule(same, TimePoint::fromSeconds(10)), 0u);
+  EXPECT_EQ(q.heapEntries(), 22u);
+  while (!q.empty()) q.pop()();
+  std::vector<int> expected{99, 0, 98};
+  for (int i = 1; i < 20; ++i) expected.push_back(i);
+  EXPECT_EQ(order, expected);
+}
+
+TEST(EventQueueTest, CancelRootAndLastLeaf) {
+  EventQueue q;
+  std::vector<int> order;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 30; ++i) {
+    ids.push_back(q.push(TimePoint::fromSeconds(1 + i),
+                         [&order, i] { order.push_back(i); }));
+  }
+  // Ascending pushes leave the earliest event at the root and the latest
+  // in the last leaf.
+  EXPECT_TRUE(q.cancel(ids.front()));  // the root
+  EXPECT_EQ(q.nextTime(), TimePoint::fromSeconds(2));
+  EXPECT_TRUE(q.cancel(ids.back()));  // the last leaf
+  EXPECT_EQ(q.size(), 28u);
+  EXPECT_EQ(q.heapEntries(), q.size());
+  // The root again, now holding a different event; then drain to one and
+  // cancel the sole entry, which is root and last leaf at once.
+  EXPECT_TRUE(q.cancel(ids[1]));
+  while (q.size() > 1) q.pop()();
+  EXPECT_TRUE(q.cancel(ids[28]));
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.heapEntries(), 0u);
+  std::vector<int> expected;
+  for (int i = 2; i < 28; ++i) expected.push_back(i);
   EXPECT_EQ(order, expected);
 }
 
