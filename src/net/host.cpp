@@ -29,6 +29,8 @@ void Host::sendPacket(Packet p) {
   nic().send(std::move(p));
 }
 
+// The packet leaves the ring before delivery: a receiver that sends to
+// itself again pushes onto the ring, which may grow.
 void Host::onLoopbackDelivery() {
   Packet pkt = std::move(loopback_.front());
   loopback_.pop_front();
@@ -58,7 +60,7 @@ PortId Host::allocateEphemeralPort(Protocol proto) {
   return 0;
 }
 
-void Host::deliver(Packet p, Interface& in) {
+void Host::deliver(Packet&& p, Interface& in) {
   (void)in;
   ++stats_.received_packets;
   const auto it = bindings_.find(portKey(p.flow.proto, p.flow.dst_port));

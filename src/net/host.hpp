@@ -4,11 +4,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <unordered_map>
 
 #include "net/node.hpp"
+#include "net/packet_ring.hpp"
 
 namespace mgq::cpu {
 class CpuScheduler;
@@ -49,7 +49,7 @@ class Host : public Node {
   /// Allocates an ephemeral port (49152+) free for `proto`.
   PortId allocateEphemeralPort(Protocol proto);
 
-  void deliver(Packet p, Interface& in) override;
+  void deliver(Packet&& p, Interface& in) override;
 
   DsPolicy& egressPolicy() { return egress_policy_; }
   const HostStats& stats() const { return stats_; }
@@ -68,7 +68,7 @@ class Host : public Node {
   std::unordered_map<std::uint64_t, PacketReceiver*> bindings_;
   // Loopback packets awaiting their fixed-latency delivery event; the
   // event captures only `this` (FIFO — the delay is constant).
-  std::deque<Packet> loopback_;
+  PacketRing loopback_;
   DsPolicy egress_policy_;
   HostStats stats_;
   PortId next_ephemeral_ = 49152;

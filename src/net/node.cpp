@@ -45,9 +45,8 @@ void Interface::send(Packet p) {
     ++stats_.drops_pool_pressure;
     return;
   }
-  p.enqueued_at = sim_.now();
   // Idle transmitter, nothing queued: the packet would be dequeued again
-  // immediately, so skip the deque round-trip. passThrough keeps the
+  // immediately, so skip the qdisc round-trip. passThrough keeps the
   // queue counters exactly as enqueue()+dequeue() would have left them.
   if (!transmitting_ && up_ && qdisc_.empty()) {
     if (!qdisc_.passThrough(p)) {
@@ -93,59 +92,64 @@ void Interface::transmitNext() {
   startTransmit(std::move(*next));
 }
 
-void Interface::startTransmit(Packet p) {
+void Interface::startTransmit(Packet&& p) {
   const auto tx_time = sim::transmissionTime(p.size_bytes, rate_bps_);
   ++stats_.tx_packets;
   stats_.tx_bytes += p.size_bytes;
-  tx_packet_ = std::move(p);
+  wire_.push_back(std::move(p));
   sim_.schedule(tx_time, [this] { onSerialized(); });
 }
 
-// Serialization complete: the packet propagates to the peer and the
-// transmitter moves on to the next queued packet. An injected loss
-// episode eats the packet on the wire: bandwidth spent, nothing arrives.
-// The propagation event is scheduled before the next transmission starts,
-// preserving the exact event order of the pre-pool data plane. The
-// adversarial hooks (partition, corrupt, duplicate, reorder) are all null
-// or false by default, so an unhooked interface schedules the exact same
-// events as before they existed.
+// Serialization complete: the packet at the back of `wire_` propagates to
+// the peer and the transmitter moves on to the next queued packet. An
+// injected loss episode eats the packet on the wire: bandwidth spent,
+// nothing arrives. The propagation event is scheduled before the next
+// transmission starts, preserving the exact event order of the pre-pool
+// data plane. The adversarial hooks (partition, corrupt, duplicate,
+// reorder) are all null or false by default, so an unhooked interface
+// schedules the exact same events as before they existed.
 void Interface::onSerialized() {
-  Packet& pkt = *tx_packet_;
+  Packet& pkt = wire_.back();
   if (loss_hook_ && loss_hook_(pkt)) {
     ++stats_.drops_fault;
+    wire_.pop_back();
   } else if (partitioned_) {
     ++stats_.drops_partition;
+    wire_.pop_back();
   } else {
     if (corrupt_hook_ && corrupt_hook_(pkt)) ++stats_.corrupted;
-    std::optional<Packet> clone;
-    if (duplicate_hook_ && duplicate_hook_(pkt)) {
-      ++stats_.duplicated;
-      clone = pkt;  // shares the payload slice — refcount bump, no copy
-    }
+    const bool duplicate = duplicate_hook_ && duplicate_hook_(pkt);
+    if (duplicate) ++stats_.duplicated;
     const auto extra =
         reorder_hook_ ? reorder_hook_(pkt) : sim::Duration::zero();
     if (extra > sim::Duration::zero()) {
       ++stats_.reordered;
       const auto id = delayed_seq_++;
-      delayed_wire_.emplace(id, std::move(pkt));
+      if (duplicate) {
+        // The clone (a copy sharing the payload slice — refcount bump, no
+        // byte copy) keeps the wire slot.
+        delayed_wire_.emplace(id, pkt);
+      } else {
+        delayed_wire_.emplace(id, std::move(pkt));
+        wire_.pop_back();
+      }
       sim_.schedule(delay_ + extra, [this, id] { onDelayedPropagated(id); });
     } else {
-      propagate(std::move(pkt));
+      sim_.schedule(delay_, [this] { onPropagated(); });
+      // The clone is built before push_back may grow the ring.
+      if (duplicate) wire_.push_back(Packet(pkt));
     }
-    if (clone) propagate(std::move(*clone));
+    if (duplicate) sim_.schedule(delay_, [this] { onPropagated(); });
   }
-  tx_packet_.reset();
   transmitNext();
 }
 
-void Interface::propagate(Packet p) {
-  wire_.push_back(std::move(p));
-  sim_.schedule(delay_, [this] { onPropagated(); });
-}
-
+// The packet leaves the interface's custody before the peer sees it, so
+// whatever the peer does synchronously cannot disturb the ring.
 void Interface::onPropagated() {
-  peer_->receive(std::move(wire_.front()));
+  Packet p = std::move(wire_.front());
   wire_.pop_front();
+  peer_->receive(std::move(p));
 }
 
 void Interface::onDelayedPropagated(std::uint64_t id) {
@@ -156,7 +160,7 @@ void Interface::onDelayedPropagated(std::uint64_t id) {
   peer_->receive(std::move(p));
 }
 
-void Interface::receive(Packet p) {
+void Interface::receive(Packet&& p) {
   // Packets in flight towards a down interface are lost at the wire.
   if (!up_) {
     ++stats_.drops_link_down;

@@ -8,16 +8,15 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "net/classifier.hpp"
 #include "net/packet.hpp"
+#include "net/packet_ring.hpp"
 #include "net/queue.hpp"
 #include "sim/simulator.hpp"
 
@@ -61,7 +60,7 @@ class Interface {
 
   /// Entry point for packets arriving from the wire (ingress path):
   /// applies the ingress DS policy, then hands the packet to the node.
-  void receive(Packet p);
+  void receive(Packet&& p);
 
   Node& owner() { return owner_; }
   Interface* peer() { return peer_; }
@@ -116,7 +115,7 @@ class Interface {
   /// Egress reorder hook: return an extra propagation delay to hold the
   /// packet back past later traffic, or Duration::zero() to leave it on
   /// the FIFO wire. Held packets live in a keyed side store (the FIFO
-  /// `wire_` deque would deliver them in entry order regardless of
+  /// `wire_` ring would deliver them in entry order regardless of
   /// delay), so delivery lands exactly at delay+extra under the kernel's
   /// `(at, seq)` total order. Counts `reordered`.
   void setReorderHook(std::function<sim::Duration(const Packet&)> hook) {
@@ -137,11 +136,10 @@ class Interface {
 
  private:
   void transmitNext();
-  void startTransmit(Packet p);
+  void startTransmit(Packet&& p);
   void onSerialized();
   void onPropagated();
   void onDelayedPropagated(std::uint64_t id);
-  void propagate(Packet p);
 
   sim::Simulator& sim_;
   Node& owner_;
@@ -155,13 +153,19 @@ class Interface {
   sim::Duration delay_ = sim::Duration::zero();
   DsQdisc qdisc_;
   DsPolicy ingress_policy_;
-  // Packets owned by the interface while their timer events are pending,
-  // so those events capture only `this` and stay within the kernel's
-  // small-buffer callbacks (no heap allocation per transmission). The
-  // wire is FIFO: propagation delay is constant per link, so in-flight
-  // packets complete in the order they entered.
-  std::optional<Packet> tx_packet_;  // serializing onto the wire
-  std::deque<Packet> wire_;          // propagating towards the peer
+  // Packets the interface holds while their timer events are pending, so
+  // those events capture only `this` and stay within the kernel's
+  // small-buffer callbacks (no heap allocation per transmission). One
+  // ring holds both stages of the hop, and a packet is moved into it once
+  // and out of it once:
+  //  - while transmitting_, the back entry is the serializing packet;
+  //  - every entry before it is on the wire, in the order it entered, with
+  //    exactly one pending onPropagated event. Propagation delay is
+  //    constant per link, so those events fire front to back.
+  // onSerialized decides the back entry's fate in place: lost or
+  // blackholed packets are popped, reorder-held ones move to
+  // delayed_wire_, and a duplicate clone is pushed behind the original.
+  PacketRing wire_;
   // Packets held back by the reorder hook: keyed by a per-interface
   // sequence number because their completion events fire out of entry
   // order (std::map keeps iteration deterministic for teardown).
@@ -187,7 +191,8 @@ class Node {
   virtual ~Node() = default;
 
   /// Called by an interface once an arriving packet passed ingress policy.
-  virtual void deliver(Packet p, Interface& in) = 0;
+  /// The node takes the packet; what it leaves behind is discarded.
+  virtual void deliver(Packet&& p, Interface& in) = 0;
 
   Interface& addInterface(const QdiscConfig& qdisc = {});
 

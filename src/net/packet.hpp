@@ -11,7 +11,6 @@
 #include <variant>
 
 #include "net/buffer.hpp"
-#include "sim/time.hpp"
 
 namespace mgq::net {
 
@@ -113,7 +112,6 @@ struct Packet {
   Dscp dscp = Dscp::kBestEffort;
   std::int32_t size_bytes = 0;  // on-the-wire size including headers
   std::uint64_t id = 0;         // unique per simulation, for tracing
-  sim::TimePoint enqueued_at;   // stamped when first transmitted
   std::variant<std::monostate, TcpHeader, UdpHeader> header;
 
   const TcpHeader* tcp() const { return std::get_if<TcpHeader>(&header); }

@@ -4,7 +4,7 @@
 
 namespace mgq::net {
 
-bool DropTailQueue::enqueue(Packet p) {
+bool DropTailQueue::enqueue(Packet&& p) {
   if (p.size_bytes > capacity_bytes_) {
     ++stats_.dropped_oversize;
     stats_.bytes_dropped += p.size_bytes;
@@ -22,20 +22,12 @@ bool DropTailQueue::enqueue(Packet p) {
   return true;
 }
 
-// GCC 12 reports a spurious -Wmaybe-uninitialized deep inside the variant
-// move when the dequeued packet is wrapped into the optional return value
-// (GCC bug 105593); the packet is always fully formed here.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 std::optional<Packet> DropTailQueue::dequeue() {
   if (items_.empty()) return std::nullopt;
-  Packet p = std::move(items_.front());
-  items_.pop_front();
-  bytes_ -= p.size_bytes;
+  bytes_ -= items_.front().size_bytes;
   ++stats_.dequeued;
-  return p;
+  return items_.takeFront();
 }
-#pragma GCC diagnostic pop
 
 bool DropTailQueue::passThrough(const Packet& p) {
   // With the queue empty the overflow check degenerates to the oversize
@@ -53,7 +45,7 @@ bool DropTailQueue::passThrough(const Packet& p) {
 
 std::string DropTailQueue::invariantError() const {
   std::int64_t sum = 0;
-  for (const auto& p : items_) sum += p.size_bytes;
+  for (std::size_t i = 0; i < items_.size(); ++i) sum += items_[i].size_bytes;
   if (bytes_ < 0) return "queue byte counter negative";
   if (bytes_ > capacity_bytes_) return "queue bytes exceed capacity";
   if (bytes_ != sum) return "queue byte counter out of sync with contents";

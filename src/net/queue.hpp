@@ -11,11 +11,11 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
 
 #include "net/packet.hpp"
+#include "net/packet_ring.hpp"
 
 namespace mgq::net {
 
@@ -37,13 +37,14 @@ class DropTailQueue {
   explicit DropTailQueue(std::int64_t capacity_bytes)
       : capacity_bytes_(capacity_bytes) {}
 
-  /// Returns false (and drops) when the packet does not fit.
-  bool enqueue(Packet p);
+  /// Takes the packet, or returns false (counting the drop) and leaves it
+  /// to the caller when it does not fit.
+  bool enqueue(Packet&& p);
   std::optional<Packet> dequeue();
 
   /// Idle-transmitter bypass: performs exactly the bookkeeping an
   /// enqueue() immediately followed by dequeue() would on an empty queue
-  /// (oversize check, enqueued/dequeued counters) without the deque
+  /// (oversize check, enqueued/dequeued counters) without the ring
   /// round-trip. Only valid when empty().
   bool passThrough(const Packet& p);
 
@@ -61,7 +62,7 @@ class DropTailQueue {
  private:
   std::int64_t capacity_bytes_;
   std::int64_t bytes_ = 0;
-  std::deque<Packet> items_;
+  PacketRing items_;
   QueueStats stats_;
 };
 

@@ -2,7 +2,7 @@
 
 namespace mgq::net {
 
-void Router::deliver(Packet p, Interface& in) {
+void Router::deliver(Packet&& p, Interface& in) {
   (void)in;
   Interface* out =
       p.flow.dst < routes_.size() ? routes_[p.flow.dst] : nullptr;

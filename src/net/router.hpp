@@ -29,7 +29,7 @@ class Router : public Node {
   }
   void clearRoutes() { routes_.clear(); }
 
-  void deliver(Packet p, Interface& in) override;
+  void deliver(Packet&& p, Interface& in) override;
 
   const RouterStats& stats() const { return stats_; }
 

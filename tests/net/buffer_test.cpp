@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/faults.hpp"
@@ -241,27 +242,124 @@ TEST(BufferLifecycleTest, QueueOverflowDropReleasesPayload) {
   EXPECT_EQ(probe.liveDelta(), 0) << "overflow-dropped payloads leaked";
 }
 
+// Builds a two-host rig, sends payload packets over a slow, long link and
+// destroys the rig before they all arrive. The plain input destroys it
+// before any event ran, with packets queued and one serializing. The
+// faulted input arms duplication and reordering, splits the traffic over
+// the EF and BE bands and runs part of the way first, so teardown finds
+// packets in every custody state: queued in both bands, serializing,
+// propagating, cloned and reorder-held.
+void tearDownMidFlight(bool faulted) {
+  sim::Simulator sim(7);
+  Network net(sim);
+  auto& a = net.addHost("a");
+  auto& b = net.addHost("b");
+  LinkConfig link;
+  link.rate_bps = 1e6;
+  link.delay = sim::Duration::millis(50);
+  net.connect(a, b, link);
+  net.computeRoutes();
+  NullSink sink;
+  b.bind(Protocol::kTcp, 7, &sink);
+
+  const FlowKey flow{a.id(), b.id(), 1000, 7, Protocol::kTcp};
+  if (!faulted) {
+    for (int i = 0; i < 20; ++i) a.sendPacket(payloadPacket(flow, 1200));
+    return;
+  }
+  DuplicateInjector dup(a.nic(), /*seed=*/3);
+  ReorderInjector reorder(a.nic(), /*seed=*/4, sim::Duration::millis(200));
+  dup.start(0.5);
+  reorder.start(0.3);
+  for (int i = 0; i < 60; ++i) {
+    Packet p = payloadPacket(flow, 1200);
+    if (i % 2 == 0) p.dscp = Dscp::kExpedited;
+    a.sendPacket(std::move(p));
+  }
+  // About 12 packets serialize in 120 ms; the last 5 or so are still
+  // within the 50 ms propagation delay.
+  sim.runUntil(sim::TimePoint::zero() + sim::Duration::millis(120));
+  const Interface& nic = a.nic();
+  const InterfaceStats& st = nic.stats();
+  EXPECT_GT(nic.qdisc().classQueue(Dscp::kExpedited).packetCount(), 0u);
+  EXPECT_GT(nic.qdisc().classQueue(Dscp::kBestEffort).packetCount(), 0u);
+  EXPECT_GT(st.duplicated, 0u);
+  EXPECT_GT(nic.delayedInFlight(), 0u);
+  // Every serialized packet put one entry on the wire, plus one per
+  // clone, minus one per reorder-held packet; one more is serializing.
+  const auto on_wire = static_cast<std::int64_t>(
+      st.tx_packets - 1 + st.duplicated - st.reordered);
+  const auto arrived = static_cast<std::int64_t>(
+      b.nic().stats().rx_packets - (st.reordered - nic.delayedInFlight()));
+  EXPECT_GE(on_wire - arrived, 2) << "nothing left propagating";
+}
+
 TEST(BufferLifecycleTest, TeardownWithPacketsInFlightReleasesEverything) {
+  for (bool faulted : {false, true}) {
+    SCOPED_TRACE(faulted ? "faulted" : "plain");
+    PoolProbe probe;
+    tearDownMidFlight(faulted);
+    EXPECT_EQ(probe.liveDelta(), 0) << "in-flight payloads leaked at teardown";
+  }
+}
+
+// Records when each packet arrives, and echoes every first-generation
+// packet back to its own host from inside the delivery, so the loopback
+// ring is pushed while it delivers.
+struct LoopbackEcho : PacketReceiver {
+  sim::Simulator* sim = nullptr;
+  Host* host = nullptr;
+  std::vector<std::pair<sim::TimePoint, std::uint64_t>> arrivals;
+
+  void onPacket(Packet p) override {
+    const std::uint64_t seq = p.tcp()->seq;
+    arrivals.emplace_back(sim->now(), seq);
+    if (seq < 100) {
+      p.tcp()->seq = seq + 100;
+      host->sendPacket(std::move(p));
+    }
+  }
+};
+
+Packet selfPacket(const Host& h, std::uint64_t seq) {
+  const FlowKey self{h.id(), h.id(), 1000, 7, Protocol::kTcp};
+  Packet p = payloadPacket(self, 1200);
+  p.tcp()->seq = seq;
+  return p;
+}
+
+TEST(HostLoopbackTest, InOrderAfterFiveMicrosAndReleasedAtTeardown) {
   PoolProbe probe;
   {
     sim::Simulator sim(7);
     Network net(sim);
     auto& a = net.addHost("a");
-    auto& b = net.addHost("b");
-    LinkConfig link;
-    link.rate_bps = 1e6;
-    link.delay = sim::Duration::millis(50);
-    net.connect(a, b, link);
-    net.computeRoutes();
-    NullSink sink;
-    b.bind(Protocol::kTcp, 7, &sink);
+    LoopbackEcho echo;
+    echo.sim = &sim;
+    echo.host = &a;
+    a.bind(Protocol::kTcp, 7, &echo);
 
-    const FlowKey flow{a.id(), b.id(), 1000, 7, Protocol::kTcp};
-    for (int i = 0; i < 20; ++i) a.sendPacket(payloadPacket(flow, 1200));
-    // Destroy the rig with packets still queued, serializing, and on the
-    // wire — nothing ran to completion.
+    for (std::uint64_t i = 0; i < 10; ++i) a.sendPacket(selfPacket(a, i));
+    sim.runUntil(sim::TimePoint::zero() + sim::Duration::micros(4));
+    EXPECT_TRUE(echo.arrivals.empty());
+    sim.run();
+
+    // The first ten arrive together 5 us after they were sent, in send
+    // order; their echoes follow 5 us after that, in the same order.
+    ASSERT_EQ(echo.arrivals.size(), 20u);
+    for (std::uint64_t i = 0; i < 20; ++i) {
+      const auto want_at =
+          sim::TimePoint::zero() + sim::Duration::micros(i < 10 ? 5 : 10);
+      EXPECT_EQ(echo.arrivals[i].first, want_at) << i;
+      EXPECT_EQ(echo.arrivals[i].second, i < 10 ? i : i - 10 + 100) << i;
+    }
+    EXPECT_EQ(a.nic().stats().tx_packets, 0u) << "loopback used the NIC";
+
+    // Tear down with a batch still pending, enough to grow the ring.
+    for (std::uint64_t i = 0; i < 40; ++i) a.sendPacket(selfPacket(a, i));
+    EXPECT_EQ(probe.liveDelta(), 40);
   }
-  EXPECT_EQ(probe.liveDelta(), 0) << "in-flight payloads leaked at teardown";
+  EXPECT_EQ(probe.liveDelta(), 0) << "pending loopback payloads leaked";
 }
 
 }  // namespace

@@ -29,7 +29,7 @@ class ReorderingForwarder : public net::Node {
   double reorder_probability = 0.1;
   sim::Duration extra_delay = sim::Duration::millis(3);
 
-  void deliver(net::Packet p, net::Interface& in) override {
+  void deliver(net::Packet&& p, net::Interface& in) override {
     auto& out = (interfaces()[0].get() == &in) ? *interfaces()[1]
                                                : *interfaces()[0];
     if (sim_.rng().bernoulli(reorder_probability)) {

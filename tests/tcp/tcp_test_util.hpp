@@ -22,7 +22,7 @@ class LossyForwarder : public net::Node {
   std::uint64_t dropped = 0;
   std::uint64_t forwarded = 0;
 
-  void deliver(net::Packet p, net::Interface& in) override {
+  void deliver(net::Packet&& p, net::Interface& in) override {
     if (should_drop && should_drop(p)) {
       ++dropped;
       return;
