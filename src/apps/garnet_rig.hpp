@@ -4,7 +4,7 @@
 // premium-src, rank 1 on premium-dst) + the MPI QoS agent + the UDP
 // contention generator.
 //
-// Every figure/table benchmark and the end-to-end tests build one of
+// Every figure/table scenario and the end-to-end tests build one of
 // these and differ only in workload and reservation parameters.
 #pragma once
 

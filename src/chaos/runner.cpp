@@ -140,7 +140,7 @@ ChaosRunReport ChaosRunner::runPlan(const ChaosPlan& plan,
   };
 
   scenario::ScenarioRunner runner(/*echo=*/nullptr);
-  report.events_executed = runner.run(spec, hooks).events_executed;
+  runner.run(spec, hooks);
 
   if (monitor != nullptr) report.violations = monitor->violations();
   report.log =

@@ -64,8 +64,6 @@ struct ChaosRunReport {
   std::string log;
   std::uint64_t injector_fired = 0;
   std::uint64_t injector_skipped = 0;
-  /// Simulator events the run executed (not part of `log`).
-  std::uint64_t events_executed = 0;
   bool ok() const { return violations.empty(); }
 };
 

@@ -7,7 +7,7 @@
 namespace mgq::obs {
 
 void Histogram::record(double value, double weight) {
-  if (!kCompiledIn || !*enabled_) return;
+  if (!*enabled_) return;
   if (weight <= 0.0) return;  // zero-length observation carries no mass
   values_.push_back(value);
   weights_.push_back(weight);

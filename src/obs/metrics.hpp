@@ -1,13 +1,8 @@
 // Metrics registry: named counters, gauges, time-weighted histograms and
-// timelines, designed to cost nothing on hot paths when observability is
-// off.
-//
-// Two kill switches:
-//   * compile time — building with -DMGQ_OBS_DISABLED turns every record
-//     call into an empty inline function (kCompiledIn == false below);
-//   * run time — MetricsRegistry::setEnabled(false) gates every record
-//     behind a single bool load, so a registry that is wired up but
-//     switched off adds one predictable branch.
+// timelines, designed to cost next to nothing on hot paths when
+// observability is off: MetricsRegistry::setEnabled(false) gates every
+// record behind a single bool load, so a registry that is wired up but
+// switched off adds one predictable branch.
 //
 // Hot paths inside net/tcp keep their plain stats structs (a bare integer
 // increment); the registry aggregates those via probes and end-of-run
@@ -23,19 +18,13 @@
 
 namespace mgq::obs {
 
-#ifdef MGQ_OBS_DISABLED
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
-
 /// Monotonically increasing event count.
 class Counter {
  public:
   explicit Counter(const bool* enabled) : enabled_(enabled) {}
 
   void inc(std::uint64_t n = 1) {
-    if (kCompiledIn && *enabled_) value_ += n;
+    if (*enabled_) value_ += n;
   }
   std::uint64_t value() const { return value_; }
 
@@ -50,7 +39,7 @@ class Gauge {
   explicit Gauge(const bool* enabled) : enabled_(enabled) {}
 
   void set(double v) {
-    if (kCompiledIn && *enabled_) value_ = v;
+    if (*enabled_) value_ = v;
   }
   double value() const { return value_; }
 
@@ -100,7 +89,7 @@ class TimeSeries {
   explicit TimeSeries(const bool* enabled) : enabled_(enabled) {}
 
   void append(double t_seconds, double value) {
-    if (kCompiledIn && *enabled_) points_.push_back({t_seconds, value});
+    if (*enabled_) points_.push_back({t_seconds, value});
   }
   const std::vector<Point>& points() const { return points_; }
 
@@ -116,7 +105,7 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   void setEnabled(bool enabled) { enabled_ = enabled; }
-  bool enabled() const { return kCompiledIn && enabled_; }
+  bool enabled() const { return enabled_; }
 
   /// Find-or-create by name. References stay valid for the registry's
   /// lifetime.

@@ -1,12 +1,10 @@
 #include "obs/trace.hpp"
 
-#include "obs/metrics.hpp"  // kCompiledIn
-
 namespace mgq::obs {
 
 void TraceBuffer::record(std::string category, std::string event,
                          std::uint64_t id, double value, std::string detail) {
-  if (!kCompiledIn || !enabled_) return;
+  if (!enabled_) return;
   if (events_.size() >= capacity_) {
     events_.pop_front();
     ++dropped_;

@@ -5,8 +5,7 @@
 //
 // Bounded: when full, the oldest event is discarded and `droppedEvents()`
 // counts the loss, so a runaway event source can never exhaust memory.
-// Like the metrics registry, recording is gated by a runtime enabled flag
-// and compiled out entirely under MGQ_OBS_DISABLED.
+// Like the metrics registry, recording is gated by a runtime enabled flag.
 #pragma once
 
 #include <cstdint>

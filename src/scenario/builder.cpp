@@ -503,8 +503,8 @@ std::unique_ptr<BuiltScenario> ScenarioBuilder::build(
     }
   }
 
-  // CPU job for the workload (registered before any hog so job ids match
-  // the hand-written benches), then the scripted competitors.
+  // CPU job for the workload (registered before any hog so job ids stay
+  // those the golden catalog recorded), then the scripted competitors.
   const auto* viz = std::get_if<VisualizationWorkload>(&spec.workload);
   bool wants_cpu_job = viz != nullptr && viz->cpu_seconds_per_frame > 0;
   for (const auto& r : spec.reservations) {

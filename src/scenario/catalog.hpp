@@ -1,5 +1,5 @@
-// Spec factories for the paper's experiments. The benches build their
-// sweeps from these (varying reservation/message/frame parameters); the
+// Spec factories for the paper's experiments. The suites build their
+// grids from these (varying reservation/message/frame parameters); the
 // registry names the canonical instances for the mgq_scenarios CLI.
 #pragma once
 

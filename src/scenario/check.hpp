@@ -4,7 +4,7 @@
 // verdict lives in an explicit CheckReporter instance, so concurrent
 // scenario runs on a sweep thread pool each record into their own
 // reporter (or safely into a shared one — check()/merge() take a mutex)
-// and a bench aggregates the per-run verdicts afterwards.
+// and a suite or CLI run aggregates the per-run verdicts afterwards.
 #pragma once
 
 #include <mutex>

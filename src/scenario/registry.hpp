@@ -1,5 +1,5 @@
 // ScenarioRegistry: names the paper's figures/tables/ablations as
-// canonical specs so the CLI (and benches) can look experiments up,
+// canonical specs so the CLI and the suites can look experiments up,
 // list them, and expand sweeps over them.
 #pragma once
 

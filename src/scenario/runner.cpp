@@ -25,9 +25,9 @@ double measurementSeconds(const ScenarioSpec& spec) {
 
 }  // namespace
 
-/// Default stop time: the workload deadline plus a drain margin matching
-/// the hand-written benches (ping-pong +60 s, visualization +120 s so
-/// late backlogs finish before teardown).
+/// Default stop time: the workload deadline plus a drain margin
+/// (ping-pong +60 s, visualization +120 s so late backlogs finish
+/// before teardown).
 double defaultRunUntilSeconds(const ScenarioSpec& spec) {
   if (spec.run_until_seconds > 0) return spec.run_until_seconds;
   return std::visit(

@@ -1,5 +1,7 @@
 #include "scenario/spec.hpp"
 
+#include <climits>
+#include <cmath>
 #include <cstdio>
 
 namespace mgq::scenario {
@@ -12,11 +14,27 @@ ReservationSpec* firstNetworkReservation(ScenarioSpec& spec) {
   return nullptr;
 }
 
+/// `value` as a whole number in [lo, hi]. Fractions, NaN and values out
+/// of range are refused: casting them would silently truncate, or be
+/// undefined behaviour.
+bool wholeNumber(double value, double lo, double hi, std::int64_t& out) {
+  if (!(value >= lo && value <= hi) || std::trunc(value) != value) {
+    return false;
+  }
+  out = static_cast<std::int64_t>(value);
+  return true;
+}
+
+constexpr double kMaxSeed = 9007199254740992.0;  // 2^53: doubles stay exact
+constexpr double kMaxBytes = INT_MAX;  // max_message_size is an int
+
 }  // namespace
 
 bool applyParam(ScenarioSpec& spec, const std::string& key, double value) {
   if (key == "seed") {
-    spec.seed = static_cast<std::uint64_t>(value);
+    std::int64_t seed = 0;
+    if (!wholeNumber(value, 0, kMaxSeed, seed)) return false;
+    spec.seed = static_cast<std::uint64_t>(seed);
     return true;
   }
   if (key == "reservation_kbps") {
@@ -58,8 +76,11 @@ bool applyParam(ScenarioSpec& spec, const std::string& key, double value) {
   }
   if (key == "message_bytes") {
     auto* w = std::get_if<PingPongWorkload>(&spec.workload);
-    if (w == nullptr) return false;
-    w->message_bytes = static_cast<int>(value);
+    std::int64_t bytes = 0;
+    if (w == nullptr || !wholeNumber(value, 1, kMaxBytes, bytes)) {
+      return false;
+    }
+    w->message_bytes = static_cast<int>(bytes);
     if (auto* r = firstNetworkReservation(spec)) {
       r->max_message_size = w->message_bytes;
     }
@@ -67,8 +88,9 @@ bool applyParam(ScenarioSpec& spec, const std::string& key, double value) {
   }
   if (key == "frame_bytes") {
     auto* w = std::get_if<VisualizationWorkload>(&spec.workload);
-    if (w == nullptr) return false;
-    w->frame_bytes = static_cast<std::int64_t>(value);
+    if (w == nullptr || !wholeNumber(value, 1, kMaxBytes, w->frame_bytes)) {
+      return false;
+    }
     if (auto* r = firstNetworkReservation(spec)) {
       r->max_message_size = static_cast<int>(w->frame_bytes);
     }

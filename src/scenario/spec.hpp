@@ -322,8 +322,10 @@ struct ScenarioSpec {
 /// first tenant — bulk_seconds and idle_seconds.
 /// message_bytes/frame_bytes also retune the first
 /// reservation's max_message_size (they are coupled in every paper
-/// experiment). Returns false for an unknown key or one that does not
-/// apply to the spec's workload.
+/// experiment). Returns false for an unknown key, one that does not
+/// apply to the spec's workload, or a value an integer key cannot take:
+/// seed must be a whole number in [0, 2^53], message_bytes and
+/// frame_bytes whole numbers in [1, INT_MAX].
 bool applyParam(ScenarioSpec& spec, const std::string& key, double value);
 
 /// Compact value formatting for sweep labels ("4000", "1.06").

@@ -17,9 +17,9 @@ std::vector<ScenarioSpec> expandSweep(const ScenarioSpec& base,
       for (double v : p.values) {
         ScenarioSpec expanded = s;
         if (!applyParam(expanded, p.key, v)) {
-          throw std::invalid_argument("sweep parameter '" + p.key +
-                                      "' does not apply to scenario '" +
-                                      base.name + "'");
+          throw std::invalid_argument(
+              "sweep parameter '" + p.key + "=" + paramValueLabel(v) +
+              "' does not apply to scenario '" + base.name + "'");
         }
         expanded.name += "/" + p.key + "=" + paramValueLabel(v);
         next.push_back(std::move(expanded));

@@ -19,7 +19,7 @@ struct SweepParam {
 
 /// Cross-product expansion: every combination of parameter values applied
 /// to a copy of `base`, with "/key=value" appended to each name. Throws
-/// std::invalid_argument when a key is unknown or does not apply.
+/// std::invalid_argument when applyParam refuses a key or value.
 std::vector<ScenarioSpec> expandSweep(const ScenarioSpec& base,
                                       const std::vector<SweepParam>& params);
 

@@ -87,7 +87,7 @@ class Simulator {
   /// already past it).
   auto delayUntil(TimePoint t) { return delay(t - now_); }
 
-  /// Number of events executed so far (for micro-benchmarks/tests).
+  /// Number of events executed so far (for benchmarks and tests).
   std::uint64_t eventsExecuted() const { return events_executed_; }
 
  private:

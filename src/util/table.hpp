@@ -1,4 +1,4 @@
-// ASCII table / CSV emission used by the per-figure benchmark binaries to
+// ASCII table / CSV emission used by the paper's suites and the CLIs to
 // print the same rows and series the paper reports.
 #pragma once
 

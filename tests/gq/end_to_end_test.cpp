@@ -1,6 +1,6 @@
 // End-to-end QoS behaviour: miniature versions of the paper's experiments
-// asserting the qualitative claims (full-scale reproductions live in
-// bench/).
+// asserting the qualitative claims (the full-scale reproductions are the
+// suites in src/scenario/suites.cpp).
 #include <gtest/gtest.h>
 
 #include "apps/garnet_rig.hpp"

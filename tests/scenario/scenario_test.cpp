@@ -1,11 +1,14 @@
 // Tests for the declarative scenario subsystem: spec -> build round trip,
-// registry lookup, sweep expansion, check reporting, and the determinism
-// contract (same spec + seed => byte-identical BENCH JSON; a threaded
-// sweep matches serial execution exactly).
+// registry and suite lookup, sweep expansion, check reporting, and the
+// determinism contract (same spec + seed => byte-identical BENCH JSON; a
+// threaded sweep matches serial execution exactly).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/export.hpp"
 #include "scenario/builder.hpp"
@@ -14,6 +17,7 @@
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
+#include "scenario/suites.hpp"
 #include "scenario/sweep.hpp"
 
 namespace mgq::scenario {
@@ -95,6 +99,23 @@ TEST(ScenarioRegistry, PaperRegistryLookup) {
   EXPECT_EQ(faults[2]->name, "fault_recovery_on");
 }
 
+TEST(ScenarioRegistry, SuiteExportsNeverOverwriteScenarioExports) {
+  // A suite writes BENCH_<suite>.json next to the BENCH_<name>.json and
+  // BENCH_<name>_sweep.json files of --run and --sweep.
+  const auto& registry = ScenarioRegistry::paper();
+  std::set<std::string> names;
+  for (const auto& suite : paperSuites()) {
+    EXPECT_TRUE(names.insert(suite.name).second) << suite.name;
+    EXPECT_EQ(findSuite(suite.name), &suite);
+    EXPECT_EQ(registry.find(suite.name), nullptr) << suite.name;
+    for (const auto* info : registry.list()) {
+      EXPECT_NE(info->name + "_sweep", suite.name);
+    }
+  }
+  EXPECT_EQ(names.size(), 12u);
+  EXPECT_EQ(findSuite("fig1_under"), nullptr);
+}
+
 TEST(Sweep, ExpandsCrossProductWithLabels) {
   const auto base = quickSpec();
   const auto specs = expandSweep(
@@ -109,6 +130,55 @@ TEST(Sweep, ExpandsCrossProductWithLabels) {
 
   EXPECT_THROW(expandSweep(base, {{"no_such_param", {1}}}),
                std::invalid_argument);
+
+  // Integer keys take whole numbers in range only: a fraction would run
+  // a truncated value under the wrong label, and an out-of-range cast is
+  // undefined behaviour. A refused value leaves the spec untouched.
+  const auto frames = burstTraceSpec("frames", 10.0, 5'000);
+  const struct {
+    const ScenarioSpec& spec;
+    const char* key;
+    double value;
+  } refused[] = {
+      {base, "seed", -1},
+      {base, "seed", 2.5},
+      {base, "seed", 1e300},
+      {base, "seed", std::nan("")},
+      {base, "seed", 9007199254740994.0},  // 2^53 + 2
+      {base, "message_bytes", 1e12},
+      {base, "message_bytes", 0},
+      {base, "message_bytes", 99.5},
+      {frames, "frame_bytes", -5'000},
+      {frames, "frame_bytes", 2.5},
+      {frames, "frame_bytes", 1e12},
+  };
+  auto integers = [](const ScenarioSpec& spec) {
+    std::int64_t bytes = 0;
+    if (const auto* p = std::get_if<PingPongWorkload>(&spec.workload)) {
+      bytes = p->message_bytes;
+    } else if (const auto* v =
+                   std::get_if<VisualizationWorkload>(&spec.workload)) {
+      bytes = v->frame_bytes;
+    }
+    return std::make_pair(spec.seed, bytes);
+  };
+  for (const auto& r : refused) {
+    auto spec = r.spec;
+    EXPECT_FALSE(applyParam(spec, r.key, r.value)) << r.key << "=" << r.value;
+    EXPECT_EQ(integers(spec), integers(r.spec));
+    EXPECT_THROW(expandSweep(r.spec, {{r.key, {r.value}}}),
+                 std::invalid_argument)
+        << r.key << "=" << r.value;
+  }
+  auto largest = base;
+  ASSERT_TRUE(applyParam(largest, "seed", 9007199254740992.0));
+  EXPECT_EQ(largest.seed, 9007199254740992u);
+  ASSERT_TRUE(applyParam(largest, "seed", 0));
+  EXPECT_EQ(largest.seed, 0u);
+  auto resized = frames;
+  ASSERT_TRUE(applyParam(resized, "frame_bytes", 2'500));
+  EXPECT_EQ(std::get<VisualizationWorkload>(resized.workload).frame_bytes,
+            2'500);
 }
 
 TEST(CheckReporter, CountsAndMerges) {

@@ -1,17 +1,23 @@
-// mgq_scenarios: list, run, and sweep the registered paper scenarios.
+// mgq_scenarios: list, run, and sweep the registered paper scenarios, and
+// run the paper's suites.
 //
 //   mgq_scenarios --list [--filter <substr>]
 //   mgq_scenarios --run <name>[,<name>...] [--threads N] [--json-dir DIR]
 //   mgq_scenarios --sweep <name> --param key=v1,v2,... [--param ...]
 //                 [--threads N] [--json-dir DIR]
+//   mgq_scenarios --suite <name>[,<name>...] [--threads N] [--json-dir DIR]
 //
 // --run executes each named scenario (in parallel when --threads allows),
 // prints its check verdicts, and writes one BENCH_<name>.json per
 // scenario. --sweep cross-expands the named scenario over the given
 // parameters, runs every variant across the thread pool (one independent
 // Simulator per run, so results are identical to serial execution), and
-// writes a single merged, sorted BENCH_<name>_sweep.json. The exit code
-// is nonzero when any check fails.
+// writes a single merged, sorted BENCH_<name>_sweep.json. --suite runs a
+// paper figure, table or ablation: its specs across the pool, the paper's
+// table, the checks that compare runs, and one BENCH_<suite>.json. The
+// exit code is nonzero when any check fails.
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -26,6 +32,7 @@
 #include "scenario/check.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
+#include "scenario/suites.hpp"
 #include "scenario/sweep.hpp"
 #include "util/table.hpp"
 
@@ -39,8 +46,10 @@ int usage(const char* argv0) {
                "       %s --run NAME[,NAME...] [--seed N] [--threads N]\n"
                "          [--json-dir D]\n"
                "       %s --sweep NAME --param KEY=V1,V2,... [--param ...]\n"
-               "          [--seed N] [--threads N] [--json-dir D]\n",
-               argv0, argv0, argv0);
+               "          [--seed N] [--threads N] [--json-dir D]\n"
+               "       %s --suite NAME[,NAME...] [--threads N]\n"
+               "          [--json-dir D]\n",
+               argv0, argv0, argv0, argv0);
   return 2;
 }
 
@@ -69,6 +78,18 @@ bool parseParam(const std::string& arg, scenario::SweepParam& out) {
   return !out.values.empty();
 }
 
+/// A whole decimal number of threads; 0 means "all cores".
+bool parseThreads(const char* arg, int& out) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(arg, &end, 10);
+  if (end == arg || *end != '\0' || errno != 0 || v < 0 || v > INT_MAX) {
+    return false;
+  }
+  out = static_cast<int>(v);
+  return true;
+}
+
 int listScenarios(const std::string& filter) {
   const auto entries = scenario::ScenarioRegistry::paper().list(filter);
   util::Table table({"name", "paper_ref", "title"});
@@ -76,7 +97,28 @@ int listScenarios(const std::string& filter) {
     table.addRow({info->name, info->paper_ref, info->title});
   }
   table.renderAscii(std::cout);
-  std::printf("%zu scenario(s)\n", entries.size());
+  std::printf("%zu scenario(s)\n\n", entries.size());
+
+  util::Table suites({"suite", "paper_ref", "title"});
+  std::size_t listed = 0;
+  for (const auto& suite : scenario::paperSuites()) {
+    if (suite.name.find(filter) == std::string::npos) continue;
+    suites.addRow({suite.name, suite.paper_ref, suite.title});
+    ++listed;
+  }
+  suites.renderAscii(std::cout);
+  std::printf("%zu suite(s)\n", listed);
+  return 0;
+}
+
+/// Prints the verdict summary; the exit code is 1 when any check failed.
+int finish(const scenario::CheckReporter& checks) {
+  const int failed = checks.failures();
+  if (failed > 0) {
+    std::printf("\n%d check(s) FAILED\n", failed);
+    return 1;
+  }
+  std::printf("\nall checks passed\n");
   return 0;
 }
 
@@ -124,13 +166,7 @@ int runScenarios(const std::vector<std::string>& names, const double* seed,
                                      json_dir),
         "wrote BENCH_" + r.name + ".json");
   }
-  const int failed = checks.failures();
-  if (failed > 0) {
-    std::printf("\n%d check(s) FAILED\n", failed);
-    return 1;
-  }
-  std::printf("\nall checks passed\n");
-  return 0;
+  return finish(checks);
 }
 
 int sweepScenario(const std::string& name,
@@ -173,21 +209,34 @@ int sweepScenario(const std::string& name,
                                             scenario::runExports(results),
                                             json_dir),
                "wrote BENCH_" + name + "_sweep.json");
-  const int failed = checks.failures();
-  if (failed > 0) {
-    std::printf("\n%d check(s) FAILED\n", failed);
-    return 1;
+  return finish(checks);
+}
+
+int runSuites(const std::vector<std::string>& names, int threads,
+              const std::string& json_dir) {
+  std::vector<const scenario::SuiteInfo*> suites;
+  for (const auto& name : names) {
+    const auto* suite = scenario::findSuite(name);
+    if (suite == nullptr) {
+      std::fprintf(stderr, "unknown suite '%s' (try --list)\n", name.c_str());
+      return 2;
+    }
+    suites.push_back(suite);
   }
-  std::printf("\nall checks passed\n");
-  return 0;
+  const scenario::SweepRunner pool(threads);
+  scenario::CheckReporter checks(&std::cout);
+  for (const auto* suite : suites) {
+    scenario::runSuite(*suite, pool, checks, json_dir);
+  }
+  return finish(checks);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  enum class Mode { kNone, kList, kRun, kSweep } mode = Mode::kNone;
+  enum class Mode { kNone, kList, kRun, kSweep, kSuite } mode = Mode::kNone;
   std::string filter;
-  std::vector<std::string> run_names;
+  std::vector<std::string> run_names;  // --run or --suite
   std::string sweep_name;
   std::vector<scenario::SweepParam> params;
   int threads = 0;
@@ -207,6 +256,11 @@ int main(int argc, char** argv) {
       if (v == nullptr) return usage(argv[0]);
       mode = Mode::kRun;
       run_names = splitCommas(v);
+    } else if (arg == "--suite") {
+      const char* v = next();
+      if (v == nullptr) return usage(argv[0]);
+      mode = Mode::kSuite;
+      run_names = splitCommas(v);
     } else if (arg == "--sweep") {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
@@ -223,8 +277,7 @@ int main(int argc, char** argv) {
       filter = v;
     } else if (arg == "--threads") {
       const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      threads = std::atoi(v);
+      if (v == nullptr || !parseThreads(v, threads)) return usage(argv[0]);
     } else if (arg == "--seed") {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
@@ -254,6 +307,9 @@ int main(int argc, char** argv) {
       if (params.empty()) return usage(argv[0]);
       return sweepScenario(sweep_name, params, has_seed ? &seed : nullptr,
                            threads, json_dir);
+    case Mode::kSuite:
+      if (run_names.empty()) return usage(argv[0]);
+      return runSuites(run_names, threads, json_dir);
     case Mode::kNone:
       break;
   }
