@@ -2,60 +2,52 @@
 
 #include <algorithm>
 
-#include <functional>
-
+#include "scenario/fault_targets.hpp"
 #include "sim/random.hpp"
 
 namespace mgq::chaos {
 namespace {
 
+using namespace scenario::fault_target;
 using sim::FaultAction;
 using sim::FaultEvent;
-using sim::TimePoint;
 
-FaultEvent makeEvent(double t_seconds, const std::string& target,
-                     FaultAction action, double param = 0.0) {
-  FaultEvent e;
-  e.at = TimePoint::fromSeconds(t_seconds);
-  e.target = target;
-  e.action = action;
-  e.param = param;
-  return e;
+/// One category of the profile: the target it drives and how.
+struct Category {
+  const char* target;
+  double rate;          // episodes per 100 simulated seconds
+  double mean_seconds;  // mean episode duration (paired categories)
+  FaultAction start = FaultAction::kDown;
+  FaultAction restore = FaultAction::kUp;
+  /// The start event's parameter: uniform in [lo, hi], or lo (no draw)
+  /// when the range is empty.
+  double lo = 0.0;
+  double hi = 0.0;
+  /// false: single events with no restore (reservation churn).
+  bool paired = true;
+};
+
+void add(std::vector<FaultEvent>& out, double t_seconds, const char* target,
+         FaultAction action, double param = 0.0) {
+  out.push_back(
+      {sim::TimePoint::fromSeconds(t_seconds), target, action, param});
 }
 
-/// Paired episodes (down at t, up at min(t + duration, horizon)), starts
-/// Poisson with mean gap 100/rate, durations exponential. `param_fn` (may
-/// be null) supplies the down-event parameter (loss probability).
-void generateEpisodes(sim::Rng& rng, const std::string& target, double rate,
-                      double mean_duration, double warmup, double horizon,
-                      FaultAction down, FaultAction up,
-                      const std::function<double(sim::Rng&)>& param_fn,
-                      std::vector<FaultEvent>& out) {
-  if (rate <= 0.0 || target.empty()) return;
-  const double mean_gap = 100.0 / rate;
+/// Starts are Poisson with mean gap 100/rate; a paired episode restores
+/// at min(start + exponential duration, horizon), and the next start is
+/// drawn from the restore time, so episodes never overlap.
+void generateCategory(sim::Rng& rng, const Category& c, double warmup,
+                      double horizon, std::vector<FaultEvent>& out) {
+  if (c.rate <= 0.0) return;
+  const double mean_gap = 100.0 / c.rate;
   double t = warmup + rng.exponential(mean_gap);
   while (t < horizon) {
-    const double param = param_fn ? param_fn(rng) : 0.0;
-    out.push_back(makeEvent(t, target, down, param));
-    const double restore =
-        std::min(t + rng.exponential(mean_duration), horizon);
-    out.push_back(makeEvent(restore, target, up));
-    t = restore + rng.exponential(mean_gap);
-  }
-}
-
-/// Single (unpaired) events at Poisson times: reservation churn.
-void generatePoints(sim::Rng& rng, const std::string& target, double rate,
-                    double warmup, double horizon, FaultAction action,
-                    double param_lo, double param_hi,
-                    std::vector<FaultEvent>& out) {
-  if (rate <= 0.0 || target.empty()) return;
-  const double mean_gap = 100.0 / rate;
-  double t = warmup + rng.exponential(mean_gap);
-  while (t < horizon) {
-    const double param =
-        param_hi > param_lo ? rng.uniform(param_lo, param_hi) : param_lo;
-    out.push_back(makeEvent(t, target, action, param));
+    const double param = c.hi > c.lo ? rng.uniform(c.lo, c.hi) : c.lo;
+    add(out, t, c.target, c.start, param);
+    if (c.paired) {
+      t = std::min(t + rng.exponential(c.mean_seconds), horizon);
+      add(out, t, c.target, c.restore);
+    }
     t += rng.exponential(mean_gap);
   }
 }
@@ -70,132 +62,45 @@ ChaosPlan ChaosPlanGenerator::generate(const std::string& scenario,
   plan.seed = seed;
   plan.horizon_seconds = horizon_seconds;
 
-  const double warmup = profile_.warmup_seconds;
-  const double horizon = horizon_seconds;
-  std::uint64_t stream = 0;
-  // Per-category Rng derived from the seed: category k draws from
-  // seed ^ golden-ratio stream so categories are independent.
-  auto categoryRng = [&](void) {
-    return sim::Rng(seed + (++stream) * 0x9e3779b97f4a7c15ULL);
+  const auto& p = profile_;
+  constexpr auto kLossStart = FaultAction::kLossStart;
+  constexpr auto kLossStop = FaultAction::kLossStop;
+  // Stream order is part of every plan: category k draws from its own
+  // Rng seeded seed + k × golden ratio, so tuning one category's rate
+  // does not reshuffle the others. The control-plane and then the
+  // adversarial categories come last: appending streams never reshuffles
+  // earlier ones, so existing soak plans stay byte-identical.
+  const Category categories[] = {
+      {kEdgeLink, p.link_flaps_per_100s, p.mean_flap_seconds},
+      {kEdgeLoss, p.loss_episodes_per_100s, p.mean_loss_seconds, kLossStart,
+       kLossStop, p.loss_min, p.loss_max},
+      {kNetForwardManager, p.manager_outages_per_100s, p.mean_outage_seconds},
+      {kNetReverseManager, p.manager_outages_per_100s, p.mean_outage_seconds},
+      {kSenderCpuHog, p.cpu_hog_bursts_per_100s, p.mean_hog_seconds},
+      {kReservationChurn, p.reservation_cancels_per_100s, 0.0,
+       FaultAction::kDown, FaultAction::kUp, 0.0, 0.0, /*paired=*/false},
+      {kReservationChurn, p.reservation_modifies_per_100s, 0.0, kLossStart,
+       kLossStop, p.modify_min, p.modify_max, /*paired=*/false},
+      {kQosAgent, p.agent_crashes_per_100s, p.mean_crash_downtime_seconds},
+      {kLeaseRenewals, p.renewal_storms_per_100s, p.mean_storm_seconds},
+      {kEdgeCorrupt, p.corruption_episodes_per_100s, p.mean_corruption_seconds,
+       kLossStart, kLossStop, p.corrupt_min, p.corrupt_max},
+      {kEdgeDup, p.duplicate_episodes_per_100s, p.mean_duplicate_seconds,
+       kLossStart, kLossStop, p.duplicate_min, p.duplicate_max},
+      {kEdgeReorder, p.reorder_episodes_per_100s, p.mean_reorder_seconds,
+       kLossStart, kLossStop, p.reorder_min, p.reorder_max},
+      {kEdgePartition, p.partition_episodes_per_100s,
+       p.mean_partition_seconds},
   };
-
-  auto& events = plan.events;
-  {
-    auto rng = categoryRng();
-    generateEpisodes(rng, profile_.link_target, profile_.link_flaps_per_100s,
-                     profile_.mean_flap_seconds, warmup, horizon,
-                     FaultAction::kDown, FaultAction::kUp,
-                     nullptr, events);
-  }
-  {
-    auto rng = categoryRng();
-    const double lo = profile_.loss_min;
-    const double hi = profile_.loss_max;
-    auto draw = [lo, hi](sim::Rng& r) {
-      return hi > lo ? r.uniform(lo, hi) : lo;
-    };
-    generateEpisodes(rng, profile_.loss_target,
-                     profile_.loss_episodes_per_100s,
-                     profile_.mean_loss_seconds, warmup, horizon,
-                     FaultAction::kLossStart, FaultAction::kLossStop, draw,
-                     events);
-  }
-  for (const auto& manager : profile_.manager_targets) {
-    auto rng = categoryRng();
-    generateEpisodes(rng, manager, profile_.manager_outages_per_100s,
-                     profile_.mean_outage_seconds, warmup, horizon,
-                     FaultAction::kDown, FaultAction::kUp,
-                     nullptr, events);
-  }
-  {
-    auto rng = categoryRng();
-    generateEpisodes(rng, profile_.hog_target,
-                     profile_.cpu_hog_bursts_per_100s,
-                     profile_.mean_hog_seconds, warmup, horizon,
-                     FaultAction::kDown, FaultAction::kUp,
-                     nullptr, events);
-  }
-  {
-    auto rng = categoryRng();
-    generatePoints(rng, profile_.churn_target,
-                   profile_.reservation_cancels_per_100s, warmup, horizon,
-                   FaultAction::kDown, 0.0, 0.0, events);
-  }
-  {
-    auto rng = categoryRng();
-    generatePoints(rng, profile_.churn_target,
-                   profile_.reservation_modifies_per_100s, warmup, horizon,
-                   FaultAction::kLossStart, profile_.modify_min,
-                   profile_.modify_max, events);
-  }
-  // Control-plane categories draw LAST so enabling them never reshuffles
-  // the six original streams — existing soak plans stay byte-identical.
-  {
-    auto rng = categoryRng();
-    generateEpisodes(rng, profile_.agent_target,
-                     profile_.agent_crashes_per_100s,
-                     profile_.mean_crash_downtime_seconds, warmup, horizon,
-                     FaultAction::kDown, FaultAction::kUp, nullptr, events);
-  }
-  {
-    auto rng = categoryRng();
-    generateEpisodes(rng, profile_.renewal_target,
-                     profile_.renewal_storms_per_100s,
-                     profile_.mean_storm_seconds, warmup, horizon,
-                     FaultAction::kDown, FaultAction::kUp, nullptr, events);
-  }
-  // Adversarial data-plane categories draw after the control-plane pair
-  // for the same reason: appending streams never reshuffles earlier ones.
-  {
-    auto rng = categoryRng();
-    const double lo = profile_.corrupt_min;
-    const double hi = profile_.corrupt_max;
-    auto draw = [lo, hi](sim::Rng& r) {
-      return hi > lo ? r.uniform(lo, hi) : lo;
-    };
-    generateEpisodes(rng, profile_.corruption_target,
-                     profile_.corruption_episodes_per_100s,
-                     profile_.mean_corruption_seconds, warmup, horizon,
-                     FaultAction::kLossStart, FaultAction::kLossStop, draw,
-                     events);
-  }
-  {
-    auto rng = categoryRng();
-    const double lo = profile_.duplicate_min;
-    const double hi = profile_.duplicate_max;
-    auto draw = [lo, hi](sim::Rng& r) {
-      return hi > lo ? r.uniform(lo, hi) : lo;
-    };
-    generateEpisodes(rng, profile_.duplicate_target,
-                     profile_.duplicate_episodes_per_100s,
-                     profile_.mean_duplicate_seconds, warmup, horizon,
-                     FaultAction::kLossStart, FaultAction::kLossStop, draw,
-                     events);
-  }
-  {
-    auto rng = categoryRng();
-    const double lo = profile_.reorder_min;
-    const double hi = profile_.reorder_max;
-    auto draw = [lo, hi](sim::Rng& r) {
-      return hi > lo ? r.uniform(lo, hi) : lo;
-    };
-    generateEpisodes(rng, profile_.reorder_target,
-                     profile_.reorder_episodes_per_100s,
-                     profile_.mean_reorder_seconds, warmup, horizon,
-                     FaultAction::kLossStart, FaultAction::kLossStop, draw,
-                     events);
-  }
-  {
-    auto rng = categoryRng();
-    generateEpisodes(rng, profile_.partition_target,
-                     profile_.partition_episodes_per_100s,
-                     profile_.mean_partition_seconds, warmup, horizon,
-                     FaultAction::kDown, FaultAction::kUp, nullptr, events);
+  std::uint64_t stream = 0;
+  for (const auto& c : categories) {
+    sim::Rng rng(seed + (++stream) * 0x9e3779b97f4a7c15ULL);
+    generateCategory(rng, c, p.warmup_seconds, horizon_seconds, plan.events);
   }
 
   // Stable: equal-timestamp events keep the fixed category order above,
   // so the plan (and hence the run) is byte-deterministic.
-  std::stable_sort(events.begin(), events.end(),
+  std::stable_sort(plan.events.begin(), plan.events.end(),
                    [](const FaultEvent& a, const FaultEvent& b) {
                      return a.at < b.at;
                    });

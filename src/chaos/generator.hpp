@@ -15,14 +15,14 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "chaos/plan.hpp"
 
 namespace mgq::chaos {
 
 /// Distribution spec for one chaos category mix. Rates are episodes per
-/// 100 simulated seconds (0 disables a category).
+/// 100 simulated seconds (0 disables a category). Each category drives
+/// one target of the fault-target table (scenario/fault_targets.hpp).
 struct ChaosProfile {
   double link_flaps_per_100s = 4.0;
   double loss_episodes_per_100s = 4.0;
@@ -78,19 +78,6 @@ struct ChaosProfile {
   /// reservations establish first.
   double warmup_seconds = 0.5;
 
-  // Fault-target vocabulary (must match registerChaosTargets).
-  std::string link_target = "premium-edge-link";
-  std::string loss_target = "premium-edge-loss";
-  std::vector<std::string> manager_targets = {"net-forward-manager",
-                                              "net-reverse-manager"};
-  std::string hog_target = "sender-cpu-hog";
-  std::string churn_target = "reservation-churn";
-  std::string agent_target = "qos-agent";
-  std::string renewal_target = "lease-renewals";
-  std::string corruption_target = "premium-edge-corrupt";
-  std::string duplicate_target = "premium-edge-dup";
-  std::string reorder_target = "premium-edge-reorder";
-  std::string partition_target = "premium-edge-partition";
 };
 
 class ChaosPlanGenerator {

@@ -92,12 +92,12 @@ ChaosRunReport ChaosRunner::runPlan(const ChaosPlan& plan,
   auto spec = info->make();
   spec.seed = plan.seed;
   // Failure in a chaos run means invariant violations, nothing else: the
-  // plan replaces the spec's scripted faults, and its shape checks (tuned
-  // for fault-free runs) are dropped.
-  spec.faults.clear();
+  // plan replaces the spec's scripted faults (agent crashes included —
+  // resilience wiring itself stays on via spec.resil), and its shape
+  // checks (tuned for fault-free runs) are dropped.
+  spec.faults = plan.events;
+  spec.fault_seed = plan.seed * 2654435761u + 1;
   spec.checks.clear();
-  // Scripted agent crashes belong to the plan too (the "qos-agent"
-  // target); resilience wiring itself stays on via spec.resil.
   spec.agent_crashes.clear();
   if (plan.horizon_seconds > 0) spec.run_until_seconds = plan.horizon_seconds;
   // The monitor attaches violation context from the run's trace buffer.
@@ -112,12 +112,9 @@ ChaosRunReport ChaosRunner::runPlan(const ChaosPlan& plan,
   std::unique_ptr<InvariantMonitor> monitor;
   scenario::RunHooks hooks;
   hooks.on_built = [&](scenario::BuiltScenario& built) {
-    // The spec carries no faults, so the builder made no injector; the
-    // chaos run installs its own, seeded by the plan.
-    built.injector =
-        std::make_unique<sim::FaultInjector>(built.rig.sim, plan.seed);
-    targets = registerChaosTargets(built, *built.injector,
-                                   /*loss_seed=*/plan.seed * 2654435761u + 1);
+    // The builder scheduled the plan on the scenario's injector; the
+    // chaos-only targets join its table before the first event fires.
+    targets = registerChaosTargets(built);
     monitor = std::make_unique<InvariantMonitor>(
         built.rig.sim, options.cadence_seconds, options.max_violations);
     if (built.trace != nullptr) {
@@ -126,16 +123,15 @@ ChaosRunReport ChaosRunner::runPlan(const ChaosPlan& plan,
     attachStandardInvariants(*monitor, built);
     monitor->arm();
     if (options.prepare) options.prepare(built, targets);
-    built.injector->schedulePlan(plan.events);
   };
   hooks.before_teardown = [&](scenario::BuiltScenario& built) {
     monitor->sweep();  // teardown sweep: catch end-state violations
-    report.injector_fired = built.injector->firedCount();
-    report.injector_skipped = built.injector->skippedActions();
-    injector_log = built.injector->logText();
-    injector_footer = built.injector->logFooter();
-    // The chaos machinery references rig internals (interfaces, CPU
-    // scheduler, managers); release it while the rig is still alive.
+    report.injector_fired = built.injector.firedCount();
+    report.injector_skipped = built.injector.skippedActions();
+    injector_log = built.injector.logText();
+    injector_footer = built.injector.logFooter();
+    // The proxies are registered with the rig's Gara; release them while
+    // the rig is still alive.
     targets = ChaosTargets{};
   };
 

@@ -2,13 +2,12 @@
 // seeds until an invariant breaks, and shrinks a failing plan to a
 // minimal reproducer.
 //
-// A chaos run is a normal scenario run with three changes, applied
-// through RunHooks without touching the scenario code: the spec's own
-// scripted faults and shape checks are stripped (failure means invariant
-// violations, nothing else), a fresh FaultInjector executes the plan over
-// the chaos target vocabulary (chaos/targets.hpp), and an
-// InvariantMonitor sweeps the standard invariants on a cadence plus once
-// at teardown.
+// A chaos run is a normal scenario run with three changes: the plan
+// replaces the spec's scripted faults and its shape checks are stripped
+// (failure means invariant violations, nothing else), the chaos-only
+// targets (chaos/targets.hpp) join the scenario's fault-target table
+// through RunHooks, and an InvariantMonitor sweeps the standard
+// invariants on a cadence plus once at teardown.
 //
 // Determinism: one Simulator per run, the plan fully determines the fault
 // schedule, and the chaos log is assembled from fixed-format pieces —

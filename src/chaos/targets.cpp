@@ -1,69 +1,15 @@
 #include "chaos/targets.hpp"
 
-#include "apps/garnet_rig.hpp"
 #include "gara/gara.hpp"
 #include "scenario/builder.hpp"
 
 namespace mgq::chaos {
 
-ChaosTargets registerChaosTargets(scenario::BuiltScenario& built,
-                                  sim::FaultInjector& injector,
-                                  std::uint64_t loss_seed) {
+ChaosTargets registerChaosTargets(scenario::BuiltScenario& built) {
+  using namespace scenario::fault_target;
   ChaosTargets t;
   auto& rig = built.rig;
-
-  // Premium edge link, both directions — same attachment the scenario
-  // builder uses for scripted FaultSpecs.
-  t.edge_link =
-      std::make_unique<net::LinkFault>(*rig.garnet.ingressEdgeInterface());
-  injector.registerTarget("premium-edge-link",
-                          net::linkFaultTarget(*t.edge_link));
-
-  // Lossy-wire episodes on the premium source's egress (the forward data
-  // path into the ingress edge).
-  auto& premium_egress = *rig.garnet.ingressEdgeInterface()->peer();
-  t.edge_loss = std::make_unique<net::LossInjector>(premium_egress, loss_seed);
-  injector.registerTarget("premium-edge-loss",
-                          net::lossFaultTarget(*t.edge_loss));
-
-  // Adversarial data-plane injectors on the same egress wire, each with
-  // its own splitmix-derived seed stream: enabling one category never
-  // perturbs another's draw sequence for the same plan seed.
-  constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
-  t.edge_corrupt = std::make_unique<net::CorruptionInjector>(
-      premium_egress, loss_seed + 1 * kGolden);
-  injector.registerTarget("premium-edge-corrupt",
-                          net::corruptionFaultTarget(*t.edge_corrupt));
-  t.edge_dup = std::make_unique<net::DuplicateInjector>(
-      premium_egress, loss_seed + 2 * kGolden);
-  injector.registerTarget("premium-edge-dup",
-                          net::duplicateFaultTarget(*t.edge_dup));
-  t.edge_reorder = std::make_unique<net::ReorderInjector>(
-      premium_egress, loss_seed + 3 * kGolden);
-  injector.registerTarget("premium-edge-reorder",
-                          net::reorderFaultTarget(*t.edge_reorder));
-  t.edge_partition = std::make_unique<net::PartitionFault>(premium_egress);
-  injector.registerTarget("premium-edge-partition",
-                          net::partitionFaultTarget(*t.edge_partition));
-
-  // Footer accounting for the adversarial categories: zero-valued
-  // counters are omitted, so zero-rate plans keep byte-identical footers.
-  {
-    auto* corrupt = t.edge_corrupt.get();
-    auto* dup = t.edge_dup.get();
-    auto* reorder = t.edge_reorder.get();
-    auto* partition = t.edge_partition.get();
-    injector.registerFooterCounter(
-        "corrupted", [corrupt] { return corrupt->corrupted(); });
-    injector.registerFooterCounter(
-        "corrupt_skipped", [corrupt] { return corrupt->skipped(); });
-    injector.registerFooterCounter("duplicated",
-                                   [dup] { return dup->duplicated(); });
-    injector.registerFooterCounter(
-        "reordered", [reorder] { return reorder->reordered(); });
-    injector.registerFooterCounter(
-        "blackholed", [partition] { return partition->blackholed(); });
-  }
+  auto& injector = built.injector;
 
   // Manager outages: wrap the rig's network managers in failure proxies
   // and re-register them under the same resource names (replace
@@ -75,64 +21,25 @@ ChaosTargets registerChaosTargets(scenario::BuiltScenario& built,
       std::make_unique<gara::FlakyResourceManager>(rig.net_reverse);
   rig.gara.registerManager("net-forward", *t.net_forward);
   rig.gara.registerManager("net-reverse", *t.net_reverse);
-  injector.registerTarget("net-forward-manager", t.net_forward->faultTarget());
-  injector.registerTarget("net-reverse-manager", t.net_reverse->faultTarget());
-
-  // CPU contention bursts on the sending host.
-  t.hog = std::make_unique<cpu::CpuHog>(rig.sender_cpu, "chaos-hog");
-  {
-    sim::FaultTarget target;
-    auto* hog = t.hog.get();
-    target.down = [hog] { hog->start(); };
-    target.up = [hog] { hog->stop(); };
-    injector.registerTarget("sender-cpu-hog", std::move(target));
-  }
+  injector.registerTarget(kNetForwardManager, t.net_forward->faultTarget());
+  injector.registerTarget(kNetReverseManager, t.net_reverse->faultTarget());
 
   // Reservation churn: cancel/modify storms against whatever is live at
   // firing time, lowest id first (liveHandles() is sorted) so the victim
   // choice is deterministic. `up`/`loss_stop` stay unset by design.
-  {
-    sim::FaultTarget target;
-    auto* gara = &rig.gara;
-    target.down = [gara] {
-      const auto live = gara->liveHandles();
-      if (!live.empty()) gara->cancel(live.front());
-    };
-    target.loss_start = [gara](double factor) {
-      const auto live = gara->liveHandles();
-      if (live.empty()) return;
-      const auto& victim = live.front();
-      gara->modify(victim, victim->request().amount * factor);
-    };
-    injector.registerTarget("reservation-churn", std::move(target));
-  }
-
-  // Control-plane chaos, only for specs that wired the resilience stack:
-  // crash/restart the QoS agent + GARA through the builder's orchestration
-  // (so chaos crashes and scripted AgentCrashSpecs are the same code
-  // path), and pause lease renewals — a "renewal storm" where the holder
-  // is alive but cannot renew, so leases hard-expire enforcement.
-  if (built.hasResilience()) {
-    {
-      sim::FaultTarget target;
-      auto* resil = &built.resil;
-      target.down = [resil] {
-        if (resil->crash) resil->crash();
-      };
-      target.up = [resil] {
-        if (resil->restart) resil->restart();
-      };
-      injector.registerTarget("qos-agent", std::move(target));
-    }
-    if (built.resil.leases != nullptr) {
-      sim::FaultTarget target;
-      auto* leases = built.resil.leases.get();
-      target.down = [leases] { leases->suspendRenewals(); };
-      target.up = [leases] { leases->resumeRenewals(); };
-      injector.registerTarget("lease-renewals", std::move(target));
-    }
-  }
-
+  sim::FaultTarget churn;
+  auto* gara = &rig.gara;
+  churn.down = [gara] {
+    const auto live = gara->liveHandles();
+    if (!live.empty()) gara->cancel(live.front());
+  };
+  churn.loss_start = [gara](double factor) {
+    const auto live = gara->liveHandles();
+    if (live.empty()) return;
+    const auto& victim = live.front();
+    gara->modify(victim, victim->request().amount * factor);
+  };
+  injector.registerTarget(kReservationChurn, std::move(churn));
   return t;
 }
 

@@ -1,35 +1,16 @@
-// Chaos fault-target wiring: binds the generator's target vocabulary to a
-// live BuiltScenario.
-//
-//   premium-edge-link    down/up        LinkFault on the premium edge
-//   premium-edge-loss    loss_start/stop seeded LossInjector on the
-//                                       premium source's egress wire
-//   net-forward-manager  down/up        FlakyResourceManager proxy swapped
-//   net-reverse-manager                 in for the rig's network managers
-//                                       (down = outage + revoke active)
-//   sender-cpu-hog       down/up        CpuHog burst on the sending host
-//   reservation-churn    down           cancel the lowest-id live
-//                                       reservation
-//                        loss_start(p)  modify it: amount ×= p
-//   premium-edge-corrupt loss_start/stop seeded CorruptionInjector on the
-//                                       premium source's egress wire
-//   premium-edge-dup     loss_start/stop seeded DuplicateInjector, same wire
-//   premium-edge-reorder loss_start/stop seeded ReorderInjector, same wire
-//   premium-edge-partition down/up      directional PartitionFault black-
-//                                       holing that egress until healed
+// Chaos-only fault targets: the FlakyResourceManager proxies
+// (net-forward-manager, net-reverse-manager) and reservation-churn, as
+// listed in the table of scenario/fault_targets.hpp. Every other target
+// lives in that table and serves scripted and chaos plans alike.
 //
 // The churn target deliberately leaves `up`/`loss_stop` unset — plan
 // entries that land on them become logged "(no-op)" lines and count in
 // skipped_actions, which the chaos log footer surfaces.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 
-#include "cpu/cpu_scheduler.hpp"
 #include "gara/flaky_resource_manager.hpp"
-#include "net/faults.hpp"
-#include "sim/fault_injector.hpp"
 
 namespace mgq::scenario {
 struct BuiltScenario;
@@ -37,32 +18,20 @@ struct BuiltScenario;
 
 namespace mgq::chaos {
 
-/// Owns the fault machinery registered on a built scenario; must outlive
-/// the run (the injector's scheduled events reference it).
+/// The manager proxies registered with Gara *in place of* the rig's
+/// network managers; tests reach their slot tables here (e.g.
+/// forceOverAdmissionForTest). Must outlive the run.
 struct ChaosTargets {
-  std::unique_ptr<net::LinkFault> edge_link;
-  std::unique_ptr<net::LossInjector> edge_loss;
-  std::unique_ptr<net::CorruptionInjector> edge_corrupt;
-  std::unique_ptr<net::DuplicateInjector> edge_dup;
-  std::unique_ptr<net::ReorderInjector> edge_reorder;
-  std::unique_ptr<net::PartitionFault> edge_partition;
-  /// Proxies registered with Gara *in place of* the rig's managers; tests
-  /// reach their slot tables here (e.g. forceOverAdmissionForTest).
   std::unique_ptr<gara::FlakyResourceManager> net_forward;
   std::unique_ptr<gara::FlakyResourceManager> net_reverse;
-  std::unique_ptr<cpu::CpuHog> hog;
 };
 
-/// Creates the machinery above and registers every chaos target with
-/// `injector`. Call from RunHooks::on_built, before any simulated event
-/// has run (the manager swap must precede the first reservation).
-/// `loss_seed` seeds the LossInjector's own Rng; the adversarial
-/// injectors derive independent splitmix streams from it, so enabling a
-/// new category never perturbs the loss pattern of an existing seed. The
-/// injectors' corruption/duplication/reorder/blackhole totals are also
-/// registered as footer counters (omitted at zero).
-ChaosTargets registerChaosTargets(scenario::BuiltScenario& built,
-                                  sim::FaultInjector& injector,
-                                  std::uint64_t loss_seed);
+/// Creates the proxies and registers the chaos-only targets with
+/// `built.injector`. Call from RunHooks::on_built, before any simulated
+/// event has run (the manager swap must precede the first reservation).
+/// Plan entries at t <= 0 fire during the build, before this runs, so they
+/// find these targets unregistered; the generator's warmup keeps every
+/// entry later than that.
+ChaosTargets registerChaosTargets(scenario::BuiltScenario& built);
 
 }  // namespace mgq::chaos

@@ -414,13 +414,6 @@ std::unique_ptr<BuiltScenario> ScenarioBuilder::build(
                          "journal replayed; live intents re-issued");
       }
     };
-    for (const auto& c : spec.agent_crashes) {
-      rig.sim.schedule(Duration::seconds(c.at_seconds),
-                       [b] { b->resil.crash(); });
-      rig.sim.schedule(
-          Duration::seconds(c.at_seconds + c.restart_after_seconds),
-          [b] { b->resil.restart(); });
-    }
   }
 
   if (spec.contention.enabled) {
@@ -449,74 +442,27 @@ std::unique_ptr<BuiltScenario> ScenarioBuilder::build(
     rig.garnet.ingressEdgeInterface()->ingressPolicy().addRule(rule);
   }
 
-  if (!spec.faults.empty()) {
-    built->injector = std::make_unique<sim::FaultInjector>(
-        rig.sim, spec.faults.front().injector_seed);
-    built->edge_link =
-        std::make_unique<net::LinkFault>(*rig.garnet.ingressEdgeInterface());
-    built->injector->registerTarget("premium-edge-link",
-                                    net::linkFaultTarget(*built->edge_link));
-    for (const auto& f : spec.faults) {
-      built->injector->scheduleFlap(f.target,
-                                    TimePoint::fromSeconds(f.at_seconds),
-                                    Duration::seconds(f.outage_seconds));
-    }
-  }
-
-  // Adversarial data-plane conditions on the premium source's egress wire
-  // (DESIGN.md §14). Each injector draws from its own splitmix-derived
-  // stream of adv.seed, so enabling one category never perturbs another.
-  if (spec.adversarial.enabled()) {
-    const auto& adv = spec.adversarial;
-    auto& egress = *rig.garnet.ingressEdgeInterface()->peer();
-    constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
-    if (adv.corrupt_rate > 0) {
-      built->corrupt = std::make_unique<net::CorruptionInjector>(
-          egress, adv.seed + 1 * kGolden);
-      built->corrupt->start(adv.corrupt_rate);
-    }
-    if (adv.duplicate_rate > 0) {
-      built->duplicate = std::make_unique<net::DuplicateInjector>(
-          egress, adv.seed + 2 * kGolden);
-      built->duplicate->start(adv.duplicate_rate);
-    }
-    if (adv.reorder_rate > 0) {
-      built->reorder = std::make_unique<net::ReorderInjector>(
-          egress, adv.seed + 3 * kGolden,
-          Duration::seconds(adv.reorder_max_extra_seconds));
-      built->reorder->start(adv.reorder_rate);
-    }
-    if (adv.partition_at_seconds >= 0) {
-      built->partition = std::make_unique<net::PartitionFault>(egress);
-      rig.sim.schedule(Duration::seconds(adv.partition_at_seconds),
-                       [b] { b->partition->partition(); });
-      if (adv.heal_at_seconds > adv.partition_at_seconds) {
-        rig.sim.schedule(Duration::seconds(adv.heal_at_seconds),
-                         [b] { b->partition->heal(); });
-      }
-    }
-    if (adv.pool_ceiling_bytes > 0) {
-      auto& pool = net::BufferPool::local();
-      built->pool_ceiling_restore.previous = pool.liveBytesCeiling();
-      built->pool_ceiling_restore.active = true;
-      pool.setLiveBytesCeiling(adv.pool_ceiling_bytes);
-    }
-  }
-
   // CPU job for the workload (registered before any hog so job ids stay
-  // those the golden catalog recorded), then the scripted competitors.
+  // those the golden catalog recorded), then the fault plan: scripted
+  // agent crashes lowered to qos-agent episodes, then spec.faults.
   const auto* viz = std::get_if<VisualizationWorkload>(&spec.workload);
   bool wants_cpu_job = viz != nullptr && viz->cpu_seconds_per_frame > 0;
   for (const auto& r : spec.reservations) {
     if (r.via == ReservationSpec::Via::kGaraCpu) wants_cpu_job = true;
   }
   if (wants_cpu_job) built->cpu_job = rig.sender_cpu.registerJob("viz");
-  if (!spec.cpu_hogs.empty()) {
-    built->hog = std::make_unique<cpu::CpuHog>(rig.sender_cpu, "competitor");
-    for (const auto& h : spec.cpu_hogs) {
-      rig.sim.schedule(Duration::seconds(h.at_seconds),
-                       [b] { b->hog->start(); });
-    }
+  std::vector<sim::FaultEvent> plan;
+  for (const auto& c : spec.agent_crashes) {
+    plan.push_back({TimePoint::fromSeconds(c.at_seconds),
+                    fault_target::kQosAgent, sim::FaultAction::kDown});
+    plan.push_back(
+        {TimePoint::fromSeconds(c.at_seconds + c.restart_after_seconds),
+         fault_target::kQosAgent, sim::FaultAction::kUp});
+  }
+  plan.insert(plan.end(), spec.faults.begin(), spec.faults.end());
+  if (!plan.empty()) {
+    registerFaultTargets(*built, plan, spec.fault_seed);
+    built->injector.schedulePlan(plan);
   }
 
   // Scheduled (mid-run) reservations; inline ones are awaited by the

@@ -17,8 +17,6 @@
 #include "apps/workloads.hpp"
 #include "gara/bandwidth_broker.hpp"
 #include "cpu/cpu_scheduler.hpp"
-#include "net/buffer.hpp"
-#include "net/faults.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
@@ -26,6 +24,7 @@
 #include "resil/journal.hpp"
 #include "resil/lease.hpp"
 #include "resil/reconciler.hpp"
+#include "scenario/fault_targets.hpp"
 #include "scenario/spec.hpp"
 #include "sim/fault_injector.hpp"
 #include "tcp/tcp_socket.hpp"
@@ -34,9 +33,13 @@ namespace mgq::scenario {
 
 struct BuiltScenario {
   explicit BuiltScenario(const apps::GarnetRig::Config& config)
-      : rig(config) {}
+      : rig(config), injector(rig.sim) {}
 
   apps::GarnetRig rig;
+  /// Drives every fault of the run, scripted or chaos, over the
+  /// fault-target table (scenario/fault_targets.hpp).
+  sim::FaultInjector injector;
+  FaultTargets fault_targets;
 
   // Per-run observability (spec.observe). Shared pointers because the
   // ScenarioResult hands them to the exporter after the rig is gone.
@@ -55,30 +58,9 @@ struct BuiltScenario {
   cpu::JobId cpu_job = 0;
   gq::QosAttribute qos_attr;  // storage for non-premium / scheduled puts
 
-  // Environment scripts.
-  std::unique_ptr<cpu::CpuHog> hog;
-  std::unique_ptr<net::LinkFault> edge_link;
-  std::unique_ptr<sim::FaultInjector> injector;
-
-  // Adversarial data-plane machinery (spec.adversarial, DESIGN.md §14).
-  std::unique_ptr<net::CorruptionInjector> corrupt;
-  std::unique_ptr<net::DuplicateInjector> duplicate;
-  std::unique_ptr<net::ReorderInjector> reorder;
-  std::unique_ptr<net::PartitionFault> partition;
-  /// Restores the thread-local pool's live-bytes ceiling when the built
-  /// scenario is destroyed (scenarios build, run, and die on one thread).
-  struct PoolCeilingRestore {
-    bool active = false;
-    std::int64_t previous = 0;
-    ~PoolCeilingRestore() {
-      if (active) net::BufferPool::local().setLiveBytesCeiling(previous);
-    }
-  };
-  PoolCeilingRestore pool_ceiling_restore;
-
   // Control-plane resilience (spec.resil / spec.agent_crashes): journal,
-  // leases, heartbeats, and the crash/restart orchestration used by both
-  // scripted AgentCrashSpecs and the chaos "qos-agent" fault target.
+  // leases, heartbeats, and the crash/restart orchestration behind the
+  // "qos-agent" fault target.
   struct ControlPlaneResilience {
     std::unique_ptr<resil::StateJournal> journal;
     std::unique_ptr<resil::LeaseManager> leases;

@@ -2,11 +2,24 @@
 
 #include <cmath>
 
+#include "scenario/fault_targets.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 #include "util/stats.hpp"
 
 namespace mgq::scenario {
+namespace {
+
+constexpr auto kDown = sim::FaultAction::kDown;
+constexpr auto kUp = sim::FaultAction::kUp;
+constexpr auto kLossStart = sim::FaultAction::kLossStart;
+
+sim::FaultEvent fault(double at_seconds, const char* target,
+                      sim::FaultAction action, double param = 0.0) {
+  return {sim::TimePoint::fromSeconds(at_seconds), target, action, param};
+}
+
+}  // namespace
 
 ScenarioSpec offeredLoadFlowSpec(const std::string& name,
                                  double reservation_bps, double offered_bps,
@@ -119,7 +132,7 @@ ScenarioSpec fig8Spec() {
   // 42.5 ms of work per 50 ms frame: needs 85% of the CPU.
   w.cpu_seconds_per_frame = 0.0425;
   spec.workload = w;
-  spec.cpu_hogs.push_back(CpuHogSpec{10.0});
+  spec.faults.push_back(fault(10.0, fault_target::kSenderCpuHog, kDown));
   ReservationSpec r;
   r.via = ReservationSpec::Via::kGaraCpu;
   r.at_seconds = 20.0;
@@ -168,7 +181,7 @@ ScenarioSpec fig9Spec() {
   net.network_kbps = 35'000.0;
   net.max_message_size = 218'750;
   spec.reservations.push_back(net);
-  spec.cpu_hogs.push_back(CpuHogSpec{31.0});
+  spec.faults.push_back(fault(31.0, fault_target::kSenderCpuHog, kDown));
   ReservationSpec cpu;
   cpu.via = ReservationSpec::Via::kGaraCpu;
   cpu.at_seconds = 41.0;
@@ -322,7 +335,8 @@ ScenarioSpec faultRecoverySpec(const std::string& name, bool recovery_on) {
   r.network_kbps = 30'000.0;  // application rate, agent scales it up
   r.max_message_size = 37'500;
   spec.reservations.push_back(r);
-  spec.faults.push_back(FaultSpec{20.0, 3.0, 42, "premium-edge-link"});
+  spec.faults = {fault(20.0, fault_target::kEdgeLink, kDown),
+                 fault(23.0, fault_target::kEdgeLink, kUp)};
   spec.run_until_seconds = 60.0;
   const auto pre = [](const ScenarioResult& res) {
     return res.meanKbps(5.0, 20.0);
@@ -434,7 +448,8 @@ ScenarioSpec adversarialCorruptionSpec(const std::string& name) {
   auto spec = offeredLoadFlowSpec(name, 55e6 * 1.06, 50e6, /*seconds=*/30.0);
   spec.title = "Adversarial wire: Figure-1 flow through 0.5% corruption";
   spec.paper_ref = "DESIGN.md §14: TCP integrity under wire corruption";
-  spec.adversarial.corrupt_rate = 0.005;
+  spec.faults.push_back(
+      fault(0.0, fault_target::kEdgeCorrupt, kLossStart, 0.005));
   spec.checks = {
       // Conservation is an upper bound: a corrupted segment can also die
       // at the edge policer or a full queue before reaching the receiver,
@@ -457,8 +472,8 @@ ScenarioSpec partitionHealSpec(const std::string& name) {
   auto spec = offeredLoadFlowSpec(name, 55e6 * 1.06, 50e6, /*seconds=*/30.0);
   spec.title = "Partition/heal: premium egress blackholed 8-16 s";
   spec.paper_ref = "DESIGN.md §14: reconvergence after a healed partition";
-  spec.adversarial.partition_at_seconds = 8.0;
-  spec.adversarial.heal_at_seconds = 16.0;
+  spec.faults = {fault(8.0, fault_target::kEdgePartition, kDown),
+                 fault(16.0, fault_target::kEdgePartition, kUp)};
   spec.checks = {
       {"partition blackholed premium egress traffic",
        [](const ScenarioResult& res) { return res.wire_blackholed > 0; }},

@@ -79,12 +79,16 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec,
 
   if (hooks.before_teardown) hooks.before_teardown(*built);
 
+  const auto& wire = rig.garnet.ingressEdgeInterface()->peer()->stats();
   if (built->sampler != nullptr) {
     built->sampler->stop();
     apps::snapshotRigCounters(rig, *built->metrics, /*prefix=*/{});
-    // Wire/pool gauges ride only on adversarial runs so every legacy
-    // scenario's BENCH export (and its golden hash) stays byte-identical.
-    if (spec.adversarial.enabled()) {
+    // Wire/pool gauges ride only on runs whose wire faults fired, so every
+    // fault-free scenario's BENCH export (and its golden hash) stays
+    // byte-identical.
+    if (wire.corrupted + wire.duplicated + wire.reordered +
+            wire.drops_partition >
+        0) {
       apps::snapshotAdversarialCounters(rig, *built->metrics, /*prefix=*/{});
     }
   }
@@ -114,13 +118,10 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec,
     result.checksum_drops = built->receiver->stats().checksum_drops;
     result.tcp_resets = built->receiver->stats().resets;
   }
-  {
-    const auto& wire = rig.garnet.ingressEdgeInterface()->peer()->stats();
-    result.wire_corrupted = wire.corrupted;
-    result.wire_duplicated = wire.duplicated;
-    result.wire_reordered = wire.reordered;
-    result.wire_blackholed = wire.drops_partition;
-  }
+  result.wire_corrupted = wire.corrupted;
+  result.wire_duplicated = wire.duplicated;
+  result.wire_reordered = wire.reordered;
+  result.wire_blackholed = wire.drops_partition;
   if (built->comm0 != nullptr) {
     const auto status = rig.agent.status(*built->comm0);
     result.qos_state = status.state;
@@ -163,7 +164,7 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec,
       result.tenants.push_back(std::move(out));
     }
   }
-  if (built->injector != nullptr) result.injector_log = built->injector->logText();
+  result.injector_log = built->injector.logText();
   result.events_executed = rig.sim.eventsExecuted();
   if (built->metrics != nullptr) {
     apps::recordBandwidthSeries(*built->metrics, "workload.delivered_kbps",

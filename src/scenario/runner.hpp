@@ -47,8 +47,8 @@ struct ScenarioResult {
   std::uint64_t policer_drops = 0;
   std::uint64_t tcp_timeouts = 0;
 
-  /// Adversarial data-plane accounting (zero unless spec.adversarial or a
-  /// chaos plan armed the injectors): receiver-side checksum drops and
+  /// Adversarial data-plane accounting (zero unless the fault plan armed
+  /// a wire-fault target): receiver-side checksum drops and
   /// connection resets, and the egress wire's corruption/duplication/
   /// reorder/blackhole totals.
   std::uint64_t checksum_drops = 0;
@@ -111,8 +111,8 @@ struct BuiltScenario;  // builder.hpp
 /// attaches fault targets and invariant monitors without the runner
 /// depending on it.
 struct RunHooks {
-  /// After build(), before the simulator runs: attach injectors, swap in
-  /// fault proxies, arm monitors. The rig has not processed any event yet.
+  /// After build(), before the simulator runs: swap in fault proxies,
+  /// arm monitors. The rig has not processed any event yet.
   std::function<void(BuiltScenario&)> on_built;
   /// After runUntil() returns, while the rig is still alive: teardown
   /// invariant sweeps, final state collection.

@@ -1,6 +1,6 @@
 // Declarative experiment description: everything a figure/table/ablation
 // run needs — rig configuration, premium flow admission, reservation
-// plans, the workload script, contention/fault/CPU-hog scripts, probe
+// plans, the workload script, contention and fault scripts, probe
 // attachment, duration, seed, and shape checks — as one plain-data
 // struct. A ScenarioBuilder turns a spec into a live GarnetRig; a
 // ScenarioRunner executes it on its own Simulator, so specs are the unit
@@ -17,6 +17,7 @@
 #include "gq/qos_attribute.hpp"
 #include "net/packet.hpp"
 #include "net/token_bucket.hpp"
+#include "sim/fault_injector.hpp"
 #include "tcp/tcp_config.hpp"
 
 namespace mgq::scenario {
@@ -158,49 +159,6 @@ struct ContentionSpec {
   double at_seconds = 0.0;  // <= 0: on before the workload starts
 };
 
-/// A fair-share CPU competitor on the sending host.
-struct CpuHogSpec {
-  double at_seconds = 0.0;
-};
-
-/// A link flap on a rig fault target, driven by sim::FaultInjector.
-struct FaultSpec {
-  double at_seconds = 0.0;
-  double outage_seconds = 0.0;
-  std::uint64_t injector_seed = 42;
-  std::string target = "premium-edge-link";
-};
-
-/// Adversarial data-plane conditions (DESIGN.md §14): seeded corruption /
-/// duplication / reorder injectors on the premium source's egress wire, an
-/// optional directional partition window with heal, and an optional
-/// live-bytes ceiling on the run's payload pool. Everything defaults off,
-/// and a disabled spec builds a byte-identical scenario (golden-catalog
-/// safe). Rates are per-packet probabilities on the egress wire.
-struct AdversarialSpec {
-  double corrupt_rate = 0.0;
-  double duplicate_rate = 0.0;
-  double reorder_rate = 0.0;
-  /// Maximum extra hold applied to a reordered packet.
-  double reorder_max_extra_seconds = 0.005;
-  /// Blackhole the premium egress at partition_at (< 0 disables), heal it
-  /// at heal_at (only when later than the cut; otherwise the partition
-  /// holds until teardown).
-  double partition_at_seconds = -1.0;
-  double heal_at_seconds = -1.0;
-  /// Seeds the injectors' splitmix-derived Rng streams, independent of
-  /// the simulation seed so a seed sweep keeps its fault pattern.
-  std::uint64_t seed = 99;
-  /// > 0: cap the run's thread-local BufferPool at this many live bytes
-  /// (restored when the built scenario is destroyed).
-  std::int64_t pool_ceiling_bytes = 0;
-
-  bool enabled() const {
-    return corrupt_rate > 0 || duplicate_rate > 0 || reorder_rate > 0 ||
-           partition_at_seconds >= 0 || pool_ceiling_bytes > 0;
-  }
-};
-
 // --------------------------------------------------------------------------
 // Adaptive QoS control plane (src/adapt/, DESIGN.md §15)
 // --------------------------------------------------------------------------
@@ -240,7 +198,8 @@ struct LeaseSpec {
 /// drop their in-memory state (lease renewals and heartbeats pause);
 /// `restart_after_seconds` later the control plane restarts — journal
 /// replay, anti-entropy reconciliation against every manager, then
-/// re-issue of the journal-live QoS intents.
+/// re-issue of the journal-live QoS intents. The builder lowers each crash
+/// into a qos-agent down/up episode of the fault plan.
 struct AgentCrashSpec {
   double at_seconds = 0.0;
   double restart_after_seconds = 1.0;
@@ -288,9 +247,13 @@ struct ScenarioSpec {
   std::vector<FlowSpec> flows;
   std::vector<ReservationSpec> reservations;
   ContentionSpec contention;
-  std::vector<CpuHogSpec> cpu_hogs;
-  std::vector<FaultSpec> faults;
-  AdversarialSpec adversarial;
+  /// Scripted faults: a plan over the fault-target table
+  /// (scenario/fault_targets.hpp), the same vocabulary chaos plans use.
+  /// Entries at t <= 0 take effect while the scenario is built.
+  std::vector<sim::FaultEvent> faults;
+  /// Seeds the wire-fault targets' Rng streams, independent of the
+  /// simulation seed so a seed sweep keeps its fault pattern.
+  std::uint64_t fault_seed = 99;
   AdaptationSpec adaptation;
   ResilienceSpec resil;
   std::vector<AgentCrashSpec> agent_crashes;  // forces resil wiring on

@@ -31,43 +31,21 @@ bool faultActionFromName(const std::string& name, FaultAction& out) {
   return false;
 }
 
-FaultInjector::FaultInjector(Simulator& sim, std::uint64_t seed)
-    : sim_(sim), rng_(seed) {}
-
 void FaultInjector::registerTarget(const std::string& name,
                                    FaultTarget target) {
   targets_[name] = std::move(target);
 }
 
 void FaultInjector::schedule(const FaultEvent& event) {
+  if (event.at <= sim_.now()) {
+    fire(event);
+    return;
+  }
   sim_.scheduleAt(event.at, [this, event] { fire(event); });
 }
 
 void FaultInjector::schedulePlan(const std::vector<FaultEvent>& plan) {
   for (const auto& event : plan) schedule(event);
-}
-
-void FaultInjector::scheduleFlap(const std::string& target, TimePoint at,
-                                 Duration outage) {
-  schedule({at, target, FaultAction::kDown, 0.0});
-  schedule({at + outage, target, FaultAction::kUp, 0.0});
-}
-
-std::vector<FaultEvent> FaultInjector::makeFlapSchedule(
-    const std::string& target, TimePoint from, TimePoint until,
-    Duration mean_up, Duration mean_down) {
-  std::vector<FaultEvent> plan;
-  TimePoint t = from;
-  for (;;) {
-    t += Duration::seconds(rng_.exponential(mean_up.toSeconds()));
-    if (t >= until) break;
-    plan.push_back({t, target, FaultAction::kDown, 0.0});
-    t += Duration::seconds(rng_.exponential(mean_down.toSeconds()));
-    // The plan never leaves the target down past its horizon.
-    plan.push_back({t < until ? t : until, target, FaultAction::kUp, 0.0});
-    if (t >= until) break;
-  }
-  return plan;
 }
 
 void FaultInjector::fire(const FaultEvent& event) {

@@ -7,11 +7,13 @@
 // simulator core depending on it (net/faults.hpp provides adapters for
 // links; gara's FlakyResourceManager for managers).
 //
-// Determinism: the injector owns its own seeded Rng, independent of the
-// simulator's traffic Rng, so the same seed + the same plan produce the
-// same fault sequence regardless of what the workload does. Every fired
-// event is appended to a textual log with fixed formatting; two runs with
-// identical seeds must produce byte-identical logs (tested).
+// Determinism: the injector draws no randomness of its own — a plan is a
+// fixed list of timed events, so the same plan produces the same fault
+// sequence regardless of what the workload does. Seeded plans come from
+// chaos::ChaosPlanGenerator; seeded wire faults draw from their targets'
+// own Rngs. Every fired event is appended to a textual log with fixed
+// formatting; two runs of the same plan must produce byte-identical logs
+// (tested).
 #pragma once
 
 #include <cstdint>
@@ -20,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
@@ -58,7 +59,7 @@ struct FaultEvent {
 
 class FaultInjector {
  public:
-  FaultInjector(Simulator& sim, std::uint64_t seed);
+  explicit FaultInjector(Simulator& sim) : sim_(sim) {}
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
@@ -68,22 +69,11 @@ class FaultInjector {
     return targets_.count(name) != 0;
   }
 
-  /// Schedules a single plan event on the simulator.
+  /// Schedules a single plan event on the simulator. An event already due
+  /// (at or before now) fires at once instead: it costs no simulator
+  /// event, so a t=0 entry takes effect while the scenario is built.
   void schedule(const FaultEvent& event);
   void schedulePlan(const std::vector<FaultEvent>& plan);
-
-  /// One down -> up episode: down at `at`, up after `outage`.
-  void scheduleFlap(const std::string& target, TimePoint at,
-                    Duration outage);
-
-  /// Generates a random flapping plan from the injector's own seeded Rng:
-  /// alternating exponentially-distributed up/down phases over
-  /// [from, until). The link is always restored by `until`. Deterministic:
-  /// same seed + same arguments => identical plan.
-  std::vector<FaultEvent> makeFlapSchedule(const std::string& target,
-                                           TimePoint from, TimePoint until,
-                                           Duration mean_up,
-                                           Duration mean_down);
 
   /// Fires an event immediately (bypassing the simulator clock); used by
   /// schedule() internally and handy in tests.
@@ -114,11 +104,8 @@ class FaultInjector {
   /// unregistered, or its callback for the requested action was unset.
   std::uint64_t skippedActions() const { return skipped_; }
 
-  Rng& rng() { return rng_; }
-
  private:
   Simulator& sim_;
-  Rng rng_;
   std::map<std::string, FaultTarget> targets_;
   std::vector<std::pair<std::string, std::function<std::uint64_t()>>>
       footer_counters_;

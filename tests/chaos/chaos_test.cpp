@@ -4,6 +4,7 @@
 // scenarios.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 
 #include "chaos/runner.hpp"
@@ -133,6 +134,38 @@ TEST(ChaosRunnerTest, UnsabotagedRunNeverTripsSlotConservation) {
   EXPECT_TRUE(outcome.ok())
       << (outcome.failure() != nullptr ? outcome.failure()->log
                                        : std::string{});
+}
+
+TEST(ChaosRunnerTest, EveryProfileCategoryDrivesARegisteredTarget) {
+  // One vocabulary: with every category's rate above zero, each target
+  // the generator names is in the table that the builder and the chaos
+  // runner register, so no plan entry is logged "(unregistered)".
+  ChaosProfile profile;
+  for (double* rate :
+       {&profile.link_flaps_per_100s, &profile.loss_episodes_per_100s,
+        &profile.manager_outages_per_100s, &profile.cpu_hog_bursts_per_100s,
+        &profile.reservation_cancels_per_100s,
+        &profile.reservation_modifies_per_100s,
+        &profile.agent_crashes_per_100s, &profile.renewal_storms_per_100s,
+        &profile.corruption_episodes_per_100s,
+        &profile.duplicate_episodes_per_100s,
+        &profile.reorder_episodes_per_100s,
+        &profile.partition_episodes_per_100s}) {
+    *rate = 200.0;
+  }
+  const auto plan =
+      ChaosPlanGenerator{profile}.generate("fault_recovery_crash", 1, 3.0);
+  std::set<std::string> targets;
+  for (const auto& e : plan.events) targets.insert(e.target);
+  ASSERT_EQ(targets.size(), 12u) << serializeReplay(plan);
+
+  ChaosOptions options;
+  options.profile = profile;
+  options.horizon_seconds = 3.0;
+  const auto report = ChaosRunner{}.runPlan(plan, options);
+  EXPECT_EQ(report.injector_fired, plan.events.size());
+  EXPECT_EQ(report.log.find("(unregistered)"), std::string::npos)
+      << report.log;
 }
 
 // --- 200-seed soaks over the stock paper scenarios -----------------------

@@ -13,6 +13,7 @@
 #include "obs/export.hpp"
 #include "scenario/builder.hpp"
 #include "scenario/catalog.hpp"
+#include "scenario/fault_targets.hpp"
 #include "scenario/check.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
@@ -53,6 +54,34 @@ TEST(ScenarioBuilder, SpecBuildRoundTrip) {
   built->rig.sim.runUntil(sim::TimePoint::fromSeconds(3.0));
   EXPECT_GT(built->deliveredBytes(), 0);
   EXPECT_GT(built->pingpong.round_trips, 0);
+}
+
+TEST(ScenarioBuilder, CatalogFaultPlansNameOnlyRegisteredTargets) {
+  // One vocabulary, build only: every target a registered spec's fault
+  // plan names — spec.faults plus the qos-agent episodes its scripted
+  // agent crashes lower to — is in the table the builder registers.
+  ScenarioBuilder builder;
+  std::set<std::string> with_plans;
+  for (const auto* info : ScenarioRegistry::paper().list("")) {
+    const auto spec = info->make();
+    const auto built = builder.build(spec);
+    for (const auto& e : spec.faults) {
+      EXPECT_TRUE(built->injector.hasTarget(e.target))
+          << spec.name << " names unregistered target " << e.target;
+    }
+    if (!spec.agent_crashes.empty()) {
+      EXPECT_TRUE(built->injector.hasTarget(fault_target::kQosAgent))
+          << spec.name;
+    }
+    if (!spec.faults.empty() || !spec.agent_crashes.empty()) {
+      with_plans.insert(spec.name);
+    }
+  }
+  EXPECT_EQ(with_plans,
+            (std::set<std::string>{"fault_recovery_crash", "fault_recovery_off",
+                                   "fault_recovery_on", "fig1_corrupt_wire",
+                                   "fig8_cpu_reservation", "fig9_combined",
+                                   "partition_heal_reconverge"}));
 }
 
 TEST(ScenarioRunner, PopulatesResultAndEvaluatesChecks) {

@@ -1,5 +1,6 @@
-// Fault injector: plan execution, seeded determinism (byte-identical
-// event logs across runs), and graceful handling of unknown targets.
+// Fault injector: plan execution, due events firing at once, and graceful
+// handling of unknown targets. Seeded plan generation and byte-identical
+// replay are the chaos generator's and runner's tests.
 #include <gtest/gtest.h>
 
 #include "sim/fault_injector.hpp"
@@ -29,7 +30,7 @@ FaultTarget countingTarget(Counts& counts) {
 
 TEST(FaultInjectorTest, PlanFiresActionsAtScheduledTimes) {
   Simulator sim;
-  FaultInjector injector(sim, 1);
+  FaultInjector injector(sim);
   Counts counts;
   injector.registerTarget("link", countingTarget(counts));
   injector.schedulePlan({
@@ -55,11 +56,11 @@ TEST(FaultInjectorTest, PlanFiresActionsAtScheduledTimes) {
 
 TEST(FaultInjectorTest, ScheduleFlapIsOneDownUpEpisode) {
   Simulator sim;
-  FaultInjector injector(sim, 1);
+  FaultInjector injector(sim);
   Counts counts;
   injector.registerTarget("link", countingTarget(counts));
-  injector.scheduleFlap("link", TimePoint::fromSeconds(5),
-                        Duration::seconds(2));
+  injector.schedule({TimePoint::fromSeconds(5), "link", FaultAction::kDown});
+  injector.schedule({TimePoint::fromSeconds(7), "link", FaultAction::kUp});
   sim.run();
   EXPECT_EQ(counts.downs, 1);
   EXPECT_EQ(counts.ups, 1);
@@ -67,75 +68,31 @@ TEST(FaultInjectorTest, ScheduleFlapIsOneDownUpEpisode) {
             "t=5.000000s link down\nt=7.000000s link up\n");
 }
 
+TEST(FaultInjectorTest, DueEventsFireWithoutASimulatorEvent) {
+  Simulator sim;
+  FaultInjector injector(sim);
+  Counts counts;
+  injector.registerTarget("wire", countingTarget(counts));
+  injector.schedulePlan({
+      {TimePoint::zero(), "wire", FaultAction::kLossStart, 0.005},
+      {TimePoint::fromSeconds(2), "wire", FaultAction::kLossStop},
+  });
+  EXPECT_EQ(counts.loss_starts, 1) << "a t=0 entry fires while scheduling";
+  EXPECT_EQ(counts.loss_stops, 0);
+  sim.run();
+  EXPECT_EQ(counts.loss_stops, 1);
+  EXPECT_EQ(sim.eventsExecuted(), 1u);
+  EXPECT_EQ(injector.logText(),
+            "t=0.000000s wire loss-start p=0.0050\n"
+            "t=2.000000s wire loss-stop\n");
+}
+
 TEST(FaultInjectorTest, UnregisteredTargetIsLoggedNotFatal) {
   Simulator sim;
-  FaultInjector injector(sim, 1);
+  FaultInjector injector(sim);
   injector.fire({TimePoint::zero(), "ghost", FaultAction::kDown, 0.0});
   ASSERT_EQ(injector.log().size(), 1u);
   EXPECT_EQ(injector.log()[0], "t=0.000000s ghost down (unregistered)");
-}
-
-TEST(FaultInjectorTest, MakeFlapScheduleIsSeededDeterministic) {
-  auto makePlan = [](std::uint64_t seed) {
-    Simulator sim;
-    FaultInjector injector(sim, seed);
-    return injector.makeFlapSchedule("core", TimePoint::zero(),
-                                     TimePoint::fromSeconds(500),
-                                     Duration::seconds(30),
-                                     Duration::seconds(5));
-  };
-  const auto a = makePlan(11);
-  const auto b = makePlan(11);
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_FALSE(a.empty());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].at, b[i].at) << i;
-    EXPECT_EQ(a[i].action, b[i].action) << i;
-  }
-  const auto c = makePlan(12);
-  bool identical = a.size() == c.size();
-  for (std::size_t i = 0; identical && i < a.size(); ++i) {
-    identical = a[i].at == c[i].at;
-  }
-  EXPECT_FALSE(identical) << "different seeds must give different plans";
-}
-
-TEST(FaultInjectorTest, FlapScheduleAlternatesAndRestoresByHorizon) {
-  Simulator sim;
-  FaultInjector injector(sim, 3);
-  const auto until = TimePoint::fromSeconds(200);
-  const auto plan = injector.makeFlapSchedule(
-      "core", TimePoint::zero(), until, Duration::seconds(10),
-      Duration::seconds(10));
-  ASSERT_FALSE(plan.empty());
-  ASSERT_EQ(plan.size() % 2, 0u) << "every down must have a matching up";
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    EXPECT_EQ(plan[i].action,
-              i % 2 == 0 ? FaultAction::kDown : FaultAction::kUp);
-    EXPECT_LE(plan[i].at, until);
-    if (i > 0) {
-      EXPECT_GE(plan[i].at, plan[i - 1].at);
-    }
-  }
-  EXPECT_EQ(plan.back().action, FaultAction::kUp);
-}
-
-TEST(FaultInjectorTest, ReplayProducesByteIdenticalLog) {
-  auto runOnce = [](std::uint64_t seed) {
-    Simulator sim(seed);
-    FaultInjector injector(sim, seed);
-    Counts counts;
-    injector.registerTarget("core", countingTarget(counts));
-    injector.schedulePlan(injector.makeFlapSchedule(
-        "core", TimePoint::zero(), TimePoint::fromSeconds(300),
-        Duration::seconds(20), Duration::seconds(4)));
-    sim.run();
-    return injector.logText();
-  };
-  const auto first = runOnce(42);
-  EXPECT_FALSE(first.empty());
-  EXPECT_EQ(first, runOnce(42));
-  EXPECT_NE(first, runOnce(43));
 }
 
 }  // namespace

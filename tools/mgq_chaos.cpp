@@ -13,17 +13,24 @@
 // With --shrink, the failing plan is delta-debugged down to a minimal
 // reproducing schedule and written as a replay file
 // (chaos_<scenario>_seed<seed>.replay in --json-dir) that --replay
-// re-runs byte-identically. Exit code: 0 when every seed held its
-// invariants, 1 on a violation (including a reproducing replay), 2 on
-// usage errors.
+// re-runs byte-identically. Numbers must parse whole: counts and sizes as
+// unsigned integers (--seeds at least 1), the horizon and the rates as
+// finite decimals (horizon > 0, rates >= 0). Exit code: 0 when every seed
+// held its invariants, 1 on a violation (including a reproducing replay),
+// 2 on usage errors.
+#include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "chaos/runner.hpp"
+#include "cli_parse.hpp"
 
 namespace {
 
@@ -153,85 +160,65 @@ int sweepSeeds(const std::string& scenario, std::uint64_t first_seed,
 int main(int argc, char** argv) {
   std::string scenario;
   std::string replay;
+  std::string json_dir = ".";
   std::uint64_t first_seed = 1;
-  int seeds = 50;
+  std::uint64_t seeds = 50;
   bool shrink = false;
   chaos::ChaosOptions options;
-  std::string json_dir = ".";
+  auto& profile = options.profile;
+  const std::pair<std::string, double*> rates[] = {
+      {"--crash-rate", &profile.agent_crashes_per_100s},
+      {"--renewal-storm-rate", &profile.renewal_storms_per_100s},
+      {"--corrupt-rate", &profile.corruption_episodes_per_100s},
+      {"--dup-rate", &profile.duplicate_episodes_per_100s},
+      {"--reorder-rate", &profile.reorder_episodes_per_100s},
+      {"--partition-rate", &profile.partition_episodes_per_100s},
+  };
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    try {
-      if (arg == "--scenario") {
-        const char* v = next();
-        if (v == nullptr) return usage(argv[0]);
-        scenario = v;
-      } else if (arg == "--replay") {
-        const char* v = next();
-        if (v == nullptr) return usage(argv[0]);
-        replay = v;
-      } else if (arg == "--seeds") {
-        const char* v = next();
-        if (v == nullptr) return usage(argv[0]);
-        seeds = std::stoi(v);
-      } else if (arg == "--first-seed") {
-        const char* v = next();
-        if (v == nullptr) return usage(argv[0]);
-        first_seed = std::stoull(v);
-      } else if (arg == "--horizon") {
-        const char* v = next();
-        if (v == nullptr) return usage(argv[0]);
-        options.horizon_seconds = std::stod(v);
-      } else if (arg == "--shrink") {
-        shrink = true;
-      } else if (arg == "--threads") {
-        const char* v = next();
-        if (v == nullptr) return usage(argv[0]);
-        options.threads = std::stoi(v);
-      } else if (arg == "--crash-rate") {
-        const char* v = next();
-        if (v == nullptr) return usage(argv[0]);
-        options.profile.agent_crashes_per_100s = std::stod(v);
-      } else if (arg == "--renewal-storm-rate") {
-        const char* v = next();
-        if (v == nullptr) return usage(argv[0]);
-        options.profile.renewal_storms_per_100s = std::stod(v);
-      } else if (arg == "--corrupt-rate") {
-        const char* v = next();
-        if (v == nullptr) return usage(argv[0]);
-        options.profile.corruption_episodes_per_100s = std::stod(v);
-      } else if (arg == "--dup-rate") {
-        const char* v = next();
-        if (v == nullptr) return usage(argv[0]);
-        options.profile.duplicate_episodes_per_100s = std::stod(v);
-      } else if (arg == "--reorder-rate") {
-        const char* v = next();
-        if (v == nullptr) return usage(argv[0]);
-        options.profile.reorder_episodes_per_100s = std::stod(v);
-      } else if (arg == "--partition-rate") {
-        const char* v = next();
-        if (v == nullptr) return usage(argv[0]);
-        options.profile.partition_episodes_per_100s = std::stod(v);
-      } else if (arg == "--pool-ceiling") {
-        const char* v = next();
-        if (v == nullptr) return usage(argv[0]);
-        options.pool_ceiling_bytes = std::stoll(v);
-      } else if (arg == "--json-dir") {
-        const char* v = next();
-        if (v == nullptr) return usage(argv[0]);
-        json_dir = v;
-      } else {
-        return usage(argv[0]);
-      }
-    } catch (const std::exception&) {
-      return usage(argv[0]);
+    if (arg == "--shrink") {
+      shrink = true;
+      continue;
     }
+    // Every other flag takes a value.
+    if (i + 1 >= argc) return usage(argv[0]);
+    const char* v = argv[++i];
+    bool ok = true;
+    if (arg == "--scenario") {
+      scenario = v;
+    } else if (arg == "--replay") {
+      replay = v;
+    } else if (arg == "--json-dir") {
+      json_dir = v;
+    } else if (arg == "--seeds") {
+      ok = tools::parseWhole(v, INT_MAX, seeds) && seeds >= 1;
+    } else if (arg == "--first-seed") {
+      ok = tools::parseWhole(v, UINT64_MAX, first_seed);
+    } else if (arg == "--threads") {
+      ok = tools::parseThreads(v, options.threads);
+    } else if (arg == "--pool-ceiling") {
+      std::uint64_t bytes = 0;
+      ok = tools::parseWhole(v, INT64_MAX, bytes);
+      options.pool_ceiling_bytes = static_cast<std::int64_t>(bytes);
+    } else if (arg == "--horizon") {
+      ok = tools::parseFinite(v, options.horizon_seconds) &&
+           options.horizon_seconds > 0;
+    } else {
+      const auto* rate =
+          std::find_if(std::begin(rates), std::end(rates),
+                       [&arg](const auto& r) { return r.first == arg; });
+      ok = rate != std::end(rates) && tools::parseFinite(v, *rate->second) &&
+           *rate->second >= 0;
+    }
+    if (!ok) return usage(argv[0]);
   }
 
   if (!replay.empty()) return replayFile(replay, json_dir);
-  if (scenario.empty() || seeds <= 0) return usage(argv[0]);
-  return sweepSeeds(scenario, first_seed, seeds, shrink, options, json_dir);
+  // The sweep's last seed must not wrap past 2^64-1.
+  if (scenario.empty() || seeds - 1 > UINT64_MAX - first_seed) {
+    return usage(argv[0]);
+  }
+  return sweepSeeds(scenario, first_seed, static_cast<int>(seeds), shrink,
+                    options, json_dir);
 }

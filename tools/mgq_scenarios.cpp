@@ -16,10 +16,8 @@
 // paper figure, table or ablation: its specs across the pool, the paper's
 // table, the checks that compare runs, and one BENCH_<suite>.json. The
 // exit code is nonzero when any check fails.
-#include <cerrno>
-#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
@@ -27,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "cli_parse.hpp"
 #include "obs/export.hpp"
 #include "scenario/catalog.hpp"
 #include "scenario/check.hpp"
@@ -69,25 +68,11 @@ bool parseParam(const std::string& arg, scenario::SweepParam& out) {
   out.key = arg.substr(0, eq);
   out.values.clear();
   for (const auto& v : splitCommas(arg.substr(eq + 1))) {
-    try {
-      out.values.push_back(std::stod(v));
-    } catch (const std::exception&) {
-      return false;
-    }
+    double value = 0.0;
+    if (!tools::parseFinite(v.c_str(), value)) return false;
+    out.values.push_back(value);
   }
   return !out.values.empty();
-}
-
-/// A whole decimal number of threads; 0 means "all cores".
-bool parseThreads(const char* arg, int& out) {
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(arg, &end, 10);
-  if (end == arg || *end != '\0' || errno != 0 || v < 0 || v > INT_MAX) {
-    return false;
-  }
-  out = static_cast<int>(v);
-  return true;
 }
 
 int listScenarios(const std::string& filter) {
@@ -277,15 +262,16 @@ int main(int argc, char** argv) {
       filter = v;
     } else if (arg == "--threads") {
       const char* v = next();
-      if (v == nullptr || !parseThreads(v, threads)) return usage(argv[0]);
-    } else if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      try {
-        seed = static_cast<double>(std::stoull(v));
-      } catch (const std::exception&) {
+      if (v == nullptr || !tools::parseThreads(v, threads)) {
         return usage(argv[0]);
       }
+    } else if (arg == "--seed") {
+      const char* v = next();
+      std::uint64_t whole = 0;
+      if (v == nullptr || !tools::parseWhole(v, UINT64_MAX, whole)) {
+        return usage(argv[0]);
+      }
+      seed = static_cast<double>(whole);
       has_seed = true;
     } else if (arg == "--json-dir") {
       const char* v = next();
