@@ -18,7 +18,8 @@
 // EventFn::resume(h) is the dedicated wakeup representation: the
 // delay()/Condition fast paths build it directly, so a coroutine resume
 // costs one inline store — no lambda object, no type erasure beyond the
-// shared ops table, no allocation.
+// shared ops table, no allocation. isResume() recognises it by that table,
+// so the event queue needs no tag of its own to find wakeups.
 #pragma once
 
 #include <coroutine>
@@ -68,6 +69,9 @@ class EventFn {
   ~EventFn() { reset(); }
 
   explicit operator bool() const noexcept { return ops_ != nullptr; }
+
+  /// True when this holds an EventFn::resume(h) wakeup.
+  bool isResume() const noexcept { return ops_ == &kResumeOps; }
 
   void operator()() { ops_->invoke(storage_); }
 

@@ -13,6 +13,13 @@
 // (heapEntries() == size()), and cancel() destroys the callback — and
 // everything it captured — immediately.
 //
+// Hold model: pop() leaves the root vacant instead of refilling it, because
+// the popped event's callback almost always pushes a successor, and that
+// push fills the vacancy with a single sift down from the root. Every other
+// operation that reads the heap first settles the vacancy (moves the last
+// leaf into it), so each event costs one sift, not a sift down plus a sift
+// up.
+//
 // EventIds encode (generation << 32 | slot). Generations start at 1 and
 // bump on every release and reschedule, so stale ids — including id 0, the
 // callers' "no event" sentinel — never match a reused slot.
@@ -55,8 +62,9 @@ class EventQueue {
   /// fire into a destroyed coroutine frame. Returns the number cancelled.
   std::size_t cancelResumeEvents();
 
-  bool empty() const { return heap_.empty(); }
-  std::size_t size() const { return heap_.size(); }
+  bool empty() const { return size() == 0; }
+  /// Queued events: the slots in use.
+  std::size_t size() const { return slots_.size() - free_slots_.size(); }
 
   /// Time of the earliest event. Requires !empty().
   TimePoint nextTime();
@@ -66,8 +74,9 @@ class EventQueue {
 
   void clear();
 
-  /// Introspection for tests: always equals size().
-  std::size_t heapEntries() const { return heap_.size(); }
+  /// Introspection for tests: the heap's entries, not counting a vacant
+  /// root. Always equals size().
+  std::size_t heapEntries() const { return heap_.size() - (vacant_ ? 1 : 0); }
 
  private:
   static constexpr unsigned kSlotBits = 24;
@@ -79,12 +88,14 @@ class EventQueue {
     std::uint64_t order;  // seq << kSlotBits | slot; seq is the FIFO tie-break
   };
 
+  // 64 bytes: gen and pos live in EventFn's tail padding. A pushResume
+  // slot is recognised by fn.isResume().
   struct Slot {
-    EventFn fn;
+    [[no_unique_address]] EventFn fn;
     std::uint32_t gen = 1;
     std::uint32_t pos = kIdle;  // index of this slot's entry in heap_
-    bool resume = false;        // armed via pushResume
   };
+  static_assert(sizeof(Slot) == 64);
 
   // Min-heap predicate: true when a fires *after* b. Comparing `order`
   // compares seq, which is unique, so the order is strict and total.
@@ -106,9 +117,11 @@ class EventQueue {
   Slot* decodeLive(EventId id);
 
   std::uint32_t acquireSlot();
+  std::uint32_t growSlots();
   void releaseSlot(std::uint32_t slot);
   std::uint64_t nextOrder(std::uint32_t slot);
-  EventId pushEntry(TimePoint at, std::uint32_t slot);
+  EventId insert(TimePoint at, std::uint32_t slot);
+  void settle();
   void removeAt(std::size_t i);
   void place(std::size_t i, const Entry& e) {
     heap_[i] = e;
@@ -121,6 +134,8 @@ class EventQueue {
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 1;
+  // heap_[0] is a popped entry's leftover that the next push overwrites.
+  bool vacant_ = false;
 };
 
 }  // namespace mgq::sim

@@ -1,6 +1,7 @@
 #include "sim/simulator.hpp"
 
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 namespace mgq::sim {
 
@@ -13,25 +14,21 @@ Simulator::~Simulator() {
   queue_.clear();
 }
 
-EventId Simulator::schedule(Duration delay, EventFn fn) {
-  assert(delay >= Duration::zero());
-  return queue_.push(now_ + delay, std::move(fn));
-}
-
-EventId Simulator::scheduleAt(TimePoint at, EventFn fn) {
-  assert(at >= now_);
-  return queue_.push(at, std::move(fn));
+void Simulator::clockRewind(const char* where) {
+  std::fprintf(stderr, "Simulator::%s: event before the current time\n",
+               where);
+  std::abort();
 }
 
 EventId Simulator::scheduleResume(Duration delay, std::coroutine_handle<> h) {
-  assert(delay >= Duration::zero());
+  if (delay < Duration::zero()) [[unlikely]] clockRewind("scheduleResume");
   return queue_.pushResume(now_ + delay, h);
 }
 
 bool Simulator::cancel(EventId id) { return queue_.cancel(id); }
 
 EventId Simulator::reschedule(EventId id, Duration delay) {
-  assert(delay >= Duration::zero());
+  if (delay < Duration::zero()) [[unlikely]] clockRewind("reschedule");
   return queue_.reschedule(id, now_ + delay);
 }
 
@@ -46,7 +43,7 @@ void Simulator::run() {
   while (!queue_.empty() && !stopped_) {
     TimePoint at;
     auto fn = queue_.pop(&at);
-    assert(at >= now_);
+    if (at < now_) [[unlikely]] clockRewind("run");
     now_ = at;
     fn();
     ++events_executed_;
@@ -62,7 +59,7 @@ void Simulator::runUntil(TimePoint t) {
     auto fn = queue_.pop(&at);
     // Same monotonicity guarantee as run(): a stale or corrupted queue
     // entry must never move the clock backwards.
-    assert(at >= now_);
+    if (at < now_) [[unlikely]] clockRewind("runUntil");
     now_ = at;
     fn();
     ++events_executed_;

@@ -5,6 +5,7 @@
 #include <coroutine>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -24,9 +25,20 @@ class Simulator {
   TimePoint now() const { return now_; }
   Rng& rng() { return rng_; }
 
-  /// Schedules `fn` to run after `delay` of simulated time.
-  EventId schedule(Duration delay, EventFn fn);
-  EventId scheduleAt(TimePoint at, EventFn fn);
+  /// Schedules `fn` to run after `delay` of simulated time. The EventFn
+  /// is built directly as the queue's argument, so the callable is moved
+  /// only into its slot and back out when it fires. A negative delay
+  /// aborts in every build type: it would move the clock backwards.
+  template <typename F>
+  EventId schedule(Duration delay, F&& fn) {
+    if (delay < Duration::zero()) [[unlikely]] clockRewind("schedule");
+    return queue_.push(now_ + delay, EventFn(std::forward<F>(fn)));
+  }
+  template <typename F>
+  EventId scheduleAt(TimePoint at, F&& fn) {
+    if (at < now_) [[unlikely]] clockRewind("scheduleAt");
+    return queue_.push(at, EventFn(std::forward<F>(fn)));
+  }
   /// Wakeup fast path: schedules `h` to be resumed — no lambda, no
   /// type-erased allocation. delay()/Condition/spawn enqueue through
   /// this, and destroyProcesses() cancels everything scheduled this way.
@@ -91,6 +103,9 @@ class Simulator {
   std::uint64_t eventsExecuted() const { return events_executed_; }
 
  private:
+  /// Aborts with a message naming `where`: an event in the past would run
+  /// the clock backwards. Checked in every build type, NDEBUG included.
+  [[noreturn]] static void clockRewind(const char* where);
   void pruneFinishedProcesses();
 
   EventQueue queue_;

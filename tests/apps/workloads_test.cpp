@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "apps/garnet_rig.hpp"
 #include "apps/bandwidth_trace.hpp"
 #include "mpi/world.hpp"
@@ -12,6 +14,14 @@ namespace {
 using sim::Duration;
 using sim::Task;
 using sim::TimePoint;
+
+// Built with append, not `"n" + std::to_string(r)`: GCC 12 reports a false
+// -Wrestrict on that operator+ in Release builds.
+std::string hostName(int r) {
+  std::string name = "n";
+  name += std::to_string(r);
+  return name;
+}
 
 TEST(PingPongTest, UncontendedThroughputScalesWithMessageSize) {
   auto goodput = [](int message_bytes) {
@@ -100,7 +110,7 @@ TEST_P(FiniteDifferenceSizeTest, MatchesSerialReference) {
   auto& router = net.addRouter("switch");
   std::vector<net::Host*> hosts;
   for (int r = 0; r < ranks; ++r) {
-    auto& h = net.addHost("n" + std::to_string(r));
+    auto& h = net.addHost(hostName(r));
     net.connect(h, router, net::LinkConfig{});
     hosts.push_back(&h);
   }
@@ -132,7 +142,7 @@ TEST(FiniteDifferenceTest, HaloBytesAccountedPerNeighbor) {
   auto& router = net.addRouter("switch");
   std::vector<net::Host*> hosts;
   for (int r = 0; r < 4; ++r) {
-    auto& h = net.addHost("n" + std::to_string(r));
+    auto& h = net.addHost(hostName(r));
     net.connect(h, router, net::LinkConfig{});
     hosts.push_back(&h);
   }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 namespace mgq::obs {
 namespace {
@@ -63,7 +64,11 @@ TEST(RegistryTest, InstrumentAddressesStableAcrossInsertions) {
   MetricsRegistry metrics;
   auto& first = metrics.counter("first");
   for (int i = 0; i < 100; ++i) {
-    metrics.counter("c" + std::to_string(i));
+    // Appended, not `"c" + std::to_string(i)`: GCC 12 reports a false
+    // -Wrestrict on that operator+ in Release builds.
+    std::string name = "c";
+    name += std::to_string(i);
+    metrics.counter(name);
   }
   first.inc();
   EXPECT_EQ(metrics.counter("first").value(), 1u);

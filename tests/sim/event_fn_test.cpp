@@ -189,5 +189,40 @@ TEST(EventFnTest, ResumeHandleSurvivesMovesAndOutlivesTheFn) {
   EXPECT_EQ(resumes, 3);
 }
 
+TEST(EventFnTest, IsResumeOnlyForResumeHandles) {
+  int resumes = 0;
+  Counter coro = countResumes(resumes);
+  coro.handle.resume();  // to the first suspension
+  EventFn empty;
+  EventFn plain([] {});
+  // A lambda that resumes a handle is still a plain callback.
+  EventFn wrapped([h = coro.handle] { h.resume(); });
+  std::array<std::uint64_t, 16> big{};
+  EventFn heap([big] { (void)big; });
+  EXPECT_FALSE(empty.isResume());
+  EXPECT_FALSE(plain.isResume());
+  EXPECT_FALSE(wrapped.isResume());
+  EXPECT_FALSE(heap.isResume());
+
+  EventFn a = EventFn::resume(coro.handle);
+  EXPECT_TRUE(a.isResume());
+  EventFn b(std::move(a));
+  EXPECT_TRUE(b.isResume());
+  EXPECT_FALSE(a.isResume());
+  EventFn c;
+  c = std::move(b);
+  EXPECT_TRUE(c.isResume());
+  EXPECT_FALSE(b.isResume());
+  c();
+  EXPECT_EQ(resumes, 1);
+  EXPECT_TRUE(c.isResume());  // invoking keeps the representation
+  c = std::move(plain);
+  EXPECT_FALSE(c.isResume());
+  plain = EventFn::resume(coro.handle);
+  EXPECT_TRUE(plain.isResume());
+  plain.reset();
+  EXPECT_FALSE(plain.isResume());
+}
+
 }  // namespace
 }  // namespace mgq::sim

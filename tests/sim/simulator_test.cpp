@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <coroutine>
 #include <vector>
 
 namespace mgq::sim {
@@ -225,6 +226,53 @@ TEST(SimulatorTest, DetachedProcessExceptionPropagatesFromRun) {
   };
   sim.spawn(proc(sim));
   EXPECT_THROW(sim.run(), std::runtime_error);
+}
+
+// An event before the current time would run the clock backwards. Every
+// build type aborts on one at the call that tries to queue it, NDEBUG
+// included. (run() and runUntil() keep the same check on every popped
+// event, but with these entry points guarded no public call can queue a
+// past event for them to find.)
+TEST(SimulatorDeathTest, ScheduleWithNegativeDelayAborts) {
+  Simulator sim;
+  sim.runFor(Duration::seconds(1));
+  EXPECT_DEATH(sim.schedule(Duration::nanos(-1), [] {}),
+               "Simulator::schedule: event before the current time");
+}
+
+TEST(SimulatorDeathTest, ScheduleAtInThePastAborts) {
+  Simulator sim;
+  sim.runFor(Duration::seconds(1));
+  EXPECT_DEATH(sim.scheduleAt(TimePoint::fromSeconds(0.5), [] {}),
+               "Simulator::scheduleAt: event before the current time");
+}
+
+TEST(SimulatorDeathTest, ScheduleResumeWithNegativeDelayAborts) {
+  Simulator sim;
+  sim.runFor(Duration::seconds(1));
+  EXPECT_DEATH(sim.scheduleResume(Duration::nanos(-1), std::noop_coroutine()),
+               "Simulator::scheduleResume: event before the current time");
+}
+
+TEST(SimulatorDeathTest, RescheduleWithNegativeDelayAborts) {
+  Simulator sim;
+  sim.runFor(Duration::seconds(1));
+  const EventId id = sim.schedule(Duration::seconds(1), [] {});
+  EXPECT_DEATH(sim.reschedule(id, Duration::nanos(-1)),
+               "Simulator::reschedule: event before the current time");
+}
+
+TEST(SimulatorDeathTest, ZeroDelayAndTheCurrentTimeAreAccepted) {
+  Simulator sim;
+  sim.runFor(Duration::seconds(1));
+  int fired = 0;
+  sim.schedule(Duration::zero(), [&] { ++fired; });
+  sim.scheduleAt(sim.now(), [&] { ++fired; });
+  const EventId id = sim.schedule(Duration::seconds(1), [&] { ++fired; });
+  EXPECT_NE(sim.reschedule(id, Duration::zero()), 0u);
+  sim.run();
+  EXPECT_EQ(fired, 3);
+  EXPECT_DOUBLE_EQ(sim.now().toSeconds(), 1.0);
 }
 
 }  // namespace
