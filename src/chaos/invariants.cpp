@@ -286,12 +286,12 @@ void attachStandardInvariants(InvariantMonitor& monitor,
 
   // Control-plane resilience invariants, only when the spec wired the
   // stack.
-  if (built.hasResilience()) {
-    if (built.resil.leases != nullptr) {
+  if (built.resil != nullptr) {
+    if (built.resil->leases != nullptr) {
       // Lease safety: no lease outlives deadline + grace — the guard
       // timer must have hard-expired it by then. 1 ms slack absorbs
       // same-timestamp guard/sweep ordering.
-      auto* leases = built.resil.leases.get();
+      auto* leases = built.resil->leases.get();
       monitor.addCheck("lease-safety", [leases, sim]() -> std::string {
         const auto now = sim->now();
         const auto limit = leases->config().grace + sim::Duration::millis(1);
@@ -314,7 +314,7 @@ void attachStandardInvariants(InvariantMonitor& monitor,
     // in the journal (journal-live ⊇ enforced). Terminal lifecycle ops
     // fire after enforcement release, and the journal survives crashes,
     // so this holds at every observable instant — including mid-crash.
-    auto* journal = built.resil.journal.get();
+    auto* journal = built.resil->journal.get();
     monitor.addCheck("no-zombie-enforcement", [gara, journal]() -> std::string {
       for (const auto& name : gara->resourceNames()) {
         const auto* manager = gara->findManager(name);

@@ -1,15 +1,14 @@
 #include "chaos/runner.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 
 #include "net/buffer.hpp"
 #include "scenario/builder.hpp"
 #include "scenario/runner.hpp"
+#include "scenario/sweep.hpp"
 
 namespace mgq::chaos {
 namespace {
@@ -152,43 +151,19 @@ ChaosOutcome ChaosRunner::runSeeds(const std::string& scenario,
   const double horizon = resolveHorizon(scenario, options);
   const ChaosPlanGenerator generator(options.profile);
 
-  int threads = options.threads;
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  if (threads < 1) threads = 1;
-  if (threads > count) threads = count;
-
-  // Seed batches: each batch runs `threads` seeds concurrently (one
-  // Simulator per run), then the results are scanned in seed order so the
-  // first failing seed is independent of thread scheduling.
-  for (int batch_start = 0; batch_start < count; batch_start += threads) {
-    const int batch = std::min(threads, count - batch_start);
-    std::vector<ChaosRunReport> reports(batch);
-    std::atomic<int> next{0};
-    auto worker = [&] {
-      for (int i = next.fetch_add(1); i < batch; i = next.fetch_add(1)) {
-        const auto seed =
-            first_seed + static_cast<std::uint64_t>(batch_start + i);
-        const auto plan = generator.generate(scenario, seed, horizon);
-        reports[i] = runPlan(plan, options);
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(batch);
-    for (int i = 0; i < batch; ++i) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
-
-    for (auto& report : reports) {
-      const bool failed = !report.ok();
-      outcome.reports.push_back(std::move(report));
-      if (failed) {
-        outcome.failing_index =
-            static_cast<int>(outcome.reports.size()) - 1;
-        return outcome;
-      }
-    }
-  }
+  // Seeds are handed out in order and each run owns its Simulator, so the
+  // reports up to the first failing seed do not depend on thread count.
+  std::vector<ChaosRunReport> reports(static_cast<std::size_t>(count));
+  const auto ran = scenario::runIndexed(
+      options.threads, reports.size(), [&](std::size_t i) {
+        reports[i] = runPlan(generator.generate(scenario, first_seed + i,
+                                                horizon),
+                             options);
+        return reports[i].ok();
+      });
+  reports.resize(ran);
+  if (!reports.back().ok()) outcome.failing_index = static_cast<int>(ran) - 1;
+  outcome.reports = std::move(reports);
   return outcome;
 }
 

@@ -37,8 +37,9 @@ struct ChaosOptions {
   double cadence_seconds = 0.25;
   std::size_t max_violations = 16;
   std::size_t trace_tail = 8;
-  /// Seed-sweep worker threads; <= 0 uses hardware concurrency. Each run
-  /// owns its Simulator, so results are identical to serial execution.
+  /// Seed-sweep worker threads; <= 0 uses hardware concurrency, 1 runs
+  /// on the calling thread. Each run owns its Simulator, so results are
+  /// identical to serial execution.
   int threads = 0;
   /// When > 0, runPlan caps the run's thread-local BufferPool at this
   /// many live bytes for the duration of the run (restored afterwards),
@@ -91,7 +92,8 @@ class ChaosRunner {
                          const ChaosOptions& options = {}) const;
 
   /// Generates and runs plans for seeds [first_seed, first_seed + count),
-  /// stopping at the first invariant violation.
+  /// stopping at the first invariant violation: no seed above the lowest
+  /// failing one is started once it fails (scenario::runIndexed).
   ChaosOutcome runSeeds(const std::string& scenario, std::uint64_t first_seed,
                         int count, const ChaosOptions& options = {}) const;
 

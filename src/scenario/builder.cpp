@@ -114,7 +114,6 @@ Task<> offeredLoadClient(BuiltScenario& b, OfferedLoadTcpWorkload w,
 /// loop's first tick already sees a live reservation.
 Task<> adaptiveTenantClient(BuiltScenario& b,
                             BuiltScenario::AdaptiveTenantRun& t,
-                            const AdaptationSpec& aspec,
                             double until_seconds) {
   auto& rig = b.rig;
   t.socket = co_await tcp::TcpSocket::connect(*rig.garnet.premium_src,
@@ -150,15 +149,9 @@ Task<> adaptiveTenantClient(BuiltScenario& b,
   if (b.adapt->controller != nullptr && t.path) {
     adapt::QosController::TenantConfig tc;
     tc.name = t.spec.name;
-    tc.policy.headroom = aspec.headroom;
-    tc.policy.grow_threshold = aspec.grow_threshold;
-    tc.policy.shrink_threshold = aspec.shrink_threshold;
-    tc.policy.grow_multiplier = aspec.grow_multiplier;
-    tc.policy.shrink_step = aspec.shrink_step;
+    tc.policy = b.adapt->controller->config().policy;
     tc.policy.floor_bps = t.spec.floor_kbps * 1000.0;
     tc.policy.ceiling_bps = t.spec.ceiling_kbps * 1000.0;
-    tc.policy.grow_cooldown_seconds = aspec.grow_cooldown_seconds;
-    tc.policy.shrink_cooldown_seconds = aspec.shrink_cooldown_seconds;
     // Offered demand is the schedule's intent (a pure function of time),
     // not the sender's progress: a sender throttled by an undersized
     // reservation still shows the demand the controller should chase.
@@ -183,8 +176,7 @@ Task<> adaptiveTenantClient(BuiltScenario& b,
                                   &t.stats);
 }
 
-void wireAdaptiveTenants(BuiltScenario& b, const ScenarioSpec& spec,
-                         const AdaptiveTenantsWorkload& w) {
+void wireAdaptiveTenants(BuiltScenario& b, const AdaptiveTenantsWorkload& w) {
   auto& rig = b.rig;
   b.adapt = std::make_unique<BuiltScenario::Adaptation>();
   auto& ad = *b.adapt;
@@ -200,12 +192,9 @@ void wireAdaptiveTenants(BuiltScenario& b, const ScenarioSpec& spec,
   ad.arbiter = std::make_unique<adapt::BandwidthArbiter>(rig.gara);
   ad.arbiter->setPoolResources({"net-forward", "core-ef"});
 
-  if (spec.adaptation.enabled) {
-    adapt::QosController::Config cc;
-    cc.cadence_seconds = spec.adaptation.cadence_seconds;
-    cc.ewma_alpha = spec.adaptation.ewma_alpha;
+  if (w.controller) {
     ad.controller = std::make_unique<adapt::QosController>(
-        rig.sim, *ad.broker, *ad.arbiter, cc);
+        rig.sim, *ad.broker, *ad.arbiter, *w.controller);
     ad.controller->attachObservability(b.metrics.get(), b.trace.get());
     ad.controller->start();
   }
@@ -217,8 +206,7 @@ void wireAdaptiveTenants(BuiltScenario& b, const ScenarioSpec& spec,
     run->listener = std::make_unique<tcp::TcpListener>(
         *rig.garnet.premium_dst, ts.port, cfg);
     rig.sim.spawn(offeredLoadServer(*run->listener, run->receiver));
-    rig.sim.spawn(
-        adaptiveTenantClient(b, *run, spec.adaptation, w.seconds));
+    rig.sim.spawn(adaptiveTenantClient(b, *run, w.seconds));
     ad.tenants.push_back(std::move(run));
   }
 
@@ -337,30 +325,21 @@ std::unique_ptr<BuiltScenario> ScenarioBuilder::build(
   // Control-plane resilience: the journal must subscribe to GARA's
   // lifecycle events before any reservation exists, so wire it right
   // after observability and before every script below.
-  const bool resil_on = spec.resil.enabled() || !spec.agent_crashes.empty();
-  if (resil_on) {
-    auto& resil = built->resil;
+  if (spec.resil) {
+    built->resil = std::make_unique<BuiltScenario::ControlPlaneResilience>();
+    auto& resil = *built->resil;
     resil.journal = std::make_unique<resil::StateJournal>(rig.sim);
     resil.journal->attach(rig.gara);
-    if (spec.resil.lease.enabled) {
-      resil::LeaseManager::Config lc;
-      lc.default_duration =
-          Duration::seconds(spec.resil.lease.duration_seconds);
-      lc.renew_fraction = spec.resil.lease.renew_fraction;
-      lc.grace = Duration::seconds(spec.resil.lease.grace_seconds);
-      resil.leases = std::make_unique<resil::LeaseManager>(rig.sim,
-                                                           rig.gara, lc);
+    if (const auto& lease = spec.resil->lease) {
+      resil.leases =
+          std::make_unique<resil::LeaseManager>(rig.sim, rig.gara, *lease);
       resil.leases->attachObservability(built->metrics.get(),
                                         built->trace.get());
-      rig.agent.setReservationLease(
-          Duration::seconds(spec.resil.lease.duration_seconds));
+      rig.agent.setReservationLease(lease->default_duration);
     }
-    if (spec.resil.heartbeats) {
-      resil::HeartbeatMonitor::Config hc;
-      hc.interval = Duration::seconds(spec.resil.heartbeat_interval_seconds);
-      hc.phi_threshold = spec.resil.phi_threshold;
+    if (const auto& heartbeats = spec.resil->heartbeats) {
       resil.heartbeats =
-          std::make_unique<resil::HeartbeatMonitor>(rig.sim, hc);
+          std::make_unique<resil::HeartbeatMonitor>(rig.sim, *heartbeats);
       resil.heartbeats->attachObservability(built->metrics.get(),
                                             built->trace.get());
       resil::attachManagerHeartbeats(*resil.heartbeats, rig.gara);
@@ -370,50 +349,6 @@ std::unique_ptr<BuiltScenario> ScenarioBuilder::build(
     resil.reconciler->attachObservability(built->metrics.get(),
                                           built->trace.get());
     rig.agent.attachJournal(resil.journal.get());
-
-    resil.crash = [b] {
-      auto& r = b->resil;
-      if (r.crashed) return;
-      r.crashed = true;
-      r.journal->recordCrash("control plane crashed");
-      b->rig.agent.crash();
-      b->rig.gara.crash();
-      if (r.leases != nullptr) r.leases->suspendRenewals();
-      if (r.heartbeats != nullptr) r.heartbeats->suspend();
-      if (b->metrics != nullptr) b->metrics->counter("resil.crashes").inc();
-    };
-    resil.restart = [b] {
-      auto& r = b->resil;
-      if (!r.crashed) return;
-      r.crashed = false;
-      r.journal->recordRestart("control plane restarted");
-      // Replay: resume id allocation above everything ever journaled,
-      // then reconcile divergence with the managers before re-issuing
-      // intents — fail-and-refresh frees pre-crash slots so the re-put
-      // reservations admit cleanly.
-      b->rig.gara.restartWithNextId(r.journal->maxReservationId() + 1);
-      r.last_reconcile = r.reconciler->reconcile(
-          resil::Reconciler::UnclaimedPolicy::kFailAndRefresh);
-      if (r.heartbeats != nullptr) r.heartbeats->resume();
-      if (r.leases != nullptr) r.leases->resumeRenewals();
-      const int reissued = b->rig.agent.reissueLiveIntents(
-          *r.journal,
-          [b](std::int32_t context, int world_rank) -> mpi::Comm* {
-            if (world_rank < 0 || world_rank >= b->rig.world.size()) {
-              return nullptr;
-            }
-            auto& comm = b->rig.world.worldComm(world_rank);
-            return comm.context() == context ? &comm : nullptr;
-          });
-      if (b->metrics != nullptr) {
-        b->metrics->counter("resil.restarts").inc();
-      }
-      if (b->trace != nullptr) {
-        b->trace->record("resil", "restarted", 0,
-                         static_cast<double>(reissued),
-                         "journal replayed; live intents re-issued");
-      }
-    };
   }
 
   if (spec.contention.enabled) {
@@ -501,7 +436,7 @@ std::unique_ptr<BuiltScenario> ScenarioBuilder::build(
           [&](const OfferedLoadTcpWorkload& w) { wireOfferedLoad(*b, w); },
           [&](const PingLatencyWorkload& w) { wirePingLatency(*b, spec, w); },
           [&](const AdaptiveTenantsWorkload& w) {
-            wireAdaptiveTenants(*b, spec, w);
+            wireAdaptiveTenants(*b, w);
           },
       },
       spec.workload);

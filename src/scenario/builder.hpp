@@ -58,29 +58,21 @@ struct BuiltScenario {
   cpu::JobId cpu_job = 0;
   gq::QosAttribute qos_attr;  // storage for non-premium / scheduled puts
 
-  // Control-plane resilience (spec.resil / spec.agent_crashes): journal,
-  // leases, heartbeats, and the crash/restart orchestration behind the
-  // "qos-agent" fault target.
+  // Control-plane resilience (spec.resil): journal, reconciler, and the
+  // optional leases and heartbeats behind the "qos-agent" and
+  // "lease-renewals" fault targets. Null when spec.resil is empty.
   struct ControlPlaneResilience {
     std::unique_ptr<resil::StateJournal> journal;
     std::unique_ptr<resil::LeaseManager> leases;
     std::unique_ptr<resil::HeartbeatMonitor> heartbeats;
     std::unique_ptr<resil::Reconciler> reconciler;
-    /// Drops agent + GARA state, pauses renewals and heartbeats.
-    /// Idempotent while already crashed.
-    std::function<void()> crash;
-    /// Journal replay, anti-entropy reconcile, heartbeat/lease resume,
-    /// re-issue of journal-live intents. No-op unless crashed.
-    std::function<void()> restart;
     bool crashed = false;
-    resil::Reconciler::Report last_reconcile;
   };
-  ControlPlaneResilience resil;
-  bool hasResilience() const { return resil.journal != nullptr; }
+  std::unique_ptr<ControlPlaneResilience> resil;
 
-  // Adaptive QoS control plane (AdaptiveTenantsWorkload + AdaptationSpec,
-  // DESIGN.md §15). Null for every other workload, so legacy scenarios
-  // build byte-identically.
+  // Adaptive QoS control plane (AdaptiveTenantsWorkload, DESIGN.md §15).
+  // Null for every other workload, so legacy scenarios build
+  // byte-identically.
   struct AdaptiveTenantRun {
     TenantSpec spec;
     std::unique_ptr<tcp::TcpListener> listener;
@@ -98,7 +90,7 @@ struct BuiltScenario {
     std::unique_ptr<gara::LinkAccountingManager> core_ef;
     std::unique_ptr<gara::BandwidthBroker> broker;
     std::unique_ptr<adapt::BandwidthArbiter> arbiter;
-    /// Null when spec.adaptation.enabled is false (static baseline).
+    /// Null when the workload's controller is empty (static baseline).
     std::unique_ptr<adapt::QosController> controller;
     std::vector<std::unique_ptr<AdaptiveTenantRun>> tenants;
   };

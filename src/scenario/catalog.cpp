@@ -399,10 +399,9 @@ ScenarioSpec crashRecoverySpec(const std::string& name) {
   // leases hard-expire enforcement ~2.25 s into the outage, and the
   // restart at t=25 replays the journal, reconciles every manager, and
   // re-issues the surviving QoS intent.
-  spec.resil.journal = true;
-  spec.resil.lease.enabled = true;
-  spec.resil.lease.duration_seconds = 2.0;
-  spec.resil.heartbeats = true;
+  resil::LeaseManager::Config lease;
+  lease.default_duration = sim::Duration::seconds(2.0);
+  spec.resil = ResilienceSpec{lease, resil::HeartbeatMonitor::Config{}};
   spec.agent_crashes.push_back(AgentCrashSpec{20.0, 5.0});
   spec.run_until_seconds = 60.0;
   const auto pre = [](const ScenarioResult& res) {
@@ -456,12 +455,12 @@ ScenarioSpec adversarialCorruptionSpec(const std::string& name) {
       // so drops <= corrupted (+ duplicated echoes of them), never more.
       {"corrupted segments counted and dropped at the checksum wall",
        [](const ScenarioResult& res) {
-         return res.wire_corrupted > 0 && res.checksum_drops > 0 &&
-                res.checksum_drops <=
-                    res.wire_corrupted + res.wire_duplicated;
+         const auto drops = res.receiver_tcp.checksum_drops;
+         return res.wire.corrupted > 0 && drops > 0 &&
+                drops <= res.wire.corrupted + res.wire.duplicated;
        }},
       {"no corrupted bytes delivered (zero connection resets)",
-       [](const ScenarioResult& res) { return res.tcp_resets == 0; }},
+       [](const ScenarioResult& res) { return res.receiver_tcp.resets == 0; }},
       {"goodput floor held through NewReno recovery",
        [](const ScenarioResult& res) { return res.goodput_kbps > 2'000.0; }},
   };
@@ -476,10 +475,11 @@ ScenarioSpec partitionHealSpec(const std::string& name) {
                  fault(16.0, fault_target::kEdgePartition, kUp)};
   spec.checks = {
       {"partition blackholed premium egress traffic",
-       [](const ScenarioResult& res) { return res.wire_blackholed > 0; }},
+       [](const ScenarioResult& res) { return res.wire.drops_partition > 0; }},
       {"no spurious corruption or resets during the outage",
        [](const ScenarioResult& res) {
-         return res.checksum_drops == 0 && res.tcp_resets == 0;
+         return res.receiver_tcp.checksum_drops == 0 &&
+                res.receiver_tcp.resets == 0;
        }},
       {"goodput reconverges after the heal",
        [](const ScenarioResult& res) {
@@ -508,15 +508,21 @@ ScenarioSpec adaptPhaseShiftSpec(const std::string& name, bool adaptive) {
   t.idle_seconds = 10.0;
   w.tenants.push_back(t);
   w.seconds = 30.0;
+  if (adaptive) w.controller.emplace();
   spec.workload = w;
   spec.contention.enabled = true;
-  spec.adaptation.enabled = adaptive;
   if (adaptive) {
     spec.checks = {
         {"controller grew the reservation toward demand (>= 2 grows)",
-         [](const ScenarioResult& res) { return res.adapt_grows >= 2; }},
+         [](const ScenarioResult& res) {
+           const auto* t = res.tenant("phased");
+           return t != nullptr && t->grows >= 2;
+         }},
         {"idle phase reclaimed capacity (>= 2 shrinks)",
-         [](const ScenarioResult& res) { return res.adapt_shrinks >= 2; }},
+         [](const ScenarioResult& res) {
+           const auto* t = res.tenant("phased");
+           return t != nullptr && t->shrinks >= 2;
+         }},
         {"first bulk phase converged above 10 Mb/s",
          [](const ScenarioResult& res) {
            return res.meanKbps(6.0, 10.0) > 10'000.0;
@@ -565,9 +571,9 @@ ScenarioSpec adaptTwoTenantTradeoffSpec(const std::string& name,
   fading.port = 7200;
   w.tenants.push_back(fading);
   w.seconds = 30.0;
+  if (adaptive) w.controller.emplace();
   spec.workload = w;
   spec.contention.enabled = true;
-  spec.adaptation.enabled = adaptive;
   if (adaptive) {
     spec.checks = {
         {"hungry tenant goodput lifted well above its 8 Mb/s static grant",

@@ -5,6 +5,52 @@
 #include "scenario/builder.hpp"
 
 namespace mgq::scenario {
+namespace {
+
+/// qos-agent down: drops agent + GARA state, pauses renewals and
+/// heartbeats. Idempotent while already crashed.
+void crashControlPlane(BuiltScenario& b) {
+  auto& r = *b.resil;
+  if (r.crashed) return;
+  r.crashed = true;
+  r.journal->recordCrash("control plane crashed");
+  b.rig.agent.crash();
+  b.rig.gara.crash();
+  if (r.leases != nullptr) r.leases->suspendRenewals();
+  if (r.heartbeats != nullptr) r.heartbeats->suspend();
+  if (b.metrics != nullptr) b.metrics->counter("resil.crashes").inc();
+}
+
+/// qos-agent up: journal replay, anti-entropy reconcile, heartbeat/lease
+/// resume, re-issue of journal-live intents. No-op unless crashed.
+void restartControlPlane(BuiltScenario& b) {
+  auto& r = *b.resil;
+  if (!r.crashed) return;
+  r.crashed = false;
+  r.journal->recordRestart("control plane restarted");
+  // Replay: resume id allocation above everything ever journaled, then
+  // reconcile divergence with the managers before re-issuing intents —
+  // fail-and-refresh frees pre-crash slots so the re-put reservations
+  // admit cleanly.
+  b.rig.gara.restartWithNextId(r.journal->maxReservationId() + 1);
+  r.reconciler->reconcile(resil::Reconciler::UnclaimedPolicy::kFailAndRefresh);
+  if (r.heartbeats != nullptr) r.heartbeats->resume();
+  if (r.leases != nullptr) r.leases->resumeRenewals();
+  auto& world = b.rig.world;
+  const int reissued = b.rig.agent.reissueLiveIntents(
+      *r.journal, [&world](std::int32_t context, int rank) -> mpi::Comm* {
+        if (rank < 0 || rank >= world.size()) return nullptr;
+        auto& comm = world.worldComm(rank);
+        return comm.context() == context ? &comm : nullptr;
+      });
+  if (b.metrics != nullptr) b.metrics->counter("resil.restarts").inc();
+  if (b.trace != nullptr) {
+    b.trace->record("resil", "restarted", 0, static_cast<double>(reissued),
+                    "journal replayed; live intents re-issued");
+  }
+}
+
+}  // namespace
 
 void registerFaultTargets(BuiltScenario& built,
                           const std::vector<sim::FaultEvent>& plan,
@@ -74,23 +120,19 @@ void registerFaultTargets(BuiltScenario& built,
   }
 
   // Control plane, only for specs that wired the resilience stack: crash
-  // and restart the QoS agent + GARA through the builder's orchestration,
-  // and pause lease renewals — a "renewal storm" where the holder is alive
-  // but cannot renew, so leases hard-expire enforcement.
-  if (built.hasResilience()) {
-    {
-      sim::FaultTarget target;
-      auto* resil = &built.resil;
-      target.down = [resil] { resil->crash(); };
-      target.up = [resil] { resil->restart(); };
-      injector.registerTarget(kQosAgent, std::move(target));
-    }
-    if (built.resil.leases != nullptr) {
-      sim::FaultTarget target;
-      auto* leases = built.resil.leases.get();
-      target.down = [leases] { leases->suspendRenewals(); };
-      target.up = [leases] { leases->resumeRenewals(); };
-      injector.registerTarget(kLeaseRenewals, std::move(target));
+  // and restart the QoS agent + GARA, and pause lease renewals — a
+  // "renewal storm" where the holder is alive but cannot renew, so leases
+  // hard-expire enforcement.
+  if (built.resil != nullptr) {
+    sim::FaultTarget agent;
+    agent.down = [&built] { crashControlPlane(built); };
+    agent.up = [&built] { restartControlPlane(built); };
+    injector.registerTarget(kQosAgent, std::move(agent));
+    if (auto* leases = built.resil->leases.get()) {
+      sim::FaultTarget renewals;
+      renewals.down = [leases] { leases->suspendRenewals(); };
+      renewals.up = [leases] { leases->resumeRenewals(); };
+      injector.registerTarget(kLeaseRenewals, std::move(renewals));
     }
   }
 }

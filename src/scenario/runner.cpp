@@ -115,13 +115,9 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec,
       rig.garnet.ingressEdgeInterface()->stats().drops_policed;
   result.tcp_timeouts = built->tcp_timeouts;
   if (built->receiver != nullptr) {
-    result.checksum_drops = built->receiver->stats().checksum_drops;
-    result.tcp_resets = built->receiver->stats().resets;
+    result.receiver_tcp = built->receiver->stats();
   }
-  result.wire_corrupted = wire.corrupted;
-  result.wire_duplicated = wire.duplicated;
-  result.wire_reordered = wire.reordered;
-  result.wire_blackholed = wire.drops_partition;
+  result.wire = wire;
   if (built->comm0 != nullptr) {
     const auto status = rig.agent.status(*built->comm0);
     result.qos_state = status.state;
@@ -157,10 +153,6 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec,
         out.refused = v.refused;
         out.clamped = v.clamped;
       }
-      result.adapt_grows += out.grows;
-      result.adapt_shrinks += out.shrinks;
-      result.adapt_refused += out.refused;
-      result.adapt_clamped += out.clamped;
       result.tenants.push_back(std::move(out));
     }
   }

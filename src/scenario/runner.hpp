@@ -15,11 +15,13 @@
 #include "apps/bandwidth_trace.hpp"
 #include "apps/workloads.hpp"
 #include "gq/qos_attribute.hpp"
+#include "net/node.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "scenario/check.hpp"
 #include "scenario/spec.hpp"
+#include "tcp/tcp_config.hpp"
 
 namespace mgq::scenario {
 
@@ -47,23 +49,21 @@ struct ScenarioResult {
   std::uint64_t policer_drops = 0;
   std::uint64_t tcp_timeouts = 0;
 
-  /// Adversarial data-plane accounting (zero unless the fault plan armed
-  /// a wire-fault target): receiver-side checksum drops and
-  /// connection resets, and the egress wire's corruption/duplication/
-  /// reorder/blackhole totals.
-  std::uint64_t checksum_drops = 0;
-  std::uint64_t tcp_resets = 0;
-  std::uint64_t wire_corrupted = 0;
-  std::uint64_t wire_duplicated = 0;
-  std::uint64_t wire_reordered = 0;
-  std::uint64_t wire_blackholed = 0;
+  /// The premium source's egress wire: its corrupted/duplicated/
+  /// reordered/drops_partition totals stay zero unless the fault plan
+  /// armed a wire-fault target.
+  net::InterfaceStats wire;
+  /// The offered-load receiving socket's counters (checksum drops,
+  /// resets); zero for workloads without that receiver.
+  tcp::TcpStats receiver_tcp;
 
   gq::QosRequestState qos_state = gq::QosRequestState::kNone;
   int recovery_attempts = 0;
   std::string injector_log;
 
   /// Per-tenant outcomes of an AdaptiveTenantsWorkload (empty otherwise).
-  /// grows/shrinks/refused/clamped stay zero in static-baseline runs.
+  /// grows/shrinks/refused/clamped stay zero in static-baseline runs;
+  /// totals are sums over this list.
   struct TenantOutcome {
     std::string name;
     std::int64_t delivered_bytes = 0;
@@ -82,12 +82,8 @@ struct ScenarioResult {
     }
     return nullptr;
   }
-  /// Controller totals across tenants (zero without adaptation).
+  /// Controller ticks (zero without a controller).
   std::uint64_t adapt_ticks = 0;
-  std::uint64_t adapt_grows = 0;
-  std::uint64_t adapt_shrinks = 0;
-  std::uint64_t adapt_refused = 0;
-  std::uint64_t adapt_clamped = 0;
 
   /// Simulator::eventsExecuted() at the end of the run. A pure function
   /// of the spec — the golden-determinism guard pins it per scenario to

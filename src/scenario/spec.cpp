@@ -120,12 +120,14 @@ bool applyParam(ScenarioSpec& spec, const std::string& key, double value) {
     }
     return false;
   }
-  if (key == "adapt_cadence") {
-    spec.adaptation.cadence_seconds = value;
-    return true;
-  }
-  if (key == "adapt_headroom") {
-    spec.adaptation.headroom = value;
+  if (key == "adapt_cadence" || key == "adapt_headroom") {
+    auto* a = std::get_if<AdaptiveTenantsWorkload>(&spec.workload);
+    if (a == nullptr || !a->controller) return false;
+    if (key == "adapt_cadence") {
+      a->controller->cadence_seconds = value;
+    } else {
+      a->controller->policy.headroom = value;
+    }
     return true;
   }
   if (key == "bulk_seconds" || key == "idle_seconds") {
@@ -139,18 +141,24 @@ bool applyParam(ScenarioSpec& spec, const std::string& key, double value) {
     return true;
   }
   if (key == "lease_seconds") {
-    spec.resil.lease.enabled = value > 0;
-    if (value > 0) spec.resil.lease.duration_seconds = value;
+    if (!(value > 0)) {
+      if (spec.resil) spec.resil->lease.reset();
+      return true;
+    }
+    if (!spec.resil) spec.resil.emplace();
+    if (!spec.resil->lease) spec.resil->lease.emplace();
+    spec.resil->lease->default_duration = sim::Duration::seconds(value);
     return true;
   }
-  if (key == "crash_at") {
+  if (key == "crash_at" || key == "restart_after") {
+    // A crash needs the journal and reconciler to restart from.
+    if (!spec.resil) spec.resil.emplace();
     if (spec.agent_crashes.empty()) spec.agent_crashes.emplace_back();
-    spec.agent_crashes.front().at_seconds = value;
-    return true;
-  }
-  if (key == "restart_after") {
-    if (spec.agent_crashes.empty()) spec.agent_crashes.emplace_back();
-    spec.agent_crashes.front().restart_after_seconds = value;
+    if (key == "crash_at") {
+      spec.agent_crashes.front().at_seconds = value;
+    } else {
+      spec.agent_crashes.front().restart_after_seconds = value;
+    }
     return true;
   }
   if (key == "seconds") {

@@ -9,14 +9,18 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
 
+#include "adapt/controller.hpp"
 #include "apps/garnet_rig.hpp"
 #include "gq/qos_attribute.hpp"
 #include "net/packet.hpp"
 #include "net/token_bucket.hpp"
+#include "resil/heartbeat.hpp"
+#include "resil/lease.hpp"
 #include "sim/fault_injector.hpp"
 #include "tcp/tcp_config.hpp"
 
@@ -79,14 +83,13 @@ struct PingLatencyWorkload {
 
 /// One adaptive tenant: a shaped raw-TCP bulk stream with its own path
 /// reservation through the bandwidth broker, on a phase-shifting
-/// bulk/idle schedule. Paired with AdaptationSpec the QosController
-/// resizes the reservation at runtime; with adaptation off the same
-/// workload runs as the static baseline.
+/// bulk/idle schedule.
 struct TenantSpec {
   std::string name;
   /// Initial raw wire reservation (kb/s), also the shaper's pace.
   double reservation_kbps = 4'000.0;
-  /// Policy clamps (kb/s). ceiling 0 = unlimited (admission still caps).
+  /// This tenant's policy clamps (kb/s), over the controller's policy
+  /// template. ceiling 0 = unlimited (admission still caps).
   double floor_kbps = 0.0;
   double ceiling_kbps = 0.0;
   /// Offered schedule: bulk_seconds on / idle_seconds off, repeating
@@ -102,6 +105,11 @@ struct TenantSpec {
 struct AdaptiveTenantsWorkload {
   std::vector<TenantSpec> tenants;
   double seconds = 30.0;  // goodput measurement window
+  /// Engaged: a QosController (DESIGN.md §15) resizes every tenant's path
+  /// reservation at runtime; its `policy` is the template each tenant's
+  /// policy is copied from. Empty: the same workload runs as the static
+  /// baseline.
+  std::optional<adapt::QosController::Config> controller;
 };
 
 using Workload = std::variant<PingPongWorkload, VisualizationWorkload,
@@ -160,65 +168,32 @@ struct ContentionSpec {
 };
 
 // --------------------------------------------------------------------------
-// Adaptive QoS control plane (src/adapt/, DESIGN.md §15)
-// --------------------------------------------------------------------------
-
-/// Arms the QosController over an AdaptiveTenantsWorkload's path
-/// reservations. Disabled (the default) builds the identical static rig,
-/// and non-adaptive workloads ignore it entirely — golden-catalog safe.
-struct AdaptationSpec {
-  bool enabled = false;
-  double cadence_seconds = 0.5;
-  double headroom = 1.25;
-  double ewma_alpha = 0.4;
-  double grow_threshold = 1.05;
-  double shrink_threshold = 0.70;
-  double grow_multiplier = 1.6;
-  double shrink_step = 0.5;
-  double grow_cooldown_seconds = 1.0;
-  double shrink_cooldown_seconds = 2.0;
-};
-
-// --------------------------------------------------------------------------
 // Control-plane resilience
 // --------------------------------------------------------------------------
-
-/// Reservation leases: agent-made reservations must be renewed within the
-/// lease window or enforcement hard-expires (reason "lease_expired") —
-/// what lets the data plane shed zombie reservations when their
-/// controller dies.
-struct LeaseSpec {
-  bool enabled = false;
-  double duration_seconds = 2.0;
-  double renew_fraction = 0.5;
-  double grace_seconds = 0.25;
-};
 
 /// A scripted control-plane crash: at `at_seconds` the QoS agent and GARA
 /// drop their in-memory state (lease renewals and heartbeats pause);
 /// `restart_after_seconds` later the control plane restarts — journal
 /// replay, anti-entropy reconciliation against every manager, then
 /// re-issue of the journal-live QoS intents. The builder lowers each crash
-/// into a qos-agent down/up episode of the fault plan.
+/// into a qos-agent down/up episode of the fault plan, a target that
+/// exists only when ScenarioSpec::resil is engaged.
 struct AgentCrashSpec {
   double at_seconds = 0.0;
   double restart_after_seconds = 1.0;
 };
 
+/// Engaged, it wires the state journal and the reconciler behind the
+/// qos-agent crash/restart fault target.
 struct ResilienceSpec {
-  /// Journal + reconciler wiring. Leases, heartbeats, or any scripted
-  /// agent crash imply it.
-  bool journal = false;
-  LeaseSpec lease;
+  /// Reservation leases: agent-made reservations carry
+  /// `default_duration` and must be renewed within it or enforcement
+  /// hard-expires (reason "lease_expired") — what lets the data plane
+  /// shed zombie reservations when their controller dies.
+  std::optional<resil::LeaseManager::Config> lease;
   /// Heartbeat probing of every registered manager, with phi-accrual
   /// suspicion driving manager-down events into the RecoveryPolicy.
-  bool heartbeats = false;
-  double heartbeat_interval_seconds = 0.25;
-  double phi_threshold = 2.0;
-
-  bool enabled() const {
-    return journal || lease.enabled || heartbeats;
-  }
+  std::optional<resil::HeartbeatMonitor::Config> heartbeats;
 };
 
 // --------------------------------------------------------------------------
@@ -254,9 +229,8 @@ struct ScenarioSpec {
   /// Seeds the wire-fault targets' Rng streams, independent of the
   /// simulation seed so a seed sweep keeps its fault pattern.
   std::uint64_t fault_seed = 99;
-  AdaptationSpec adaptation;
-  ResilienceSpec resil;
-  std::vector<AgentCrashSpec> agent_crashes;  // forces resil wiring on
+  std::optional<ResilienceSpec> resil;
+  std::vector<AgentCrashSpec> agent_crashes;  // need resil engaged
 
   /// Simulated stop time; 0 derives it from the workload (its deadline
   /// plus a drain margin).
@@ -279,10 +253,12 @@ struct ScenarioSpec {
 /// Applies a named sweep parameter. Known keys: seed, seconds,
 /// reservation_kbps, bucket_divisor, message_bytes, frame_bytes, fps,
 /// cpu_seconds_per_frame, offered_bps, flow_rate_bps, contention_bps,
-/// cpu_fraction, lease_seconds, crash_at, restart_after (the last two
-/// retune the first scripted agent crash, creating one when absent),
-/// adapt_cadence, adapt_headroom, and — for AdaptiveTenantsWorkload's
-/// first tenant — bulk_seconds and idle_seconds.
+/// cpu_fraction, lease_seconds (0 drops the lease), crash_at,
+/// restart_after (the last two retune the first scripted agent crash,
+/// creating one when absent; lease_seconds > 0, crash_at and
+/// restart_after engage resil), adapt_cadence and adapt_headroom (only
+/// when an AdaptiveTenantsWorkload arms a controller), and — for that
+/// workload's first tenant — bulk_seconds and idle_seconds.
 /// message_bytes/frame_bytes also retune the first
 /// reservation's max_message_size (they are coupled in every paper
 /// experiment). Returns false for an unknown key, one that does not

@@ -1,9 +1,11 @@
 // Parameter sweeps: cross-product expansion of a base spec over named
-// parameters, and a std::thread pool that runs many specs concurrently —
-// one independent Simulator per run, so results are bit-identical to
-// serial execution regardless of thread count.
+// parameters, and the std::thread pool that runs many specs (or chaos
+// seeds) concurrently — one independent Simulator per run, so results are
+// bit-identical to serial execution regardless of thread count.
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,15 @@ struct SweepParam {
 /// std::invalid_argument when applyParam refuses a key or value.
 std::vector<ScenarioSpec> expandSweep(const ScenarioSpec& base,
                                       const std::vector<SweepParam>& params);
+
+/// Calls job(i) for every i in [0, count) on `threads` workers (<= 0:
+/// hardware concurrency), handing indices out in increasing order; with
+/// one worker it runs inline on the calling thread. A job returning false
+/// stops the hand-out above its index, while every lower index still
+/// runs. Returns one past the lowest index whose job returned false, or
+/// `count` when none did.
+std::size_t runIndexed(int threads, std::size_t count,
+                       const std::function<bool(std::size_t)>& job);
 
 class SweepRunner {
  public:

@@ -4,6 +4,8 @@
 // fading tenant's reserved-but-unused bandwidth.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "scenario/catalog.hpp"
 #include "scenario/runner.hpp"
 
@@ -41,9 +43,19 @@ TEST(AdaptiveTradeoffTest, BeatsTheStaticBaselineByAtLeast20Percent) {
             0.5 * fading_adaptive->initial_kbps);
 
   // The baseline really ran without the controller.
-  EXPECT_EQ(baseline.adapt_grows + baseline.adapt_shrinks, 0u);
-  EXPECT_GE(adaptive.adapt_grows, 2u);
-  EXPECT_GE(adaptive.adapt_shrinks, 2u);
+  using Outcome = ScenarioResult::TenantOutcome;
+  const auto total = [](const ScenarioResult& res,
+                        std::uint64_t Outcome::*field) {
+    std::uint64_t sum = 0;
+    for (const auto& t : res.tenants) sum += t.*field;
+    return sum;
+  };
+  EXPECT_EQ(total(baseline, &Outcome::grows) +
+                total(baseline, &Outcome::shrinks),
+            0u);
+  EXPECT_EQ(baseline.adapt_ticks, 0u);
+  EXPECT_GE(total(adaptive, &Outcome::grows), 2u);
+  EXPECT_GE(total(adaptive, &Outcome::shrinks), 2u);
 }
 
 }  // namespace

@@ -123,6 +123,36 @@ TEST(ChaosRunnerTest, PlantedOverAdmissionIsCaughtShrunkAndReplayed) {
   EXPECT_EQ(serializeReplay(reparsed), replay_text);
 }
 
+TEST(ChaosRunnerTest, ThreadedSeedSweepMatchesSerial) {
+  // The planted over-admission bug fails most seeds but not all: from
+  // seed 11 the sweep holds twice, then seed 13 fails with workers busy
+  // on the seeds above it (seed 14 fails too). The reports up to the
+  // first failing seed must not depend on thread count.
+  ChaosOptions options;
+  options.profile = modifyOnlyProfile();
+  options.horizon_seconds = 3.0;
+  options.prepare = [](scenario::BuiltScenario&, ChaosTargets& targets) {
+    targets.net_forward->slots().forceOverAdmissionForTest(true);
+    targets.net_reverse->slots().forceOverAdmissionForTest(true);
+  };
+  ChaosRunner runner;
+  options.threads = 1;
+  const auto serial = runner.runSeeds("fault_recovery_on", 11, 12, options);
+  ASSERT_GT(serial.failing_index, 0) << "the failure must land mid-sweep";
+  ASSERT_LT(serial.failing_index, 11);
+  for (const int threads : {2, 4}) {
+    options.threads = threads;
+    const auto threaded =
+        runner.runSeeds("fault_recovery_on", 11, 12, options);
+    EXPECT_EQ(threaded.failing_index, serial.failing_index) << threads;
+    ASSERT_EQ(threaded.reports.size(), serial.reports.size()) << threads;
+    for (std::size_t i = 0; i < serial.reports.size(); ++i) {
+      EXPECT_EQ(threaded.reports[i].log, serial.reports[i].log)
+          << threads << " threads, report " << i;
+    }
+  }
+}
+
 TEST(ChaosRunnerTest, UnsabotagedRunNeverTripsSlotConservation) {
   // The same modify storm without the planted bug: admission control
   // rejects oversized modifies, so the invariants hold.

@@ -4,7 +4,9 @@
 // manager, re-issues the QoS intent, and re-converges to granted QoS.
 #include <gtest/gtest.h>
 
+#include "scenario/builder.hpp"
 #include "scenario/catalog.hpp"
+#include "scenario/fault_targets.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 
@@ -21,8 +23,10 @@ TEST(CrashRestartScenarioTest, RegistryCarriesTheCrashScenario) {
   const auto* info = registry.find("fault_recovery_crash");
   ASSERT_NE(info, nullptr);
   const auto spec = info->make();
-  EXPECT_TRUE(spec.resil.enabled());
-  EXPECT_TRUE(spec.resil.lease.enabled);
+  ASSERT_TRUE(spec.resil.has_value());
+  ASSERT_TRUE(spec.resil->lease.has_value());
+  EXPECT_EQ(spec.resil->lease->default_duration, sim::Duration::seconds(2.0));
+  EXPECT_TRUE(spec.resil->heartbeats.has_value());
   ASSERT_EQ(spec.agent_crashes.size(), 1u);
   EXPECT_DOUBLE_EQ(spec.agent_crashes[0].at_seconds, 20.0);
   EXPECT_DOUBLE_EQ(spec.agent_crashes[0].restart_after_seconds, 5.0);
@@ -59,7 +63,31 @@ TEST(CrashRestartScenarioTest, CrashTimingIsTunableViaParams) {
   ASSERT_EQ(spec.agent_crashes.size(), 1u);
   EXPECT_DOUBLE_EQ(spec.agent_crashes[0].at_seconds, 12.0);
   EXPECT_DOUBLE_EQ(spec.agent_crashes[0].restart_after_seconds, 2.0);
-  EXPECT_DOUBLE_EQ(spec.resil.lease.duration_seconds, 1.0);
+  ASSERT_TRUE(spec.resil.has_value());
+  ASSERT_TRUE(spec.resil->lease.has_value());
+  EXPECT_EQ(spec.resil->lease->default_duration, sim::Duration::seconds(1.0));
+  EXPECT_TRUE(applyParam(spec, "lease_seconds", 0.0));
+  ASSERT_TRUE(spec.resil.has_value());
+  EXPECT_FALSE(spec.resil->lease.has_value());
+
+  // A crash parameter on a scenario without a control plane engages the
+  // resilience stack, so the builder registers the qos-agent target the
+  // crash lowers to.
+  for (const char* key : {"crash_at", "restart_after"}) {
+    auto bare = ScenarioRegistry::paper().find("fig1_under")->make();
+    ASSERT_FALSE(bare.resil.has_value());
+    EXPECT_FALSE(ScenarioBuilder{}.build(bare)->injector.hasTarget(
+        fault_target::kQosAgent));
+    ASSERT_TRUE(applyParam(bare, key, 1.0)) << key;
+    ASSERT_TRUE(bare.resil.has_value()) << key;
+    EXPECT_FALSE(bare.resil->lease.has_value()) << key;
+    ASSERT_EQ(bare.agent_crashes.size(), 1u) << key;
+    const auto built = ScenarioBuilder{}.build(bare);
+    ASSERT_NE(built->resil, nullptr) << key;
+    EXPECT_TRUE(built->injector.hasTarget(fault_target::kQosAgent)) << key;
+    EXPECT_FALSE(built->injector.hasTarget(fault_target::kLeaseRenewals))
+        << key;
+  }
 }
 
 TEST(CrashRestartScenarioTest, SameSeedIsDeterministic) {

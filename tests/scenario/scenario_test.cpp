@@ -164,6 +164,7 @@ TEST(Sweep, ExpandsCrossProductWithLabels) {
   // a truncated value under the wrong label, and an out-of-range cast is
   // undefined behaviour. A refused value leaves the spec untouched.
   const auto frames = burstTraceSpec("frames", 10.0, 5'000);
+  const auto static_tenants = adaptPhaseShiftSpec("static", false);
   const struct {
     const ScenarioSpec& spec;
     const char* key;
@@ -180,6 +181,10 @@ TEST(Sweep, ExpandsCrossProductWithLabels) {
       {frames, "frame_bytes", -5'000},
       {frames, "frame_bytes", 2.5},
       {frames, "frame_bytes", 1e12},
+      // Controller knobs apply only where a workload arms a controller.
+      {base, "adapt_cadence", 0.25},
+      {frames, "adapt_headroom", 2.0},
+      {static_tenants, "adapt_cadence", 0.25},
   };
   auto integers = [](const ScenarioSpec& spec) {
     std::int64_t bytes = 0;
@@ -208,6 +213,14 @@ TEST(Sweep, ExpandsCrossProductWithLabels) {
   ASSERT_TRUE(applyParam(resized, "frame_bytes", 2'500));
   EXPECT_EQ(std::get<VisualizationWorkload>(resized.workload).frame_bytes,
             2'500);
+  auto adaptive = adaptPhaseShiftSpec("adaptive", true);
+  ASSERT_TRUE(applyParam(adaptive, "adapt_cadence", 0.25));
+  ASSERT_TRUE(applyParam(adaptive, "adapt_headroom", 2.0));
+  const auto& controller =
+      std::get<AdaptiveTenantsWorkload>(adaptive.workload).controller;
+  ASSERT_TRUE(controller.has_value());
+  EXPECT_EQ(controller->cadence_seconds, 0.25);
+  EXPECT_EQ(controller->policy.headroom, 2.0);
 }
 
 TEST(CheckReporter, CountsAndMerges) {
