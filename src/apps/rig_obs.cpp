@@ -16,41 +16,35 @@ double classBytes(const net::Interface* iface, net::Dscp d) {
 }  // namespace
 
 void attachRigObservability(GarnetRig& rig, obs::MetricsRegistry& metrics,
-                            obs::TraceBuffer& trace, obs::Sampler& sampler,
-                            const std::string& prefix) {
+                            obs::TraceBuffer& trace, obs::Sampler& sampler) {
   rig.gara.attachObservability(&metrics, &trace);
   rig.agent.attachObservability(&metrics, &trace);
-  // Scope = prefix minus the metric-name separator dot.
-  std::string scope = prefix;
-  if (!scope.empty() && scope.back() == '.') scope.pop_back();
-  trace.setScope(std::move(scope));
 
   const auto* core = rig.garnet.coreBottleneckInterface();
-  sampler.addProbe(prefix + "qdisc.ef_bytes",
+  sampler.addProbe("qdisc.ef_bytes",
                    [core] { return classBytes(core, net::Dscp::kExpedited); });
-  sampler.addProbe(prefix + "qdisc.ll_bytes", [core] {
+  sampler.addProbe("qdisc.ll_bytes", [core] {
     return classBytes(core, net::Dscp::kLowLatency);
   });
-  sampler.addProbe(prefix + "qdisc.be_bytes", [core] {
+  sampler.addProbe("qdisc.be_bytes", [core] {
     return classBytes(core, net::Dscp::kBestEffort);
   });
   sampler.addHistogramProbe(
-      prefix + "qdisc.ef_occupancy_bytes",
+      "qdisc.ef_occupancy_bytes",
       [core] { return classBytes(core, net::Dscp::kExpedited); });
   sampler.addHistogramProbe(
-      prefix + "qdisc.be_occupancy_bytes",
+      "qdisc.be_occupancy_bytes",
       [core] { return classBytes(core, net::Dscp::kBestEffort); });
 
   const auto* edge = rig.garnet.ingressEdgeInterface();
-  sampler.addProbe(prefix + "net.policed_drops", [edge] {
+  sampler.addProbe("net.policed_drops", [edge] {
     return static_cast<double>(edge->stats().drops_policed);
   });
 }
 
-void snapshotRigCounters(GarnetRig& rig, obs::MetricsRegistry& metrics,
-                         const std::string& prefix) {
+void snapshotRigCounters(GarnetRig& rig, obs::MetricsRegistry& metrics) {
   const auto add = [&](const std::string& name, std::uint64_t value) {
-    metrics.counter(prefix + name).inc(value);
+    metrics.counter(name).inc(value);
   };
 
   const auto* core = rig.garnet.coreBottleneckInterface();
@@ -98,10 +92,10 @@ void snapshotRigCounters(GarnetRig& rig, obs::MetricsRegistry& metrics,
   }
 }
 
-void snapshotAdversarialCounters(GarnetRig& rig, obs::MetricsRegistry& metrics,
-                                 const std::string& prefix) {
+void snapshotAdversarialCounters(GarnetRig& rig,
+                                 obs::MetricsRegistry& metrics) {
   const auto add = [&](const std::string& name, std::uint64_t value) {
-    metrics.counter(prefix + name).inc(value);
+    metrics.counter(name).inc(value);
   };
   // The adversarial injectors sit on the premium egress wire: the
   // interface feeding the ingress edge router.

@@ -3,9 +3,8 @@
 // standard sampler probes on the core bottleneck qdisc, and snapshots
 // end-of-run drop/forward counters from every instrumented layer.
 //
-// Benches that run several configurations reuse one registry/buffer and
-// pass a per-run `prefix` ("under.", "run3.") so series and counters from
-// different runs stay distinguishable in the exported JSON.
+// Each run has its own registry and buffer; the exporter's run label keeps
+// runs apart in a merged JSON document.
 #pragma once
 
 #include <string>
@@ -19,32 +18,30 @@
 namespace mgq::apps {
 
 /// Connects the rig's GARA and QoS agent to `metrics`/`trace` (binding the
-/// trace clock to the rig's simulator and `prefix` — minus a trailing dot —
-/// as its scope) and installs the standard probes on `sampler`:
-///   <prefix>qdisc.{ef,ll,be}_bytes          timeline of class occupancy
-///   <prefix>qdisc.{ef,be}_occupancy_bytes   time-weighted histograms
-///   <prefix>net.policed_drops               timeline (ingress edge policer)
+/// trace clock to the rig's simulator) and installs the standard probes on
+/// `sampler`:
+///   qdisc.{ef,ll,be}_bytes          timeline of class occupancy
+///   qdisc.{ef,be}_occupancy_bytes   time-weighted histograms
+///   net.policed_drops               timeline (ingress edge policer)
 /// The sampler must be driven by the rig's simulator; call start() after.
 void attachRigObservability(GarnetRig& rig, obs::MetricsRegistry& metrics,
-                            obs::TraceBuffer& trace, obs::Sampler& sampler,
-                            const std::string& prefix = {});
+                            obs::TraceBuffer& trace, obs::Sampler& sampler);
 
-/// End-of-run counter snapshot under `prefix`: per-class qdisc
+/// End-of-run counter snapshot: per-class qdisc
 /// enqueue/drop counts at the core bottleneck, ingress-edge policer and
 /// overflow drops, router forward/no-route counts, and the premium pair's
 /// TCP segment/retransmit/timeout counters (when connected).
-void snapshotRigCounters(GarnetRig& rig, obs::MetricsRegistry& metrics,
-                         const std::string& prefix = {});
+void snapshotRigCounters(GarnetRig& rig, obs::MetricsRegistry& metrics);
 
-/// End-of-run adversarial data-plane snapshot under `prefix`: premium-edge
+/// End-of-run adversarial data-plane snapshot: premium-edge
 /// wire-fault counters (corrupted / duplicated / reordered / blackholed /
 /// pool-pressure clone sheds) and the payload pool's live-bytes,
 /// high-water, and ceiling-rejection gauges. Attached separately from
 /// snapshotRigCounters — the scenario runner calls it only when the wire's
 /// fault counters (corrupted, duplicated, reordered, blackholed) are
 /// nonzero, so fault-free BENCH exports stay byte-identical.
-void snapshotAdversarialCounters(GarnetRig& rig, obs::MetricsRegistry& metrics,
-                                 const std::string& prefix = {});
+void snapshotAdversarialCounters(GarnetRig& rig,
+                                 obs::MetricsRegistry& metrics);
 
 /// Installs cwnd/RTO/throughput probes for the TCP connection carrying
 /// world-rank `src` → `dst` traffic:

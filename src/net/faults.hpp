@@ -6,11 +6,13 @@
 // its enforcement edge) is notified — that is how a link flap turns into
 // a reservation failure upstream.
 //
-// LossInjector models a lossy-wire episode on one egress direction with
-// its own seeded Rng, so loss patterns replay exactly for a given seed
-// regardless of other traffic.
+// WireFaults decides what happens to each packet as it finishes
+// serializing on one egress interface: seeded loss, corruption,
+// duplication and reordering episodes, plus a directional partition.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "net/node.hpp"
@@ -38,158 +40,93 @@ class LinkFault {
   Interface* b_;
 };
 
-/// Seeded Bernoulli packet loss on one interface's egress wire.
-class LossInjector {
+/// Seeded wire faults on one interface's egress. Interface::onSerialized
+/// consults them in a fixed order: loss, then partition, then corrupt,
+/// then duplicate, then reorder. Each Bernoulli category draws from its
+/// own Rng stream, `seed + k·0x9e3779b97f4a7c15` for k = loss, corrupt,
+/// duplicate, reorder, and draws only while its episode is active — so
+/// enabling one category never perturbs another's draws, and an
+/// interface with no active episode schedules exactly the events of one
+/// without faults. Every count lands in the interface's InterfaceStats.
+///
+///  - loss:      the packet is eaten after serializing (drops_fault).
+///  - partition: a directional blackhole. Egress traffic burns its
+///               serialization bandwidth but never arrives, queued packets
+///               keep draining, and the reverse direction keeps flowing
+///               (drops_partition). Partition the peer too for a full cut.
+///  - corrupt:   one seeded bit flips, on TCP segments only — they carry
+///               the wire checksum that lets the receiver drop the damage
+///               (UDP contention traffic has no integrity cover, so it is
+///               skipped). A payload is copied into a fresh pooled buffer
+///               before the flip, so every other slice sharing the
+///               original (retransmission rings, duplicate clones) stays
+///               untouched; a payload-less segment gets a header-field
+///               flip. A selected packet that cannot be corrupted (not
+///               TCP, or the pool refused the copy at its ceiling) counts
+///               corrupt_skipped.
+///  - duplicate: the packet propagates twice, the clone right behind the
+///               original and sharing its payload buffers (duplicated).
+///  - reorder:   the packet is held back a uniform extra delay in
+///               (0, reorder_bound], letting later packets overtake it
+///               (reordered). Delivery still lands under the kernel's
+///               `(at, seq)` order, so a seed replays one interleaving.
+///
+/// One WireFaults per interface: it attaches itself on construction and
+/// detaches on destruction.
+class WireFaults {
  public:
-  LossInjector(Interface& iface, std::uint64_t seed);
-  ~LossInjector();
-  LossInjector(const LossInjector&) = delete;
-  LossInjector& operator=(const LossInjector&) = delete;
+  enum class Kind { kLoss, kCorrupt, kDuplicate, kReorder, kPartition };
 
-  /// Begins (or re-parameterizes) an episode dropping each packet with
-  /// probability `drop_probability`.
-  void start(double drop_probability);
-  void stop();
+  WireFaults(Interface& iface, std::uint64_t seed,
+             sim::Duration reorder_bound = sim::Duration::millis(5));
+  ~WireFaults();
+  WireFaults(const WireFaults&) = delete;
+  WireFaults& operator=(const WireFaults&) = delete;
 
-  bool active() const { return active_; }
-  std::uint64_t dropped() const { return dropped_; }
+  /// Begins (or re-parameterizes) an episode hitting each packet with
+  /// probability `p`. `kind` is one of the four Bernoulli categories;
+  /// kPartition aborts in every build type (use partition()/heal()).
+  void start(Kind kind, double p);
+  void stop(Kind kind);
+  bool active(Kind kind) const;
+
+  void partition() { partitioned_ = true; }
+  void heal() { partitioned_ = false; }
+  bool partitioned() const { return partitioned_; }
 
  private:
-  Interface* iface_;
-  sim::Rng rng_;
-  double probability_ = 0.0;
-  bool active_ = false;
-  std::uint64_t dropped_ = 0;
-};
+  friend class Interface;
 
-/// Seeded single-bit corruption on one interface's egress wire. Only TCP
-/// segments are touched — they carry the wire checksum that lets the
-/// receiver detect the damage, so a corrupted segment is dropped and
-/// counted instead of delivered (UDP contention traffic is size-only and
-/// has no integrity cover; corrupting it would silently hand garbage to
-/// the application, which is exactly the failure mode this layer exists
-/// to rule out). Payload-bearing segments get copy-on-corrupt: the
-/// injector clones the payload into a fresh pooled buffer, flips one
-/// seeded bit there, and swaps the slice — the original bytes stay
-/// immutable for every other slice sharing them (retransmission queues,
-/// duplicate clones). Payload-less segments get a seeded header-field
-/// flip instead. When the pool is at its live-bytes ceiling the copy is
-/// skipped and counted, not forced.
-class CorruptionInjector {
- public:
-  CorruptionInjector(Interface& iface, std::uint64_t seed);
-  ~CorruptionInjector();
-  CorruptionInjector(const CorruptionInjector&) = delete;
-  CorruptionInjector& operator=(const CorruptionInjector&) = delete;
+  struct Episode {
+    sim::Rng rng;
+    double probability = 0.0;
+    bool active = false;
+  };
 
-  /// Begins (or re-parameterizes) an episode corrupting each eligible
-  /// packet with probability `corrupt_probability`.
-  void start(double corrupt_probability);
-  void stop();
-
-  bool active() const { return active_; }
-  std::uint64_t corrupted() const { return corrupted_; }
-  /// Packets the episode selected but could not corrupt (non-TCP, or the
-  /// copy-on-corrupt allocation was rejected by the pool ceiling).
-  std::uint64_t skipped() const { return skipped_; }
-
- private:
-  bool corrupt(Packet& p);
-
-  Interface* iface_;
-  sim::Rng rng_;
-  double probability_ = 0.0;
-  bool active_ = false;
-  std::uint64_t corrupted_ = 0;
-  std::uint64_t skipped_ = 0;
-};
-
-/// Seeded Bernoulli duplication on one interface's egress wire: a
-/// selected packet propagates twice (the clone shares the original's
-/// payload buffers — see Interface::setDuplicateHook).
-class DuplicateInjector {
- public:
-  DuplicateInjector(Interface& iface, std::uint64_t seed);
-  ~DuplicateInjector();
-  DuplicateInjector(const DuplicateInjector&) = delete;
-  DuplicateInjector& operator=(const DuplicateInjector&) = delete;
-
-  void start(double duplicate_probability);
-  void stop();
-
-  bool active() const { return active_; }
-  std::uint64_t duplicated() const { return duplicated_; }
-
- private:
-  Interface* iface_;
-  sim::Rng rng_;
-  double probability_ = 0.0;
-  bool active_ = false;
-  std::uint64_t duplicated_ = 0;
-};
-
-/// Seeded Bernoulli reordering on one interface's egress wire: a selected
-/// packet is held back a uniform extra delay in (0, max_extra], letting
-/// later packets overtake it. Delivery still lands under the kernel's
-/// `(at, seq)` total order, so a given seed replays the exact same
-/// interleaving.
-class ReorderInjector {
- public:
-  ReorderInjector(Interface& iface, std::uint64_t seed,
-                  sim::Duration max_extra = sim::Duration::millis(5));
-  ~ReorderInjector();
-  ReorderInjector(const ReorderInjector&) = delete;
-  ReorderInjector& operator=(const ReorderInjector&) = delete;
-
-  void start(double reorder_probability);
-  void stop();
-
-  bool active() const { return active_; }
-  std::uint64_t reordered() const { return reordered_; }
-  sim::Duration maxExtraDelay() const { return max_extra_; }
-
- private:
-  Interface* iface_;
-  sim::Rng rng_;
-  sim::Duration max_extra_;
-  double probability_ = 0.0;
-  bool active_ = false;
-  std::uint64_t reordered_ = 0;
-};
-
-/// Directional link blackhole with heal. While partitioned, the wrapped
-/// interface's egress traffic burns serialization bandwidth but never
-/// arrives (a path silently eating packets), and the reverse direction
-/// keeps flowing — the classic asymmetric partition. Partition the peer's
-/// own PartitionFault too for a full cut.
-class PartitionFault {
- public:
-  explicit PartitionFault(Interface& iface) : iface_(&iface) {}
-  ~PartitionFault() { heal(); }
-  PartitionFault(const PartitionFault&) = delete;
-  PartitionFault& operator=(const PartitionFault&) = delete;
-
-  void partition() { iface_->setPartitioned(true); }
-  void heal() { iface_->setPartitioned(false); }
-  bool partitioned() const { return iface_->isPartitioned(); }
-  std::uint64_t blackholed() const {
-    return iface_->stats().drops_partition;
+  /// The episode slot of a Bernoulli kind.
+  static std::size_t slot(Kind kind);
+  /// One Bernoulli draw on `kind`'s stream; false (no draw) when inactive.
+  /// Inline: the serialization path asks once per category per packet.
+  bool hits(Kind kind) {
+    auto& e = episodes_[static_cast<std::size_t>(kind)];
+    return e.active && e.rng.bernoulli(e.probability);
   }
+  /// Flips one bit of a selected packet; false when it cannot.
+  bool corrupt(Packet& p);
+  /// Extra hold in (0, reorder_bound] for a packet reorder selected.
+  sim::Duration reorderHold();
 
- private:
   Interface* iface_;
+  std::array<Episode, 4> episodes_;
+  sim::Duration reorder_bound_;
+  bool partitioned_ = false;
 };
 
 /// Adapters exposing these primitives as fault-injector targets. The
-/// referenced objects must outlive the injector's schedule. Episode-style
-/// injectors (loss, corruption, duplication, reorder) map to the
-/// loss_start/loss_stop action pair; binary faults (link, partition) map
-/// to down/up.
+/// referenced objects must outlive the injector's schedule. A link or a
+/// partition maps to down/up; a Bernoulli category maps to the
+/// loss_start/loss_stop pair.
 sim::FaultTarget linkFaultTarget(LinkFault& link);
-sim::FaultTarget lossFaultTarget(LossInjector& loss);
-sim::FaultTarget corruptionFaultTarget(CorruptionInjector& corruption);
-sim::FaultTarget duplicateFaultTarget(DuplicateInjector& dup);
-sim::FaultTarget reorderFaultTarget(ReorderInjector& reorder);
-sim::FaultTarget partitionFaultTarget(PartitionFault& partition);
+sim::FaultTarget wireFaultTarget(WireFaults& faults, WireFaults::Kind kind);
 
 }  // namespace mgq::net

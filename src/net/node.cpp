@@ -3,6 +3,8 @@
 #include <cassert>
 #include <utility>
 
+#include "net/faults.hpp"
+
 namespace mgq::net {
 
 namespace {
@@ -101,47 +103,65 @@ void Interface::startTransmit(Packet&& p) {
 }
 
 // Serialization complete: the packet at the back of `wire_` propagates to
-// the peer and the transmitter moves on to the next queued packet. An
-// injected loss episode eats the packet on the wire: bandwidth spent,
-// nothing arrives. The propagation event is scheduled before the next
-// transmission starts, preserving the exact event order of the pre-pool
-// data plane. The adversarial hooks (partition, corrupt, duplicate,
-// reorder) are all null or false by default, so an unhooked interface
-// schedules the exact same events as before they existed.
+// the peer and the transmitter moves on to the next queued packet. The
+// propagation event is scheduled before the next transmission starts,
+// preserving the exact event order of the pre-pool data plane. An
+// interface without wire faults takes only the first branch.
 void Interface::onSerialized() {
-  Packet& pkt = wire_.back();
-  if (loss_hook_ && loss_hook_(pkt)) {
-    ++stats_.drops_fault;
-    wire_.pop_back();
-  } else if (partitioned_) {
-    ++stats_.drops_partition;
-    wire_.pop_back();
+  if (faults_ == nullptr) {
+    sim_.schedule(delay_, [this] { onPropagated(); });
   } else {
-    if (corrupt_hook_ && corrupt_hook_(pkt)) ++stats_.corrupted;
-    const bool duplicate = duplicate_hook_ && duplicate_hook_(pkt);
-    if (duplicate) ++stats_.duplicated;
-    const auto extra =
-        reorder_hook_ ? reorder_hook_(pkt) : sim::Duration::zero();
-    if (extra > sim::Duration::zero()) {
-      ++stats_.reordered;
-      const auto id = delayed_seq_++;
-      if (duplicate) {
-        // The clone (a copy sharing the payload slice — refcount bump, no
-        // byte copy) keeps the wire slot.
-        delayed_wire_.emplace(id, pkt);
-      } else {
-        delayed_wire_.emplace(id, std::move(pkt));
-        wire_.pop_back();
-      }
-      sim_.schedule(delay_ + extra, [this, id] { onDelayedPropagated(id); });
-    } else {
-      sim_.schedule(delay_, [this] { onPropagated(); });
-      // The clone is built before push_back may grow the ring.
-      if (duplicate) wire_.push_back(Packet(pkt));
-    }
-    if (duplicate) sim_.schedule(delay_, [this] { onPropagated(); });
+    applyWireFaults(*faults_);
   }
   transmitNext();
+}
+
+// The wire faults' fixed order: loss, partition, corrupt, duplicate,
+// reorder. A lost or blackholed packet burnt its bandwidth but never
+// arrives. With no episode active and no partition this schedules exactly
+// what the fault-free branch does.
+void Interface::applyWireFaults(WireFaults& faults) {
+  using Kind = WireFaults::Kind;
+  if (faults.hits(Kind::kLoss)) {
+    ++stats_.drops_fault;
+    wire_.pop_back();
+    return;
+  }
+  if (faults.partitioned()) {
+    ++stats_.drops_partition;
+    wire_.pop_back();
+    return;
+  }
+  Packet& pkt = wire_.back();
+  if (faults.hits(Kind::kCorrupt)) {
+    if (faults.corrupt(pkt)) {
+      ++stats_.corrupted;
+    } else {
+      ++stats_.corrupt_skipped;
+    }
+  }
+  const bool duplicate = faults.hits(Kind::kDuplicate);
+  if (duplicate) ++stats_.duplicated;
+  const auto extra = faults.hits(Kind::kReorder) ? faults.reorderHold()
+                                                  : sim::Duration::zero();
+  if (extra > sim::Duration::zero()) {
+    ++stats_.reordered;
+    const auto id = delayed_seq_++;
+    if (duplicate) {
+      // The clone (a copy sharing the payload slice — refcount bump, no
+      // byte copy) keeps the wire slot.
+      delayed_wire_.emplace(id, pkt);
+    } else {
+      delayed_wire_.emplace(id, std::move(pkt));
+      wire_.pop_back();
+    }
+    sim_.schedule(delay_ + extra, [this, id] { onDelayedPropagated(id); });
+  } else {
+    sim_.schedule(delay_, [this] { onPropagated(); });
+    // The clone is built before push_back may grow the ring.
+    if (duplicate) wire_.push_back(Packet(pkt));
+  }
+  if (duplicate) sim_.schedule(delay_, [this] { onPropagated(); });
 }
 
 // The packet leaves the interface's custody before the peer sees it, so

@@ -23,6 +23,7 @@
 namespace mgq::net {
 
 class Node;
+class WireFaults;
 
 struct InterfaceStats {
   std::uint64_t tx_packets = 0;
@@ -35,8 +36,9 @@ struct InterfaceStats {
   std::uint64_t drops_fault = 0;      // eaten by an injected loss episode
   std::uint64_t drops_partition = 0;  // blackholed by a directional partition
   std::uint64_t drops_pool_pressure = 0;  // shed at the pool's byte ceiling
-  std::uint64_t corrupted = 0;        // mutated in flight by a fault injector
-  std::uint64_t duplicated = 0;       // cloned in flight by a fault injector
+  std::uint64_t corrupted = 0;        // mutated in flight by a wire fault
+  std::uint64_t corrupt_skipped = 0;  // selected for corruption, left intact
+  std::uint64_t duplicated = 0;       // cloned in flight by a wire fault
   std::uint64_t reordered = 0;        // delayed past later packets in flight
 };
 
@@ -74,6 +76,8 @@ class Interface {
   const InterfaceStats& stats() const { return stats_; }
 
   // --- fault model (driven by net/faults.hpp) ----------------------------
+  // Wire faults (loss, partition, corrupt, duplicate, reorder) come from a
+  // WireFaults attached to this interface.
   /// Administrative/fault link state. A down interface holds queued
   /// packets without transmitting them, and packets arriving over the
   /// wire are lost. Fires the registered link-state observers on every
@@ -88,56 +92,16 @@ class Interface {
     link_observers_.push_back(std::move(observer));
   }
 
-  /// Egress wire-loss hook: consulted after serialization, before the
-  /// packet propagates. Return true to drop it (counts drops_fault).
-  /// Pass nullptr to clear.
-  void setLossHook(std::function<bool(const Packet&)> hook) {
-    loss_hook_ = std::move(hook);
-  }
-
-  /// Egress corruption hook: consulted after the loss hook for surviving
-  /// packets. The hook may mutate the packet (injectors swap in a freshly
-  /// allocated payload copy so shared slices stay immutable — see
-  /// CorruptionInjector). Return true when the packet was mutated (counts
-  /// `corrupted`). Pass nullptr to clear.
-  void setCorruptHook(std::function<bool(Packet&)> hook) {
-    corrupt_hook_ = std::move(hook);
-  }
-
-  /// Egress duplication hook: return true to clone the serialized packet.
-  /// Both copies propagate with the link delay — the original first, the
-  /// clone immediately behind it in the same event order (counts
-  /// `duplicated`). The clone shares the original's payload buffers.
-  void setDuplicateHook(std::function<bool(const Packet&)> hook) {
-    duplicate_hook_ = std::move(hook);
-  }
-
-  /// Egress reorder hook: return an extra propagation delay to hold the
-  /// packet back past later traffic, or Duration::zero() to leave it on
-  /// the FIFO wire. Held packets live in a keyed side store (the FIFO
-  /// `wire_` ring would deliver them in entry order regardless of
-  /// delay), so delivery lands exactly at delay+extra under the kernel's
-  /// `(at, seq)` total order. Counts `reordered`.
-  void setReorderHook(std::function<sim::Duration(const Packet&)> hook) {
-    reorder_hook_ = std::move(hook);
-  }
-
-  /// Directional blackhole: while partitioned, this interface's egress
-  /// traffic burns its serialization bandwidth but never propagates
-  /// (counts `drops_partition`). The reverse direction is unaffected —
-  /// partition the peer too for a full cut. Unlike setUp(false), queued
-  /// packets keep draining, modelling a path that silently eats traffic
-  /// rather than a device that stops transmitting.
-  void setPartitioned(bool partitioned) { partitioned_ = partitioned; }
-  bool isPartitioned() const { return partitioned_; }
-
-  /// Packets currently held back by the reorder hook.
+  /// Packets currently held back by a reorder episode.
   std::size_t delayedInFlight() const { return delayed_wire_.size(); }
 
  private:
+  friend class WireFaults;  // attaches and detaches itself as faults_
+
   void transmitNext();
   void startTransmit(Packet&& p);
   void onSerialized();
+  void applyWireFaults(WireFaults& faults);
   void onPropagated();
   void onDelayedPropagated(std::uint64_t id);
 
@@ -162,23 +126,21 @@ class Interface {
   //  - every entry before it is on the wire, in the order it entered, with
   //    exactly one pending onPropagated event. Propagation delay is
   //    constant per link, so those events fire front to back.
-  // onSerialized decides the back entry's fate in place: lost or
+  // applyWireFaults decides the back entry's fate in place: lost or
   // blackholed packets are popped, reorder-held ones move to
   // delayed_wire_, and a duplicate clone is pushed behind the original.
   PacketRing wire_;
-  // Packets held back by the reorder hook: keyed by a per-interface
+  // Packets held back by a reorder episode: keyed by a per-interface
   // sequence number because their completion events fire out of entry
   // order (std::map keeps iteration deterministic for teardown).
   std::map<std::uint64_t, Packet> delayed_wire_;
   std::uint64_t delayed_seq_ = 0;
   bool transmitting_ = false;
   bool up_ = true;
-  bool partitioned_ = false;
+  // Null unless a WireFaults covers this egress: the fault-free path costs
+  // one pointer test per serialized packet.
+  WireFaults* faults_ = nullptr;
   std::vector<std::function<void(Interface&, bool)>> link_observers_;
-  std::function<bool(const Packet&)> loss_hook_;
-  std::function<bool(Packet&)> corrupt_hook_;
-  std::function<bool(const Packet&)> duplicate_hook_;
-  std::function<sim::Duration(const Packet&)> reorder_hook_;
   InterfaceStats stats_;
 };
 

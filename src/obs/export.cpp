@@ -49,74 +49,6 @@ std::string num(double v) {
 
 }  // namespace
 
-void writeJson(std::ostream& os, const std::string& bench_name,
-               const MetricsRegistry& metrics, const TraceBuffer* trace) {
-  os << "{\n  \"bench\": \"" << escaped(bench_name) << "\",\n";
-
-  os << "  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, c] : metrics.counters()) {
-    os << (first ? "" : ",") << "\n    \"" << escaped(name)
-       << "\": " << c.value();
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "},\n";
-
-  os << "  \"gauges\": {";
-  first = true;
-  for (const auto& [name, g] : metrics.gauges()) {
-    os << (first ? "" : ",") << "\n    \"" << escaped(name)
-       << "\": " << num(g.value());
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "},\n";
-
-  os << "  \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : metrics.histograms()) {
-    const auto s = h.summary();
-    os << (first ? "" : ",") << "\n    \"" << escaped(name) << "\": {"
-       << "\"count\": " << s.count
-       << ", \"total_weight\": " << num(s.total_weight)
-       << ", \"min\": " << num(s.min) << ", \"max\": " << num(s.max)
-       << ", \"mean\": " << num(s.mean) << ", \"p50\": " << num(s.p50)
-       << ", \"p95\": " << num(s.p95) << ", \"p99\": " << num(s.p99) << "}";
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "},\n";
-
-  os << "  \"timelines\": {";
-  first = true;
-  for (const auto& [name, series] : metrics.timelines()) {
-    os << (first ? "" : ",") << "\n    \"" << escaped(name) << "\": [";
-    bool first_point = true;
-    for (const auto& p : series.points()) {
-      os << (first_point ? "" : ", ") << "[" << num(p.t_seconds) << ", "
-         << num(p.value) << "]";
-      first_point = false;
-    }
-    os << "]";
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "},\n";
-
-  os << "  \"trace\": {\"dropped\": " << (trace ? trace->droppedEvents() : 0)
-     << ", \"events\": [";
-  if (trace != nullptr) {
-    first = true;
-    for (const auto& e : trace->events()) {
-      os << (first ? "" : ",") << "\n    {\"t\": " << num(e.t_seconds)
-         << ", \"scope\": \"" << escaped(e.scope) << "\", \"category\": \""
-         << escaped(e.category) << "\", \"event\": \"" << escaped(e.event)
-         << "\", \"id\": " << e.id << ", \"value\": " << num(e.value)
-         << ", \"detail\": \"" << escaped(e.detail) << "\"}";
-      first = false;
-    }
-    if (!first) os << "\n  ";
-  }
-  os << "]}\n}\n";
-}
-
 void writeMultiRunJson(std::ostream& os, const std::string& bench_name,
                        const std::vector<RunExport>& runs) {
   // Merge every run's instruments under "<label>." prefixes. std::map
@@ -193,19 +125,16 @@ void writeMultiRunJson(std::ostream& os, const std::string& bench_name,
   }
   os << (first ? "" : "\n  ") << "},\n";
 
-  // Trace events stay grouped per run, in run order, with the run label
-  // folded into each event's scope.
+  // Trace events stay grouped per run, in run order, scoped by the run
+  // label.
   os << "  \"trace\": {\"dropped\": " << dropped << ", \"events\": [";
   first = true;
   for (const auto& run : runs) {
     if (run.trace == nullptr) continue;
+    const std::string scope = escaped(run.label);
     for (const auto& e : run.trace->events()) {
-      const std::string scope =
-          run.label.empty()
-              ? e.scope
-              : (e.scope.empty() ? run.label : run.label + "/" + e.scope);
       os << (first ? "" : ",") << "\n    {\"t\": " << num(e.t_seconds)
-         << ", \"scope\": \"" << escaped(scope) << "\", \"category\": \""
+         << ", \"scope\": \"" << scope << "\", \"category\": \""
          << escaped(e.category) << "\", \"event\": \"" << escaped(e.event)
          << "\", \"id\": " << e.id << ", \"value\": " << num(e.value)
          << ", \"detail\": \"" << escaped(e.detail) << "\"}";
@@ -214,29 +143,6 @@ void writeMultiRunJson(std::ostream& os, const std::string& bench_name,
   }
   if (!first) os << "\n  ";
   os << "]}\n}\n";
-}
-
-void writeTimelinesCsv(std::ostream& os, const MetricsRegistry& metrics) {
-  os << "series,t_seconds,value\n";
-  for (const auto& [name, series] : metrics.timelines()) {
-    for (const auto& p : series.points()) {
-      os << escaped(name) << "," << num(p.t_seconds) << "," << num(p.value)
-         << "\n";
-    }
-  }
-}
-
-bool exportBenchJson(const std::string& bench_name,
-                     const MetricsRegistry& metrics, const TraceBuffer* trace,
-                     const std::string& directory) {
-  const std::string path = directory + "/BENCH_" + bench_name + ".json";
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "obs: cannot write " << path << "\n";
-    return false;
-  }
-  writeJson(out, bench_name, metrics, trace);
-  return out.good();
 }
 
 std::string renderMultiRunJson(const std::string& bench_name,

@@ -1,6 +1,7 @@
-// Exporters for the metrics registry and trace buffer.
+// The JSON exporter for metrics registries and trace buffers: one writer,
+// merging any number of runs into one document.
 //
-// JSON document shape (one per bench run, file BENCH_<name>.json):
+// Document shape (one per bench, file BENCH_<name>.json):
 //   {
 //     "bench": "<name>",
 //     "counters":   {"<metric>": <uint>, ...},
@@ -16,12 +17,8 @@
 //   }
 // Non-finite doubles (NaN/inf) are emitted as null — strict JSON has no
 // NaN literal. Keys are sorted (std::map iteration), so two identical
-// runs produce byte-identical files.
-//
-// The CSV exporter flattens every timeline to rows of
-//   series,t_seconds,value
-// for spreadsheet/gnuplot consumption. Both writers are hand-rolled:
-// the container has no JSON dependency and must not gain one.
+// runs produce byte-identical files. The writer is hand-rolled: the
+// project takes no JSON dependency.
 #pragma once
 
 #include <cstdint>
@@ -35,10 +32,6 @@
 
 namespace mgq::obs {
 
-void writeJson(std::ostream& os, const std::string& bench_name,
-               const MetricsRegistry& metrics,
-               const TraceBuffer* trace = nullptr);
-
 /// One run's contribution to a merged multi-run document. The registries
 /// must outlive the write call.
 struct RunExport {
@@ -47,12 +40,12 @@ struct RunExport {
   const TraceBuffer* trace = nullptr;
 };
 
-/// Merged multi-run document in the writeJson shape: every metric key is
-/// prefixed "<label>.", trace events carry "<label>" (or
-/// "<label>/<scope>") as their scope, and runs are emitted in the given
-/// order with all metric sections globally key-sorted. Output depends
-/// only on (bench_name, runs) — a parallel sweep that fills `runs` in
-/// spec order produces bytes identical to a serial one.
+/// Merged multi-run document in the shape above: every metric key is
+/// prefixed "<label>." (nothing for an empty label), trace events carry
+/// "<label>" as their scope, and runs are emitted in the given order with
+/// all metric sections globally key-sorted. Output depends only on
+/// (bench_name, runs) — a parallel sweep that fills `runs` in spec order
+/// produces bytes identical to a serial one.
 void writeMultiRunJson(std::ostream& os, const std::string& bench_name,
                        const std::vector<RunExport>& runs);
 
@@ -71,14 +64,5 @@ std::string renderMultiRunJson(const std::string& bench_name,
 /// FNV-1a 64-bit hash. Used by the golden-determinism guard to pin BENCH
 /// documents with a short checked-in fingerprint instead of full files.
 std::uint64_t fnv1a64(std::string_view data);
-
-void writeTimelinesCsv(std::ostream& os, const MetricsRegistry& metrics);
-
-/// Writes `<directory>/BENCH_<bench_name>.json`; returns false (leaving a
-/// message on stderr) when the file cannot be created.
-bool exportBenchJson(const std::string& bench_name,
-                     const MetricsRegistry& metrics,
-                     const TraceBuffer* trace = nullptr,
-                     const std::string& directory = ".");
 
 }  // namespace mgq::obs

@@ -7,7 +7,6 @@
 namespace mgq::obs {
 
 void Histogram::record(double value, double weight) {
-  if (!*enabled_) return;
   if (weight <= 0.0) return;  // zero-length observation carries no mass
   values_.push_back(value);
   weights_.push_back(weight);
@@ -34,19 +33,19 @@ Histogram::Summary Histogram::summary() const {
 }
 
 Counter& MetricsRegistry::counter(const std::string& name) {
-  return counters_.try_emplace(name, &enabled_).first->second;
+  return counters_.try_emplace(name).first->second;
 }
 
 Gauge& MetricsRegistry::gauge(const std::string& name) {
-  return gauges_.try_emplace(name, &enabled_).first->second;
+  return gauges_.try_emplace(name).first->second;
 }
 
 Histogram& MetricsRegistry::histogram(const std::string& name) {
-  return histograms_.try_emplace(name, &enabled_).first->second;
+  return histograms_.try_emplace(name).first->second;
 }
 
 TimeSeries& MetricsRegistry::timeline(const std::string& name) {
-  return timelines_.try_emplace(name, &enabled_).first->second;
+  return timelines_.try_emplace(name).first->second;
 }
 
 }  // namespace mgq::obs

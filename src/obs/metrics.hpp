@@ -1,8 +1,6 @@
 // Metrics registry: named counters, gauges, time-weighted histograms and
-// timelines, designed to cost next to nothing on hot paths when
-// observability is off: MetricsRegistry::setEnabled(false) gates every
-// record behind a single bool load, so a registry that is wired up but
-// switched off adds one predictable branch.
+// timelines. There is no runtime off switch: a run that does not observe
+// builds no registry at all (ScenarioSpec::observe = false).
 //
 // Hot paths inside net/tcp keep their plain stats structs (a bare integer
 // increment); the registry aggregates those via probes and end-of-run
@@ -21,30 +19,20 @@ namespace mgq::obs {
 /// Monotonically increasing event count.
 class Counter {
  public:
-  explicit Counter(const bool* enabled) : enabled_(enabled) {}
-
-  void inc(std::uint64_t n = 1) {
-    if (*enabled_) value_ += n;
-  }
+  void inc(std::uint64_t n = 1) { value_ += n; }
   std::uint64_t value() const { return value_; }
 
  private:
-  const bool* enabled_;
   std::uint64_t value_ = 0;
 };
 
 /// Last-written instantaneous value (e.g. slot-table utilization).
 class Gauge {
  public:
-  explicit Gauge(const bool* enabled) : enabled_(enabled) {}
-
-  void set(double v) {
-    if (*enabled_) value_ = v;
-  }
+  void set(double v) { value_ = v; }
   double value() const { return value_; }
 
  private:
-  const bool* enabled_;
   double value_ = 0.0;
 };
 
@@ -65,15 +53,12 @@ class Histogram {
     double p99 = 0.0;
   };
 
-  explicit Histogram(const bool* enabled) : enabled_(enabled) {}
-
   void record(double value, double weight = 1.0);
   std::size_t count() const { return values_.size(); }
   /// Weighted quantiles/mean; zeroed summary when no samples were taken.
   Summary summary() const;
 
  private:
-  const bool* enabled_;
   std::vector<double> values_;
   std::vector<double> weights_;
 };
@@ -86,15 +71,12 @@ class TimeSeries {
     double value;
   };
 
-  explicit TimeSeries(const bool* enabled) : enabled_(enabled) {}
-
   void append(double t_seconds, double value) {
-    if (*enabled_) points_.push_back({t_seconds, value});
+    points_.push_back({t_seconds, value});
   }
   const std::vector<Point>& points() const { return points_; }
 
  private:
-  const bool* enabled_;
   std::vector<Point> points_;
 };
 
@@ -103,9 +85,6 @@ class MetricsRegistry {
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  void setEnabled(bool enabled) { enabled_ = enabled; }
-  bool enabled() const { return enabled_; }
 
   /// Find-or-create by name. References stay valid for the registry's
   /// lifetime.
@@ -125,7 +104,6 @@ class MetricsRegistry {
   }
 
  private:
-  bool enabled_ = true;
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;

@@ -5,7 +5,8 @@
 //
 // Bounded: when full, the oldest event is discarded and `droppedEvents()`
 // counts the loss, so a runaway event source can never exhaust memory.
-// Like the metrics registry, recording is gated by a runtime enabled flag.
+// A run that does not observe builds no buffer at all; the exporter scopes
+// each run's events by its run label.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +18,6 @@ namespace mgq::obs {
 
 struct TraceEvent {
   double t_seconds = 0.0;    // stamped via the installed clock (0 if none)
-  std::string scope;         // run label for multi-run benches ("" = global)
   std::string category;      // event family: "reservation", "qos", "fault"
   std::string event;         // what happened: "admitted", "degraded", ...
   std::uint64_t id = 0;      // subject id (reservation id, comm context)
@@ -29,14 +29,6 @@ class TraceBuffer {
  public:
   explicit TraceBuffer(std::size_t capacity = 16 * 1024)
       : capacity_(capacity == 0 ? 1 : capacity) {}
-
-  void setEnabled(bool enabled) { enabled_ = enabled; }
-  bool enabled() const { return enabled_; }
-
-  /// Scope prefix applied to subsequently recorded events; benches that
-  /// run several configurations against one buffer switch it per run.
-  void setScope(std::string scope) { scope_ = std::move(scope); }
-  const std::string& scope() const { return scope_; }
 
   /// Timestamp source (simulated seconds). Re-attach per run: each fresh
   /// Simulator supplies its own clock.
@@ -57,8 +49,6 @@ class TraceBuffer {
   std::size_t capacity_;
   std::deque<TraceEvent> events_;
   std::uint64_t dropped_ = 0;
-  bool enabled_ = true;
-  std::string scope_;
   std::function<double()> clock_;
 };
 

@@ -317,7 +317,7 @@ std::unique_ptr<BuiltScenario> ScenarioBuilder::build(
         rig.sim, *built->metrics,
         Duration::seconds(spec.sample_interval_seconds));
     apps::attachRigObservability(rig, *built->metrics, *built->trace,
-                                 *built->sampler, /*prefix=*/{});
+                                 *built->sampler);
     apps::addTcpFlowProbes(*built->sampler, rig.world, 0, 1, "flow.premium");
     built->sampler->start();
   }

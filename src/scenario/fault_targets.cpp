@@ -1,6 +1,7 @@
 #include "scenario/fault_targets.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "scenario/builder.hpp"
 
@@ -66,44 +67,29 @@ void registerFaultTargets(BuiltScenario& built,
   injector.registerTarget(kEdgeLink, net::linkFaultTarget(*t.edge_link));
 
   // Wire faults on the premium source's egress (the forward data path into
-  // the ingress edge), each with its own splitmix-derived seed stream.
+  // the ingress edge).
   auto& egress = *rig.garnet.ingressEdgeInterface()->peer();
-  constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
-  t.edge_loss = std::make_unique<net::LossInjector>(egress, seed);
-  injector.registerTarget(kEdgeLoss, net::lossFaultTarget(*t.edge_loss));
-  t.edge_corrupt =
-      std::make_unique<net::CorruptionInjector>(egress, seed + 1 * kGolden);
-  injector.registerTarget(kEdgeCorrupt,
-                          net::corruptionFaultTarget(*t.edge_corrupt));
-  t.edge_dup =
-      std::make_unique<net::DuplicateInjector>(egress, seed + 2 * kGolden);
-  injector.registerTarget(kEdgeDup, net::duplicateFaultTarget(*t.edge_dup));
-  t.edge_reorder =
-      std::make_unique<net::ReorderInjector>(egress, seed + 3 * kGolden);
-  injector.registerTarget(kEdgeReorder,
-                          net::reorderFaultTarget(*t.edge_reorder));
-  t.edge_partition = std::make_unique<net::PartitionFault>(egress);
-  injector.registerTarget(kEdgePartition,
-                          net::partitionFaultTarget(*t.edge_partition));
+  t.edge_wire = std::make_unique<net::WireFaults>(egress, seed);
+  using Kind = net::WireFaults::Kind;
+  const std::pair<const char*, Kind> wire_targets[] = {
+      {kEdgeLoss, Kind::kLoss},       {kEdgeCorrupt, Kind::kCorrupt},
+      {kEdgeDup, Kind::kDuplicate},   {kEdgeReorder, Kind::kReorder},
+      {kEdgePartition, Kind::kPartition}};
+  for (const auto& [name, kind] : wire_targets) {
+    injector.registerTarget(name, net::wireFaultTarget(*t.edge_wire, kind));
+  }
 
   // Footer accounting: zero-valued counters are omitted, so plans that
   // never exercise a category keep byte-identical footers.
-  {
-    auto* corrupt = t.edge_corrupt.get();
-    auto* dup = t.edge_dup.get();
-    auto* reorder = t.edge_reorder.get();
-    auto* partition = t.edge_partition.get();
-    injector.registerFooterCounter(
-        "corrupted", [corrupt] { return corrupt->corrupted(); });
-    injector.registerFooterCounter(
-        "corrupt_skipped", [corrupt] { return corrupt->skipped(); });
-    injector.registerFooterCounter("duplicated",
-                                   [dup] { return dup->duplicated(); });
-    injector.registerFooterCounter(
-        "reordered", [reorder] { return reorder->reordered(); });
-    injector.registerFooterCounter(
-        "blackholed", [partition] { return partition->blackholed(); });
-  }
+  const auto& ws = egress.stats();
+  injector.registerFooterCounter("corrupted", [&ws] { return ws.corrupted; });
+  injector.registerFooterCounter("corrupt_skipped",
+                                 [&ws] { return ws.corrupt_skipped; });
+  injector.registerFooterCounter("duplicated",
+                                 [&ws] { return ws.duplicated; });
+  injector.registerFooterCounter("reordered", [&ws] { return ws.reordered; });
+  injector.registerFooterCounter("blackholed",
+                                 [&ws] { return ws.drops_partition; });
 
   // A fair-share competitor on the sending host.
   const bool wants_hog =

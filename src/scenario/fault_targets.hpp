@@ -4,14 +4,13 @@
 // objects through the scenario's one sim::FaultInjector.
 //
 //   premium-edge-link      down/up          LinkFault on the premium edge
-//   premium-edge-loss      loss_start/stop  seeded LossInjector on the
-//                                           premium source's egress wire
-//   premium-edge-corrupt   loss_start/stop  seeded CorruptionInjector, same
-//                                           wire
-//   premium-edge-dup       loss_start/stop  seeded DuplicateInjector, same
-//                                           wire
-//   premium-edge-reorder   loss_start/stop  seeded ReorderInjector, same wire
-//   premium-edge-partition down/up          directional PartitionFault
+//   premium-edge-loss      loss_start/stop  loss episode of the one
+//                                           net::WireFaults on the premium
+//                                           source's egress wire
+//   premium-edge-corrupt   loss_start/stop  corrupt episode, same WireFaults
+//   premium-edge-dup       loss_start/stop  duplicate episode, same
+//   premium-edge-reorder   loss_start/stop  reorder episode, same
+//   premium-edge-partition down/up          its directional partition,
 //                                           blackholing that egress
 //   sender-cpu-hog         down/up          CpuHog on the sending host
 //   qos-agent              down/up          control-plane crash/restart
@@ -61,22 +60,17 @@ inline constexpr const char* kReservationChurn = "reservation-churn";
 /// injector's scheduled events reference it).
 struct FaultTargets {
   std::unique_ptr<net::LinkFault> edge_link;
-  std::unique_ptr<net::LossInjector> edge_loss;
-  std::unique_ptr<net::CorruptionInjector> edge_corrupt;
-  std::unique_ptr<net::DuplicateInjector> edge_dup;
-  std::unique_ptr<net::ReorderInjector> edge_reorder;
-  std::unique_ptr<net::PartitionFault> edge_partition;
+  std::unique_ptr<net::WireFaults> edge_wire;
   /// Only when the plan names sender-cpu-hog: constructing a hog registers
   /// a scheduler job.
   std::unique_ptr<cpu::CpuHog> hog;
 };
 
 /// Builds the machinery above into `built.fault_targets` and registers the
-/// table's targets with `built.injector`. `seed` seeds the loss stream; the
-/// corrupt, dup and reorder injectors derive their own splitmix streams
-/// from it, so enabling one category never perturbs another's draws. The
-/// wire injectors' totals are registered as footer counters (omitted at
-/// zero).
+/// table's targets with `built.injector`. `seed` seeds the edge WireFaults,
+/// which derives one stream per category from it, so enabling one category
+/// never perturbs another's draws. The egress wire's fault totals are
+/// registered as footer counters (omitted at zero).
 void registerFaultTargets(BuiltScenario& built,
                           const std::vector<sim::FaultEvent>& plan,
                           std::uint64_t seed);

@@ -82,14 +82,14 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec,
   const auto& wire = rig.garnet.ingressEdgeInterface()->peer()->stats();
   if (built->sampler != nullptr) {
     built->sampler->stop();
-    apps::snapshotRigCounters(rig, *built->metrics, /*prefix=*/{});
+    apps::snapshotRigCounters(rig, *built->metrics);
     // Wire/pool gauges ride only on runs whose wire faults fired, so every
     // fault-free scenario's BENCH export (and its golden hash) stays
     // byte-identical.
     if (wire.corrupted + wire.duplicated + wire.reordered +
             wire.drops_partition >
         0) {
-      apps::snapshotAdversarialCounters(rig, *built->metrics, /*prefix=*/{});
+      apps::snapshotAdversarialCounters(rig, *built->metrics);
     }
   }
 

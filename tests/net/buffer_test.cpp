@@ -209,12 +209,12 @@ TEST(BufferLifecycleTest, LossInjectorDropReleasesPayload) {
     NullSink sink;
     b.bind(Protocol::kTcp, 7, &sink);
 
-    LossInjector loss(a.nic(), /*seed=*/1);
-    loss.start(/*drop_probability=*/1.0);
+    WireFaults wire(a.nic(), /*seed=*/1);
+    wire.start(WireFaults::Kind::kLoss, 1.0);
     const FlowKey flow{a.id(), b.id(), 1000, 7, Protocol::kTcp};
     for (int i = 0; i < 50; ++i) a.sendPacket(payloadPacket(flow, 1200));
     sim.run();
-    EXPECT_EQ(loss.dropped(), 50u);
+    EXPECT_EQ(a.nic().stats().drops_fault, 50u);
   }
   EXPECT_EQ(probe.liveDelta(), 0) << "wire-dropped payloads leaked";
 }
@@ -267,10 +267,9 @@ void tearDownMidFlight(bool faulted) {
     for (int i = 0; i < 20; ++i) a.sendPacket(payloadPacket(flow, 1200));
     return;
   }
-  DuplicateInjector dup(a.nic(), /*seed=*/3);
-  ReorderInjector reorder(a.nic(), /*seed=*/4, sim::Duration::millis(200));
-  dup.start(0.5);
-  reorder.start(0.3);
+  WireFaults wire(a.nic(), /*seed=*/3, sim::Duration::millis(200));
+  wire.start(WireFaults::Kind::kDuplicate, 0.5);
+  wire.start(WireFaults::Kind::kReorder, 0.3);
   for (int i = 0; i < 60; ++i) {
     Packet p = payloadPacket(flow, 1200);
     if (i % 2 == 0) p.dscp = Dscp::kExpedited;

@@ -13,6 +13,12 @@
 namespace mgq::obs {
 namespace {
 
+/// One unlabelled run: no key prefix, and trace events keep an empty scope.
+std::string renderOne(const std::string& bench, const MetricsRegistry& metrics,
+                      const TraceBuffer* trace = nullptr) {
+  return renderMultiRunJson(bench, {RunExport{"", &metrics, trace}});
+}
+
 TEST(JsonExportTest, EmitsAllSections) {
   MetricsRegistry metrics;
   metrics.counter("drops").inc(3);
@@ -22,9 +28,7 @@ TEST(JsonExportTest, EmitsAllSections) {
   TraceBuffer trace;
   trace.record("reservation", "admitted", 7, 40e6, "net-forward");
 
-  std::ostringstream os;
-  writeJson(os, "demo", metrics, &trace);
-  const std::string json = os.str();
+  const std::string json = renderOne("demo", metrics, &trace);
 
   EXPECT_NE(json.find("\"bench\": \"demo\""), std::string::npos);
   EXPECT_NE(json.find("\"drops\": 3"), std::string::npos);
@@ -39,9 +43,7 @@ TEST(JsonExportTest, NonFiniteValuesBecomeNull) {
   MetricsRegistry metrics;
   metrics.gauge("bad").set(std::numeric_limits<double>::quiet_NaN());
   metrics.gauge("worse").set(std::numeric_limits<double>::infinity());
-  std::ostringstream os;
-  writeJson(os, "nan", metrics);
-  const std::string json = os.str();
+  const std::string json = renderOne("nan", metrics);
   EXPECT_NE(json.find("\"bad\": null"), std::string::npos);
   EXPECT_NE(json.find("\"worse\": null"), std::string::npos);
   EXPECT_EQ(json.find("nan("), std::string::npos);
@@ -52,9 +54,7 @@ TEST(JsonExportTest, EscapesStringsInTraceEvents) {
   MetricsRegistry metrics;
   TraceBuffer trace;
   trace.record("c", "e", 0, 0.0, "line1\n\"quoted\"\\path");
-  std::ostringstream os;
-  writeJson(os, "esc", metrics, &trace);
-  const std::string json = os.str();
+  const std::string json = renderOne("esc", metrics, &trace);
   EXPECT_NE(json.find("line1\\n\\\"quoted\\\"\\\\path"), std::string::npos);
 }
 
@@ -65,9 +65,7 @@ TEST(JsonExportTest, DeterministicAcrossIdenticalRuns) {
     metrics.counter("zeta").inc(1);
     metrics.counter("alpha").inc(2);
     metrics.timeline("t").append(0.5, 1.25);
-    std::ostringstream os;
-    writeJson(os, "det", metrics);
-    return os.str();
+    return renderOne("det", metrics);
   };
   const std::string a = render();
   EXPECT_EQ(a, render());
@@ -77,31 +75,17 @@ TEST(JsonExportTest, DeterministicAcrossIdenticalRuns) {
 
 TEST(JsonExportTest, EmptyTraceSectionWithoutBuffer) {
   MetricsRegistry metrics;
-  std::ostringstream os;
-  writeJson(os, "notrace", metrics, nullptr);
-  EXPECT_NE(os.str().find("\"trace\": {\"dropped\": 0, \"events\": []}"),
+  EXPECT_NE(renderOne("notrace", metrics)
+                .find("\"trace\": {\"dropped\": 0, \"events\": []}"),
             std::string::npos);
-}
-
-TEST(CsvExportTest, FlattensTimelines) {
-  MetricsRegistry metrics;
-  metrics.timeline("a").append(1.0, 10.0);
-  metrics.timeline("a").append(2.0, 20.0);
-  metrics.timeline("b").append(1.0, 5.0);
-  std::ostringstream os;
-  writeTimelinesCsv(os, metrics);
-  const std::string csv = os.str();
-  EXPECT_NE(csv.find("series,t_seconds,value"), std::string::npos);
-  EXPECT_NE(csv.find("a,1,10"), std::string::npos);
-  EXPECT_NE(csv.find("a,2,20"), std::string::npos);
-  EXPECT_NE(csv.find("b,1,5"), std::string::npos);
 }
 
 TEST(ExportBenchJsonTest, WritesFileToDirectory) {
   MetricsRegistry metrics;
   metrics.counter("c").inc(1);
   const std::string dir = ::testing::TempDir();
-  ASSERT_TRUE(exportBenchJson("file_demo", metrics, nullptr, dir));
+  ASSERT_TRUE(
+      exportMultiRunBenchJson("file_demo", {RunExport{"", &metrics}}, dir));
   const std::string path = dir + "/BENCH_file_demo.json";
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
@@ -114,8 +98,8 @@ TEST(ExportBenchJsonTest, WritesFileToDirectory) {
 
 TEST(ExportBenchJsonTest, FailsGracefullyOnBadDirectory) {
   MetricsRegistry metrics;
-  EXPECT_FALSE(exportBenchJson("nope", metrics, nullptr,
-                               "/nonexistent-dir-for-obs-test"));
+  EXPECT_FALSE(exportMultiRunBenchJson("nope", {RunExport{"", &metrics}},
+                                       "/nonexistent-dir-for-obs-test"));
 }
 
 }  // namespace

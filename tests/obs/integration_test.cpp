@@ -31,8 +31,8 @@ TEST(RigObservabilityTest, PremiumTransferProducesLifecycleAndSeries) {
   obs::TraceBuffer trace;
   GarnetRig rig;
   obs::Sampler sampler(rig.sim, metrics, Duration::seconds(1.0));
-  attachRigObservability(rig, metrics, trace, sampler, "run.");
-  addTcpFlowProbes(sampler, rig.world, 0, 1, "run.flow.premium");
+  attachRigObservability(rig, metrics, trace, sampler);
+  addTcpFlowProbes(sampler, rig.world, 0, 1, "flow.premium");
   sampler.start();
 
   PingPongStats stats;
@@ -45,7 +45,7 @@ TEST(RigObservabilityTest, PremiumTransferProducesLifecycleAndSeries) {
   });
   rig.sim.runUntil(TimePoint::fromSeconds(6.0));
   sampler.stop();
-  snapshotRigCounters(rig, metrics, "run.");
+  snapshotRigCounters(rig, metrics);
 
   // GARA lifecycle counters: the premium put reserved at least one flow.
   EXPECT_GE(metrics.counter("gara.requests").value(), 1u);
@@ -55,14 +55,13 @@ TEST(RigObservabilityTest, PremiumTransferProducesLifecycleAndSeries) {
   EXPECT_GE(metrics.counter("qos.requests").value(), 1u);
   EXPECT_GE(metrics.counter("qos.granted").value(), 1u);
 
-  // Trace: request -> admission -> activation -> grant, scoped and
-  // stamped with simulated time.
+  // Trace: request -> admission -> activation -> grant, stamped with
+  // simulated time.
   EXPECT_TRUE(hasEvent(trace, "reservation", "requested"));
   EXPECT_TRUE(hasEvent(trace, "reservation", "admitted"));
   EXPECT_TRUE(hasEvent(trace, "reservation", "activated"));
   EXPECT_TRUE(hasEvent(trace, "qos", "granted"));
   for (const auto& e : trace.events()) {
-    EXPECT_EQ(e.scope, "run");
     EXPECT_GE(e.t_seconds, 0.0);
     EXPECT_LE(e.t_seconds, 6.0);
   }
@@ -72,13 +71,12 @@ TEST(RigObservabilityTest, PremiumTransferProducesLifecycleAndSeries) {
 
   // Sampled series exist: qdisc occupancy timeline ticked every second,
   // and the premium flow's cwnd series started once connected.
-  EXPECT_GE(metrics.timeline("run.qdisc.ef_bytes").points().size(), 5u);
-  EXPECT_FALSE(
-      metrics.timeline("run.flow.premium.cwnd_bytes").points().empty());
+  EXPECT_GE(metrics.timeline("qdisc.ef_bytes").points().size(), 5u);
+  EXPECT_FALSE(metrics.timeline("flow.premium.cwnd_bytes").points().empty());
 
   // Snapshot counters from the net/tcp layers.
-  EXPECT_GT(metrics.counter("run.qdisc.ef.enqueued").value(), 0u);
-  EXPECT_GT(metrics.counter("run.tcp.flow01.segments_sent").value(), 0u);
+  EXPECT_GT(metrics.counter("qdisc.ef.enqueued").value(), 0u);
+  EXPECT_GT(metrics.counter("tcp.flow01.segments_sent").value(), 0u);
   EXPECT_GT(stats.round_trips, 0);
 }
 

@@ -16,26 +16,11 @@ TEST(CounterTest, IncrementsWhenEnabled) {
   EXPECT_EQ(c.value(), 42u);
 }
 
-TEST(CounterTest, DisabledRegistryRecordsNothing) {
-  MetricsRegistry metrics;
-  metrics.setEnabled(false);
-  auto& c = metrics.counter("a");
-  c.inc(100);
-  EXPECT_EQ(c.value(), 0u);
-  // Re-enabling resumes recording on the same instrument.
-  metrics.setEnabled(true);
-  c.inc(5);
-  EXPECT_EQ(c.value(), 5u);
-}
-
 TEST(GaugeTest, SetOverwrites) {
   MetricsRegistry metrics;
   auto& g = metrics.gauge("util");
   g.set(0.5);
   g.set(0.75);
-  EXPECT_DOUBLE_EQ(g.value(), 0.75);
-  metrics.setEnabled(false);
-  g.set(0.1);
   EXPECT_DOUBLE_EQ(g.value(), 0.75);
 }
 
@@ -125,19 +110,6 @@ TEST(TimeSeriesTest, AppendsInOrder) {
   ASSERT_EQ(ts.points().size(), 2u);
   EXPECT_DOUBLE_EQ(ts.points()[0].t_seconds, 1.0);
   EXPECT_DOUBLE_EQ(ts.points()[1].value, 20.0);
-}
-
-TEST(RegistryTest, DisabledGatesAllInstrumentKinds) {
-  MetricsRegistry metrics;
-  metrics.setEnabled(false);
-  metrics.counter("c").inc();
-  metrics.gauge("g").set(1.0);
-  metrics.histogram("h").record(1.0);
-  metrics.timeline("t").append(0.0, 1.0);
-  EXPECT_EQ(metrics.counter("c").value(), 0u);
-  EXPECT_DOUBLE_EQ(metrics.gauge("g").value(), 0.0);
-  EXPECT_EQ(metrics.histogram("h").count(), 0u);
-  EXPECT_TRUE(metrics.timeline("t").points().empty());
 }
 
 }  // namespace

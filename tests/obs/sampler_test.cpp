@@ -125,16 +125,5 @@ TEST(SamplerTest, DestructionCancelsPendingTick) {
   EXPECT_TRUE(metrics.timeline("series").points().empty());
 }
 
-TEST(SamplerTest, DisabledRegistryStillTicksButRecordsNothing) {
-  sim::Simulator sim;
-  MetricsRegistry metrics;
-  metrics.setEnabled(false);
-  Sampler sampler(sim, metrics, Duration::seconds(1.0));
-  sampler.addProbe("series", [] { return 1.0; });
-  sampler.start();
-  sim.runUntil(TimePoint::fromSeconds(2.5));
-  EXPECT_TRUE(metrics.timeline("series").points().empty());
-}
-
 }  // namespace
 }  // namespace mgq::obs

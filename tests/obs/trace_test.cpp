@@ -2,16 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "obs/export.hpp"
+
 namespace mgq::obs {
 namespace {
 
 TEST(TraceBufferTest, RecordsFieldsAndScope) {
   TraceBuffer trace;
-  trace.setScope("run1");
   trace.record("reservation", "admitted", 7, 40e6, "net-forward");
   ASSERT_EQ(trace.events().size(), 1u);
+  // A buffer's events are scoped by the run label they are exported under.
+  const std::string json =
+      renderMultiRunJson("b", {RunExport{"run1", nullptr, &trace}});
+  EXPECT_NE(json.find("\"scope\": \"run1\""), std::string::npos);
   const auto& e = trace.events().front();
-  EXPECT_EQ(e.scope, "run1");
   EXPECT_EQ(e.category, "reservation");
   EXPECT_EQ(e.event, "admitted");
   EXPECT_EQ(e.id, 7u);
@@ -57,14 +63,6 @@ TEST(TraceBufferTest, ZeroCapacityClampedToOne) {
   EXPECT_EQ(trace.events().front().event, "second");
 }
 
-TEST(TraceBufferTest, DisabledRecordsNothing) {
-  TraceBuffer trace;
-  trace.setEnabled(false);
-  trace.record("c", "e");
-  EXPECT_TRUE(trace.events().empty());
-  EXPECT_EQ(trace.droppedEvents(), 0u);
-}
-
 TEST(TraceBufferTest, ClearResetsEventsAndDropCount) {
   TraceBuffer trace(2);
   for (int i = 0; i < 4; ++i) trace.record("c", "e");
@@ -76,14 +74,20 @@ TEST(TraceBufferTest, ClearResetsEventsAndDropCount) {
 }
 
 TEST(TraceBufferTest, ScopeSwitchesMidStream) {
-  // Multi-run benches re-scope one shared buffer between runs.
-  TraceBuffer trace;
-  trace.setScope("under");
-  trace.record("reservation", "admitted");
-  trace.setScope("adequate");
-  trace.record("reservation", "admitted");
-  EXPECT_EQ(trace.events()[0].scope, "under");
-  EXPECT_EQ(trace.events()[1].scope, "adequate");
+  // Multi-run benches keep one buffer per run; the merged document scopes
+  // each run's events by its label, in run order.
+  TraceBuffer under;
+  under.record("reservation", "admitted");
+  TraceBuffer adequate;
+  adequate.record("reservation", "admitted");
+  const std::string json =
+      renderMultiRunJson("b", {RunExport{"under", nullptr, &under},
+                               RunExport{"adequate", nullptr, &adequate}});
+  const auto first = json.find("\"scope\": \"under\"");
+  const auto second = json.find("\"scope\": \"adequate\"");
+  ASSERT_NE(first, std::string::npos);
+  ASSERT_NE(second, std::string::npos);
+  EXPECT_LT(first, second);
 }
 
 }  // namespace

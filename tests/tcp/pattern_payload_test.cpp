@@ -116,8 +116,8 @@ TEST(PatternPayloadTest, CorruptionCloneIsThePatternWithOneBitFlipped) {
   network.computeRoutes();
   HeaderSink sink;
   dst.bind(net::Protocol::kTcp, 7, &sink);
-  net::CorruptionInjector corrupt(src.nic(), /*seed=*/5);
-  corrupt.start(/*corrupt_probability=*/1.0);
+  net::WireFaults wire(src.nic(), /*seed=*/5);
+  wire.start(net::WireFaults::Kind::kCorrupt, 1.0);
 
   const net::FlowKey flow{src.id(), dst.id(), 1000, 7, net::Protocol::kTcp};
   std::vector<net::BufSlice> originals;
@@ -131,7 +131,7 @@ TEST(PatternPayloadTest, CorruptionCloneIsThePatternWithOneBitFlipped) {
   }
   sim.run();
 
-  EXPECT_EQ(corrupt.corrupted(), std::size(kPhases));
+  EXPECT_EQ(src.nic().stats().corrupted, std::size(kPhases));
   ASSERT_EQ(sink.headers.size(), std::size(kPhases));
   for (std::size_t k = 0; k < sink.headers.size(); ++k) {
     const auto& h = sink.headers[k];

@@ -264,18 +264,19 @@ std::int64_t transferWithStats(sim::Simulator& sim, net::Host& from,
 TEST(TcpIntegrityTest, CorruptedSegmentsDieAtTheChecksumWallNotInTheStream) {
   sim::Simulator sim(19);
   LossyPair pair(sim);
-  net::CorruptionInjector corrupt(pair.a->nic(), /*seed=*/21);
-  corrupt.start(/*corrupt_probability=*/0.05);
+  net::WireFaults wire(pair.a->nic(), /*seed=*/21);
+  wire.start(net::WireFaults::Kind::kCorrupt, 0.05);
+  const auto& wire_stats = pair.a->nic().stats();
 
   TcpStats st;
   const auto got =
       transferWithStats(sim, *pair.a, *pair.b, 400'000, st);
   EXPECT_EQ(got, 400'000)
       << "every corrupted segment must be retransmitted clean";
-  EXPECT_GT(corrupt.corrupted(), 0u);
+  EXPECT_GT(wire_stats.corrupted, 0u);
   EXPECT_GT(st.checksum_drops, 0u)
       << "receiver must count the corrupted segments it refused";
-  EXPECT_LE(st.checksum_drops, corrupt.corrupted())
+  EXPECT_LE(st.checksum_drops, wire_stats.corrupted)
       << "conservation: drops cannot exceed corruptions emitted";
   EXPECT_EQ(st.resets, 0u) << "the checksum wall held; no reset";
 }
@@ -397,7 +398,7 @@ TEST(TcpIntegrityTest, ForgedSegmentsExerciseReassemblyEdgeCases) {
   sim.spawn(server(listener, &srv));
   sim.spawn(client(a, b.id()));
 
-  net::PartitionFault mute(b.nic());
+  net::WireFaults mute(b.nic(), /*seed=*/1);
   sim.schedule(Duration::millis(400), [&mute] { mute.partition(); });
 
   auto forge = [&](std::uint64_t seq, std::size_t len, bool good_checksum) {
