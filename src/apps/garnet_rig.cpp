@@ -5,9 +5,13 @@ namespace mgq::apps {
 namespace {
 
 mpi::World::Config worldConfig(net::GarnetTopology& garnet,
-                               const tcp::TcpConfig& tcp) {
+                               const tcp::TcpConfig& tcp, int ranks_per_host) {
   mpi::World::Config config;
-  config.hosts = {garnet.premium_src, garnet.premium_dst};
+  config.hosts.assign(static_cast<std::size_t>(ranks_per_host),
+                      garnet.premium_src);
+  config.hosts.insert(config.hosts.end(),
+                      static_cast<std::size_t>(ranks_per_host),
+                      garnet.premium_dst);
   config.tcp = tcp;
   return config;
 }
@@ -31,7 +35,7 @@ gq::QosAgent::Config agentConfig(net::GarnetTopology& garnet,
 
 GarnetRig::GarnetRig() : GarnetRig(Config{}) {}
 
-GarnetRig::GarnetRig(const Config& config)
+GarnetRig::GarnetRig(const Config& config, int ranks_per_host)
     : sim(config.seed),
       garnet(sim, config.topology),
       sender_cpu(sim, "sender-cpu"),
@@ -45,7 +49,7 @@ GarnetRig::GarnetRig(const Config& config)
       cpu_sender_rm(sender_cpu),
       cpu_receiver_rm(receiver_cpu),
       gara(sim),
-      world(sim, worldConfig(garnet, config.tcp)),
+      world(sim, worldConfig(garnet, config.tcp, ranks_per_host)),
       agent(world, gara, agentConfig(garnet, config.recovery)),
       contention_sink(*garnet.competitive_dst, 9),
       config_(config) {

@@ -1,8 +1,10 @@
 // The complete experimental rig used by the paper's evaluation: GARNET
 // topology + DS network resource managers on both edges + DSRT CPU
-// managers on the premium hosts + GARA + a two-rank MPI world (rank 0 on
-// premium-src, rank 1 on premium-dst) + the MPI QoS agent + the UDP
-// contention generator.
+// managers on the premium hosts + GARA + an MPI world with the same
+// number of ranks on each premium host (ranks [0, n) on premium-src,
+// [n, 2n) on premium-dst; n = 1 for every experiment but the §3
+// finite-difference code) + the MPI QoS agent + the UDP contention
+// generator.
 //
 // Every figure/table scenario and the end-to-end tests build one of
 // these and differ only in workload and reservation parameters.
@@ -48,7 +50,7 @@ class GarnetRig {
   };
 
   GarnetRig();
-  explicit GarnetRig(const Config& config);
+  explicit GarnetRig(const Config& config, int ranks_per_host = 1);
 
   // --- experiment controls ------------------------------------------------
   /// Starts best-effort UDP contention across the core at `rate_bps`

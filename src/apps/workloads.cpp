@@ -182,12 +182,6 @@ sim::Task<FiniteDifferenceResult> runFiniteDifference(
       }
     }
 
-    if (config.cpu != nullptr && config.cpu_seconds_per_iteration > 0.0) {
-      co_await config.cpu->compute(
-          config.cpu_job,
-          sim::Duration::seconds(config.cpu_seconds_per_iteration));
-    }
-
     // Sweep interior rows. Edge ranks must not update the global boundary
     // rows (global row 0 and global_rows-1), which stay fixed.
     const int first = (rank == 0) ? 2 : 1;

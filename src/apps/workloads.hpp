@@ -3,8 +3,8 @@
 //  * distance visualization (§5.3-5.5) — a fixed-rate frame stream with
 //    adjustable rate, frame size, and per-frame CPU work;
 //  * a finite-difference halo-exchange kernel (the §3 motivating
-//    example), usable both as an example application and a correctness
-//    test (it computes a real Jacobi iteration);
+//    example, run by the fd_critical_link scenario); it computes a real
+//    Jacobi iteration, checked against a single-process reference;
 //  * a phase-shifting bulk stream (bulk → idle → bulk) — the demand
 //    signal the adaptive QoS control plane (src/adapt/) tracks.
 #pragma once
@@ -80,10 +80,6 @@ struct FiniteDifferenceConfig {
   int global_rows = 64;
   int cols = 64;
   int iterations = 50;
-  /// Optional per-iteration compute cost on each rank's host CPU.
-  cpu::CpuScheduler* cpu = nullptr;
-  cpu::JobId cpu_job = 0;
-  double cpu_seconds_per_iteration = 0.0;
 };
 
 struct FiniteDifferenceResult {

@@ -9,6 +9,7 @@
 #include "scenario/builder.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/sweep.hpp"
+#include "util/logging.hpp"
 
 namespace mgq::chaos {
 namespace {
@@ -135,7 +136,11 @@ ChaosRunReport ChaosRunner::runPlan(const ChaosPlan& plan,
   };
 
   scenario::ScenarioRunner runner(/*echo=*/nullptr);
-  runner.run(spec, hooks);
+  {
+    util::LogCapture capture;
+    runner.run(spec, hooks);
+    report.warnings = capture.text();
+  }
 
   if (monitor != nullptr) report.violations = monitor->violations();
   report.log =

@@ -62,6 +62,9 @@ struct ChaosRunReport {
   /// Deterministic chaos log: plan header + injector log + footer +
   /// violation section. Same plan ⇒ byte-identical.
   std::string log;
+  /// The log records ("[WARN] ..." lines) the run emitted, captured on
+  /// the thread that ran it so a sweep can print them in seed order.
+  std::string warnings;
   std::uint64_t injector_fired = 0;
   std::uint64_t injector_skipped = 0;
   bool ok() const { return violations.empty(); }

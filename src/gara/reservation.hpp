@@ -65,10 +65,6 @@ struct ReservationRequest {
 
   // --- CPU-specific -----------------------------------------------------
   cpu::JobId cpu_job = 0;
-
-  // --- storage-specific ---------------------------------------------------
-  /// DPSS session to pin bandwidth for (amount is bits/second).
-  std::uint32_t storage_session = 0;
 };
 
 class ResourceManager;

@@ -1,6 +1,6 @@
 // Umbrella header for MPICH-GQ: pulls in the full public API.
 //
-// Typical wiring (see examples/quickstart.cpp):
+// Typical wiring (apps::GarnetRig assembles exactly this):
 //
 //   sim::Simulator sim;
 //   net::GarnetTopology garnet(sim);                  // the testbed

@@ -18,9 +18,6 @@ namespace {
 constexpr int kTagBarrier = 1 * 64;
 constexpr int kTagBcast = 2 * 64;
 constexpr int kTagReduce = 3 * 64;
-constexpr int kTagGather = 4 * 64;
-constexpr int kTagAlltoall = 5 * 64;
-constexpr int kTagScan = 6 * 64;
 }  // namespace
 
 void Comm::applyOp(std::vector<double>& acc, std::span<const double> in,
@@ -122,89 +119,6 @@ sim::Task<std::vector<double>> Comm::allreduce(
   auto bytes = packDoubles(result);
   co_await bcast(bytes, 0);
   co_return unpackDoubles(bytes);
-}
-
-sim::Task<std::vector<std::uint8_t>> Comm::gather(
-    std::span<const std::uint8_t> contribution, int root) {
-  assert(valid());
-  if (my_rank_ != root) {
-    co_await sendOnContext(internalContext(), root, kTagGather, contribution);
-    co_return std::vector<std::uint8_t>{};
-  }
-  std::vector<std::uint8_t> out;
-  for (int r = 0; r < size(); ++r) {
-    if (r == my_rank_) {
-      out.insert(out.end(), contribution.begin(), contribution.end());
-    } else {
-      Message m = co_await recvOnContext(internalContext(), r, kTagGather);
-      out.insert(out.end(), m.data.begin(), m.data.end());
-    }
-  }
-  co_return out;
-}
-
-sim::Task<std::vector<std::uint8_t>> Comm::allgather(
-    std::span<const std::uint8_t> contribution) {
-  auto gathered = co_await gather(contribution, 0);
-  co_await bcast(gathered, 0);
-  co_return gathered;
-}
-
-sim::Task<std::vector<std::uint8_t>> Comm::alltoall(
-    std::span<const std::uint8_t> contribution, std::size_t block) {
-  assert(valid());
-  if (contribution.size() != block * static_cast<std::size_t>(size())) {
-    throw std::runtime_error("alltoall: contribution must be size()*block");
-  }
-  // Post all receives, then send all blocks, then collect.
-  std::vector<Request> recvs;
-  for (int r = 0; r < size(); ++r) {
-    if (r == my_rank_) continue;
-    recvs.push_back(irecvInternal(r, kTagAlltoall));
-  }
-  std::vector<Request> sends;
-  for (int r = 0; r < size(); ++r) {
-    if (r == my_rank_) continue;
-    const auto* begin = contribution.data() + block * static_cast<std::size_t>(r);
-    sends.push_back(isendInternal(
-        r, kTagAlltoall, std::vector<std::uint8_t>(begin, begin + block)));
-  }
-  std::vector<std::uint8_t> out(block * static_cast<std::size_t>(size()));
-  // My own block.
-  std::copy_n(contribution.data() + block * static_cast<std::size_t>(my_rank_),
-              block, out.data() + block * static_cast<std::size_t>(my_rank_));
-  std::size_t idx = 0;
-  for (int r = 0; r < size(); ++r) {
-    if (r == my_rank_) continue;
-    Message m = co_await wait(recvs[idx++]);
-    if (m.data.size() != block) {
-      throw std::runtime_error("alltoall: block size mismatch");
-    }
-    std::copy_n(m.data.data(), block,
-                out.data() + block * static_cast<std::size_t>(m.source));
-  }
-  for (auto& s : sends) co_await wait(std::move(s));
-  co_return out;
-}
-
-sim::Task<std::vector<double>> Comm::scan(std::span<const double> contribution,
-                                          ReduceOp op) {
-  assert(valid());
-  std::vector<double> acc(contribution.begin(), contribution.end());
-  if (my_rank_ > 0) {
-    Message m =
-        co_await recvOnContext(internalContext(), my_rank_ - 1, kTagScan);
-    const auto prefix = unpackDoubles(m.data);
-    if (prefix.size() != acc.size()) {
-      throw std::runtime_error("scan: contribution size mismatch");
-    }
-    applyOp(acc, prefix, op);
-  }
-  if (my_rank_ + 1 < size()) {
-    co_await sendOnContext(internalContext(), my_rank_ + 1, kTagScan,
-                           packDoubles(acc));
-  }
-  co_return acc;
 }
 
 }  // namespace mgq::mpi

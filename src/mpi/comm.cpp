@@ -43,11 +43,6 @@ sim::Task<> Comm::send(int dst, int tag, std::span<const std::uint8_t> data) {
   return sendOnContext(context_, dst, tag, data);
 }
 
-sim::Task<> Comm::sendSlice(int dst, int tag, net::BufSlice data) {
-  assert(tag >= 0 && "user tags must be non-negative");
-  return sendSliceOnContext(context_, dst, tag, std::move(data));
-}
-
 sim::Task<> Comm::sendZeros(int dst, int tag, std::int64_t bytes) {
   // The payload content is irrelevant for benchmark traffic; a pooled
   // zero-filled slice is written once and adopted by the TCP send ring by
@@ -127,18 +122,6 @@ Request Comm::isendInternal(int dst, int tag,
   return state;
 }
 
-Request Comm::irecvInternal(int src, int tag) {
-  auto state = std::make_shared<RequestState>();
-  state->cond = std::make_unique<sim::Condition>(world_->simulator());
-  auto task = [](Comm comm, int s, int t, Request st) -> sim::Task<> {
-    st->message = co_await comm.recvOnContext(comm.internalContext(), s, t);
-    st->done = true;
-    st->cond->notifyAll();
-  };
-  world_->simulator().spawn(task(*this, src, tag, state));
-  return state;
-}
-
 sim::Task<Message> Comm::wait(Request request) {
   assert(request != nullptr);
   co_await awaitUntil(*request->cond, [&request] { return request->done; });
@@ -191,36 +174,6 @@ sim::Task<Comm> Comm::dup() {
     }
   }
   co_return copy;
-}
-
-sim::Task<Comm> Comm::split(int color, int key) {
-  assert(valid());
-  // Allgather (color, key) over the internal context.
-  std::vector<std::int64_t> mine{color, key};
-  auto packed = packInts(mine);
-  auto all = co_await allgather(packed);
-  auto values = unpackInts(all);
-
-  const int n = world_->nextDerivation(worldRank(my_rank_), context_);
-  if (color < 0) co_return Comm();  // this rank opts out
-
-  // Collect members with my color, ordered by (key, parent rank).
-  std::vector<std::pair<std::int64_t, int>> group;  // (key, parent rank)
-  for (int r = 0; r < size(); ++r) {
-    const auto c = values[static_cast<std::size_t>(2 * r)];
-    const auto k = values[static_cast<std::size_t>(2 * r + 1)];
-    if (c == color) group.emplace_back(k, r);
-  }
-  std::sort(group.begin(), group.end());
-
-  std::vector<int> new_members;
-  int new_rank = -1;
-  for (const auto& [k, parent_rank] : group) {
-    if (parent_rank == my_rank_) new_rank = static_cast<int>(new_members.size());
-    new_members.push_back(worldRank(parent_rank));
-  }
-  const auto ctx = world_->allocContext(context_, /*salt=*/color, n);
-  co_return Comm(*world_, ctx, std::move(new_members), new_rank);
 }
 
 sim::Task<Comm> Comm::createPair(int other) {

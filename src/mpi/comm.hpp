@@ -1,6 +1,6 @@
 // Communicators: process groups with an isolating context id, point-to-
 // point messaging, nonblocking requests, collectives, attribute storage,
-// and the communicator-derivation operations (dup, split, pair
+// and the communicator-derivation operations (dup, pair
 // intercommunicators) the paper's QoS targeting relies on ("by careful
 // creation of appropriate communicators, [one can] target both queries
 // and requests to specific links or sets of links").
@@ -56,9 +56,6 @@ class Comm {
   sim::Task<> send(int dst, int tag, const std::vector<std::uint8_t>& data) {
     return send(dst, tag, std::span<const std::uint8_t>(data));
   }
-  /// Zero-copy variant: the slice is adopted into the transport by
-  /// reference (see packDoublesSlice / net::BufSlice::copyOf).
-  sim::Task<> sendSlice(int dst, int tag, net::BufSlice data);
   /// Sends `bytes` of zero payload (bulk benchmark traffic).
   sim::Task<> sendZeros(int dst, int tag, std::int64_t bytes);
   sim::Task<Message> recv(int src, int tag);
@@ -84,28 +81,6 @@ class Comm {
                                         ReduceOp op, int root);
   sim::Task<std::vector<double>> allreduce(
       std::span<const double> contribution, ReduceOp op);
-  /// Root receives all contributions concatenated in rank order; others
-  /// get an empty vector.
-  sim::Task<std::vector<std::uint8_t>> gather(
-      std::span<const std::uint8_t> contribution, int root);
-  sim::Task<std::vector<std::uint8_t>> allgather(
-      std::span<const std::uint8_t> contribution);
-  /// contribution.size() == size() blocks of `block` bytes; returns my
-  /// received blocks concatenated in rank order.
-  sim::Task<std::vector<std::uint8_t>> alltoall(
-      std::span<const std::uint8_t> contribution, std::size_t block);
-  /// Inclusive prefix reduction.
-  sim::Task<std::vector<double>> scan(std::span<const double> contribution,
-                                      ReduceOp op);
-
-  // --- topology-aware collectives (extension) ------------------------------
-  // The MPICH-G project's hierarchy-exploiting collectives (paper's
-  // reference [23]): ranks co-located on a host form a group with a
-  // leader; wide-area links are crossed once per remote host instead of
-  // O(log P) times with arbitrary rank placement.
-  sim::Task<> bcastTopologyAware(std::vector<std::uint8_t>& data, int root);
-  sim::Task<std::vector<double>> reduceTopologyAware(
-      std::span<const double> contribution, ReduceOp op, int root);
 
   // --- attributes ----------------------------------------------------------
   /// Stores `value` under `k` and fires the keyval's put hook (the
@@ -119,9 +94,6 @@ class Comm {
   /// Collective: duplicate this communicator (attributes propagate through
   /// their copy callbacks).
   sim::Task<Comm> dup();
-  /// Collective: partition by color (color < 0 yields an invalid comm for
-  /// that rank); ranks ordered by (key, parent rank).
-  sim::Task<Comm> split(int color, int key);
   /// Collective between `rank()` and `other`: a two-party communicator
   /// (the paper's QoS unit). Both parties call it with each other's rank.
   sim::Task<Comm> createPair(int other);
@@ -152,7 +124,6 @@ class Comm {
                                  net::BufSlice data);
   sim::Task<Message> recvOnContext(std::int32_t ctx, int src, int tag);
   Request isendInternal(int dst, int tag, std::vector<std::uint8_t> data);
-  Request irecvInternal(int src, int tag);
   static void applyOp(std::vector<double>& acc, std::span<const double> in,
                       ReduceOp op);
 

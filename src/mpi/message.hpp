@@ -11,8 +11,6 @@
 #include <span>
 #include <vector>
 
-#include "net/buffer.hpp"
-
 namespace mgq::mpi {
 
 inline constexpr int kAnySource = -1;
@@ -49,55 +47,37 @@ struct WireHeader {
 };
 
 // --- pack/unpack helpers for typed collectives ---------------------------
+// An empty vector's data() may be null, and memcpy from or to null is
+// undefined even for zero bytes, so empty inputs skip the copy.
 
 inline std::vector<std::uint8_t> packDoubles(std::span<const double> values) {
-  std::vector<std::uint8_t> out(values.size() * sizeof(double));
-  std::memcpy(out.data(), values.data(), out.size());
+  std::vector<std::uint8_t> out(values.size_bytes());
+  if (!out.empty()) std::memcpy(out.data(), values.data(), out.size());
   return out;
 }
 
 inline std::vector<double> unpackDoubles(
     std::span<const std::uint8_t> bytes) {
   std::vector<double> out(bytes.size() / sizeof(double));
-  std::memcpy(out.data(), bytes.data(), out.size() * sizeof(double));
+  if (!out.empty()) {
+    std::memcpy(out.data(), bytes.data(), out.size() * sizeof(double));
+  }
   return out;
 }
 
 inline std::vector<std::uint8_t> packInts(std::span<const std::int64_t> v) {
-  std::vector<std::uint8_t> out(v.size() * sizeof(std::int64_t));
-  std::memcpy(out.data(), v.data(), out.size());
+  std::vector<std::uint8_t> out(v.size_bytes());
+  if (!out.empty()) std::memcpy(out.data(), v.data(), out.size());
   return out;
 }
 
 inline std::vector<std::int64_t> unpackInts(
     std::span<const std::uint8_t> bytes) {
   std::vector<std::int64_t> out(bytes.size() / sizeof(std::int64_t));
-  std::memcpy(out.data(), bytes.data(), out.size() * sizeof(std::int64_t));
+  if (!out.empty()) {
+    std::memcpy(out.data(), bytes.data(), out.size() * sizeof(std::int64_t));
+  }
   return out;
-}
-
-// Slice-based pack path: values are serialized once into a pooled buffer
-// and the resulting slice rides the TCP send ring without an intermediate
-// vector (Comm::sendSlice adopts it by reference).
-
-inline net::BufSlice packDoublesSlice(std::span<const double> values) {
-  return net::BufSlice::copyOf(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(values.data()),
-      values.size() * sizeof(double)));
-}
-
-inline net::BufSlice packIntsSlice(std::span<const std::int64_t> values) {
-  return net::BufSlice::copyOf(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(values.data()),
-      values.size() * sizeof(std::int64_t)));
-}
-
-inline std::vector<double> unpackDoubles(const net::BufSlice& slice) {
-  return unpackDoubles(slice.span());
-}
-
-inline std::vector<std::int64_t> unpackInts(const net::BufSlice& slice) {
-  return unpackInts(slice.span());
 }
 
 }  // namespace mgq::mpi

@@ -223,6 +223,14 @@ class BufferPool {
 
   const BufferPoolStats& stats() const { return stats_; }
 
+  /// Restarts both high-water marks from the current live counts, so a
+  /// run that starts now reports its own peak rather than the largest
+  /// one an earlier run on this thread reached.
+  void resetHighWater() {
+    stats_.high_water = stats_.live;
+    stats_.high_water_bytes = stats_.live_bytes;
+  }
+
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <utility>
+#include <variant>
 
 #include "apps/rig_obs.hpp"
 #include "gara/gara.hpp"
@@ -299,13 +300,48 @@ void wirePingLatency(BuiltScenario& b, const ScenarioSpec& spec,
       });
 }
 
+void wireFiniteDifference(BuiltScenario& b, const ScenarioSpec& spec) {
+  using W = FiniteDifferenceWorkload;
+  auto inl = inlineReservations(spec);
+  b.rig.world.launch([&b, inl = std::move(inl)](mpi::Comm& comm) -> Task<> {
+    const int rank = comm.rank();
+    if (rank == 0) b.comm0 = &comm;
+    // The two ends of the critical link target it with a pair
+    // communicator (§3: "by careful creation of appropriate
+    // communicators, target ... specific links").
+    constexpr int kBoundary = W::kRanksPerHost - 1;
+    if (!inl.empty() && (rank == kBoundary || rank == kBoundary + 1)) {
+      mpi::Comm pair = co_await comm.createPair(
+          rank == kBoundary ? kBoundary + 1 : kBoundary);
+      co_await applyInlineReservations(b, inl, pair);
+    }
+    co_await comm.barrier();
+    const auto start = b.rig.sim.now();
+    apps::FiniteDifferenceConfig config;
+    config.global_rows = W::kRows;
+    config.cols = W::kCols;
+    config.iterations = W::kIterations;
+    const auto result = co_await apps::runFiniteDifference(comm, config);
+    co_await comm.barrier();
+    if (rank == 0) {
+      b.fd = result;
+      b.fd_seconds = (b.rig.sim.now() - start).toSeconds();
+      b.rig.sim.stop();
+    }
+  });
+}
+
 }  // namespace
 
 std::unique_ptr<BuiltScenario> ScenarioBuilder::build(
     const ScenarioSpec& spec) {
   apps::GarnetRig::Config config = spec.rig;
   config.seed = spec.seed;
-  auto built = std::make_unique<BuiltScenario>(config);
+  const int ranks_per_host =
+      std::holds_alternative<FiniteDifferenceWorkload>(spec.workload)
+          ? FiniteDifferenceWorkload::kRanksPerHost
+          : 1;
+  auto built = std::make_unique<BuiltScenario>(config, ranks_per_host);
   BuiltScenario* b = built.get();
   auto& rig = built->rig;
 
@@ -318,7 +354,10 @@ std::unique_ptr<BuiltScenario> ScenarioBuilder::build(
         Duration::seconds(spec.sample_interval_seconds));
     apps::attachRigObservability(rig, *built->metrics, *built->trace,
                                  *built->sampler);
-    apps::addTcpFlowProbes(*built->sampler, rig.world, 0, 1, "flow.premium");
+    // The premium flow runs from the source host's last rank to the
+    // destination host's first: 0 -> 1, or the FD critical link 7 -> 8.
+    apps::addTcpFlowProbes(*built->sampler, rig.world, ranks_per_host - 1,
+                           ranks_per_host, "flow.premium");
     built->sampler->start();
   }
 
@@ -437,6 +476,9 @@ std::unique_ptr<BuiltScenario> ScenarioBuilder::build(
           [&](const PingLatencyWorkload& w) { wirePingLatency(*b, spec, w); },
           [&](const AdaptiveTenantsWorkload& w) {
             wireAdaptiveTenants(*b, w);
+          },
+          [&](const FiniteDifferenceWorkload&) {
+            wireFiniteDifference(*b, spec);
           },
       },
       spec.workload);

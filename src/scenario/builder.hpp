@@ -32,8 +32,8 @@
 namespace mgq::scenario {
 
 struct BuiltScenario {
-  explicit BuiltScenario(const apps::GarnetRig::Config& config)
-      : rig(config), injector(rig.sim) {}
+  BuiltScenario(const apps::GarnetRig::Config& config, int ranks_per_host)
+      : rig(config, ranks_per_host), injector(rig.sim) {}
 
   apps::GarnetRig rig;
   /// Drives every fault of the run, scripted or chaos, over the
@@ -51,6 +51,8 @@ struct BuiltScenario {
   apps::PingPongStats pingpong;
   apps::VisualizationStats viz;
   std::vector<double> rtt_ms;
+  apps::FiniteDifferenceResult fd;
+  double fd_seconds = 0.0;
   std::unique_ptr<tcp::TcpListener> listener;
   tcp::TcpSocket* receiver = nullptr;  // offered-load receiving socket
   std::uint64_t tcp_timeouts = 0;

@@ -215,6 +215,34 @@ ScenarioSpec fig9Spec() {
   return spec;
 }
 
+ScenarioSpec fdCriticalLinkSpec() {
+  using W = FiniteDifferenceWorkload;
+  ScenarioSpec spec;
+  spec.name = "fd_critical_link";
+  spec.title = "Finite difference on two 8-rank SMPs: premium QoS on the "
+               "rank 7 <-> 8 critical link";
+  spec.paper_ref = "§3: \"a small amount of contention over a critical "
+                   "link can play havoc with overall performance\"";
+  spec.workload = W{};
+  spec.contention.enabled = true;
+  // A budget, not the stop time: the job stops the run when it finishes.
+  // Best effort under this contention needs ~280 s, premium under 1 s.
+  spec.run_until_seconds = 600.0;
+  ReservationSpec r;
+  r.network_kbps = 20'000.0;
+  r.max_message_size = W::kCols * static_cast<int>(sizeof(double));
+  spec.reservations.push_back(r);
+  spec.checks = {
+      {"the job computes the single-process reference checksum",
+       [](const ScenarioResult& res) {
+         return res.fd.iterations == W::kIterations &&
+                std::abs(res.fd.checksum -
+                         apps::finiteDifferenceReferenceChecksum(
+                             W::kRows, W::kCols, W::kIterations)) < 1e-9;
+       }}};
+  return spec;
+}
+
 ScenarioSpec priorityQueuingSpec(const std::string& name, bool mark_ef) {
   ScenarioSpec spec;
   spec.name = name;
@@ -654,6 +682,9 @@ void registerPaperScenarios(ScenarioRegistry& registry) {
                                            net::TokenBucket::kNormalDivisor,
                                            /*snapshot_grace_seconds=*/1.0);
                 }});
+  registry.add({"fd_critical_link",
+                "Finite difference: premium QoS on the critical link",
+                "§3", fdCriticalLinkSpec});
   registry.add({"ablation_priority_ef",
                 "Priority-queuing ablation: EF-marked premium flow",
                 "§5.1", [] {

@@ -43,6 +43,13 @@ ScenarioSpec fig8Spec();
 /// @21 s, CPU hog @31 s, CPU reservation @41 s. Includes phase checks.
 ScenarioSpec fig9Spec();
 
+/// §3's motivating application: the finite-difference code on two
+/// 8-rank SMP hosts under the rig's UDP contention, with premium QoS on
+/// the rank 7 <-> 8 pair communicator. Checks that the job computes the
+/// single-process reference answer; the `fd` suite compares it against
+/// the same spec without the reservation.
+ScenarioSpec fdCriticalLinkSpec();
+
 /// Priority-queuing ablation: 5 Mb/s token-bucket admission, marked EF or
 /// deliberately left best effort, under saturating contention.
 ScenarioSpec priorityQueuingSpec(const std::string& name, bool mark_ef);

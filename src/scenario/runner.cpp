@@ -4,6 +4,7 @@
 #include <variant>
 
 #include "apps/rig_obs.hpp"
+#include "net/buffer.hpp"
 #include "scenario/builder.hpp"
 
 namespace mgq::scenario {
@@ -14,7 +15,8 @@ double measurementSeconds(const ScenarioSpec& spec) {
   return std::visit(
       [](const auto& w) -> double {
         using W = std::decay_t<decltype(w)>;
-        if constexpr (std::is_same_v<W, PingLatencyWorkload>) {
+        if constexpr (std::is_same_v<W, PingLatencyWorkload> ||
+                      std::is_same_v<W, FiniteDifferenceWorkload>) {
           return 0.0;
         } else {
           return w.seconds;
@@ -69,6 +71,9 @@ bool ScenarioResult::checksPassed() const {
 
 ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec,
                                    const RunHooks& hooks) {
+  // The export's pool high-water must be this run's: runs share their
+  // thread's pool, and sweeps hand runs to threads in any order.
+  net::BufferPool::local().resetHighWater();
   ScenarioBuilder builder;
   auto built = builder.build(spec);
   auto& rig = built->rig;
@@ -102,6 +107,8 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec,
   result.pingpong = built->pingpong;
   result.viz = built->viz;
   result.rtt_ms = std::move(built->rtt_ms);
+  result.fd = built->fd;
+  result.fd_seconds = built->fd_seconds;
   result.delivered_bytes = built->deliveredBytes();
   result.delivered_at_measure = built->delivered_at_measure;
   const std::int64_t measured = result.delivered_at_measure >= 0

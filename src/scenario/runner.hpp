@@ -37,6 +37,11 @@ struct ScenarioResult {
   apps::PingPongStats pingpong;
   apps::VisualizationStats viz;
   std::vector<double> rtt_ms;
+  /// FiniteDifferenceWorkload: rank 0's result (its checksum is the
+  /// global one) and the seconds from the opening barrier to the closing
+  /// one. Both stay zero when the job did not finish.
+  apps::FiniteDifferenceResult fd;
+  double fd_seconds = 0.0;
 
   /// Receiver-side byte counts: at the end of the run, and at the
   /// measure_at snapshot (-1 when no snapshot was requested).

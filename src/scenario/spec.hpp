@@ -112,9 +112,25 @@ struct AdaptiveTenantsWorkload {
   std::optional<adapt::QosController::Config> controller;
 };
 
+/// The paper's §3 motivating application: a Jacobi finite-difference
+/// code (apps::runFiniteDifference) "partitioned across two
+/// 8-processor multiprocessors". Ranks 0-7 run on the premium source
+/// host and 8-15 on the premium destination, so every halo exchange is
+/// host-local except rank 7 <-> 8, the critical link across the core.
+/// Inline reservations are put by ranks 7 and 8 on their pair
+/// communicator. The run ends when the job does: rank 0 stops the
+/// simulator after the closing barrier.
+struct FiniteDifferenceWorkload {
+  static constexpr int kRanksPerHost = 8;
+  static constexpr int kRows = 256;
+  static constexpr int kCols = 256;
+  static constexpr int kIterations = 40;
+};
+
 using Workload = std::variant<PingPongWorkload, VisualizationWorkload,
                               OfferedLoadTcpWorkload, PingLatencyWorkload,
-                              AdaptiveTenantsWorkload>;
+                              AdaptiveTenantsWorkload,
+                              FiniteDifferenceWorkload>;
 
 // --------------------------------------------------------------------------
 // Premium admission and reservations

@@ -11,6 +11,7 @@ namespace {
 std::atomic<LogLevel> g_level{LogLevel::kWarn};
 std::mutex g_sink_mutex;
 std::function<void(LogLevel, const std::string&)> g_sink;  // guarded by mutex
+thread_local std::string* t_capture = nullptr;
 
 void defaultSink(LogLevel level, const std::string& message) {
   std::fprintf(stderr, "[%s] %s\n", logLevelName(level), message.c_str());
@@ -31,6 +32,11 @@ void setLogSink(std::function<void(LogLevel, const std::string&)> sink) {
 
 void logMessage(LogLevel level, const std::string& message) {
   if (level < logLevel()) return;
+  if (t_capture != nullptr) {
+    *t_capture += std::string("[") + logLevelName(level) + "] " + message +
+                  "\n";
+    return;
+  }
   std::lock_guard lock(g_sink_mutex);
   if (g_sink) {
     g_sink(level, message);
@@ -38,6 +44,10 @@ void logMessage(LogLevel level, const std::string& message) {
     defaultSink(level, message);
   }
 }
+
+LogCapture::LogCapture() : outer_(t_capture) { t_capture = &text_; }
+
+LogCapture::~LogCapture() { t_capture = outer_; }
 
 const char* logLevelName(LogLevel level) {
   switch (level) {

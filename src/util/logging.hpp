@@ -38,6 +38,25 @@ void logMessage(LogLevel level, const std::string& message);
 /// Human-readable name for a level ("TRACE".."ERROR").
 const char* logLevelName(LogLevel level);
 
+/// While alive, this thread's enabled log records are appended to text()
+/// in the default sink's "[LEVEL] message" line format instead of going
+/// to the sink; other threads are unaffected. A nested capture takes
+/// over until it ends. Lets a worker thread hand its records to a caller
+/// that prints them in a deterministic order.
+class LogCapture {
+ public:
+  LogCapture();
+  ~LogCapture();
+  LogCapture(const LogCapture&) = delete;
+  LogCapture& operator=(const LogCapture&) = delete;
+
+  const std::string& text() const { return text_; }
+
+ private:
+  std::string text_;
+  std::string* outer_;
+};
+
 }  // namespace mgq::util
 
 // Stream-style logging macro: MGQ_LOG(kInfo) << "x=" << x;

@@ -153,6 +153,30 @@ TEST(ChaosRunnerTest, ThreadedSeedSweepMatchesSerial) {
   }
 }
 
+TEST(ChaosRunnerTest, EachReportKeepsItsOwnSeedsWarnings) {
+  // Crash/restart plans log [WARN] lines from every layer they hit. A
+  // worker captures its seed's lines into that seed's report, so what
+  // mgq_chaos prints in seed order does not depend on thread count.
+  ChaosOptions options;
+  options.horizon_seconds = 8.0;
+  options.profile.agent_crashes_per_100s = 40.0;
+  options.profile.renewal_storms_per_100s = 20.0;
+  ChaosRunner runner;
+  options.threads = 1;
+  const auto serial = runner.runSeeds("fault_recovery_crash", 1, 6, options);
+  options.threads = 4;
+  const auto threaded =
+      runner.runSeeds("fault_recovery_crash", 1, 6, options);
+  ASSERT_EQ(threaded.reports.size(), serial.reports.size());
+  std::size_t warned = 0;
+  for (std::size_t i = 0; i < serial.reports.size(); ++i) {
+    EXPECT_EQ(threaded.reports[i].warnings, serial.reports[i].warnings)
+        << "report " << i;
+    if (!serial.reports[i].warnings.empty()) ++warned;
+  }
+  EXPECT_GT(warned, 0u);
+}
+
 TEST(ChaosRunnerTest, UnsabotagedRunNeverTripsSlotConservation) {
   // The same modify storm without the planted bug: admission control
   // rejects oversized modifies, so the invariants hold.

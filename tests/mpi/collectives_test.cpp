@@ -94,77 +94,6 @@ TEST_P(CollectiveSizeTest, AllreduceMinMax) {
   EXPECT_EQ(failures, 0);
 }
 
-TEST_P(CollectiveSizeTest, GatherConcatenatesInRankOrder) {
-  const int n = GetParam();
-  Cluster cluster(n);
-  int failures = 0;
-  cluster.run([&](Comm& comm) -> Task<> {
-    const std::vector<std::uint8_t> mine = bytesVec(comm.rank() * 3);
-    auto out = co_await comm.gather(mine, 0);
-    if (comm.rank() == 0) {
-      if (out.size() != static_cast<std::size_t>(comm.size())) ++failures;
-      for (int r = 0; r < comm.size(); ++r) {
-        if (out[static_cast<size_t>(r)] != r * 3) ++failures;
-      }
-    }
-  });
-  ASSERT_TRUE(cluster.world->allFinished());
-  EXPECT_EQ(failures, 0);
-}
-
-TEST_P(CollectiveSizeTest, AllgatherEveryoneSeesAll) {
-  const int n = GetParam();
-  Cluster cluster(n);
-  int failures = 0;
-  cluster.run([&](Comm& comm) -> Task<> {
-    const std::vector<std::uint8_t> mine = bytesVec(comm.rank() + 1);
-    auto out = co_await comm.allgather(mine);
-    for (int r = 0; r < comm.size(); ++r) {
-      if (out[static_cast<size_t>(r)] != r + 1) ++failures;
-    }
-  });
-  ASSERT_TRUE(cluster.world->allFinished());
-  EXPECT_EQ(failures, 0);
-}
-
-TEST_P(CollectiveSizeTest, AlltoallTransposesBlocks) {
-  const int n = GetParam();
-  Cluster cluster(n);
-  int failures = 0;
-  cluster.run([&](Comm& comm) -> Task<> {
-    // Block for rank r = {my_rank, r}.
-    std::vector<std::uint8_t> contribution;
-    for (int r = 0; r < comm.size(); ++r) {
-      contribution.push_back(static_cast<std::uint8_t>(comm.rank()));
-      contribution.push_back(static_cast<std::uint8_t>(r));
-    }
-    auto out = co_await comm.alltoall(contribution, 2);
-    for (int r = 0; r < comm.size(); ++r) {
-      // Block from rank r must be {r, my_rank}.
-      if (out[static_cast<size_t>(2 * r)] != r ||
-          out[static_cast<size_t>(2 * r + 1)] != comm.rank()) {
-        ++failures;
-      }
-    }
-  });
-  ASSERT_TRUE(cluster.world->allFinished());
-  EXPECT_EQ(failures, 0);
-}
-
-TEST_P(CollectiveSizeTest, ScanComputesInclusivePrefix) {
-  const int n = GetParam();
-  Cluster cluster(n);
-  int failures = 0;
-  cluster.run([&](Comm& comm) -> Task<> {
-    const std::vector<double> mine = doublesVec(comm.rank() + 1);
-    auto out = co_await comm.scan(mine, ReduceOp::kSum);
-    const double expect = (comm.rank() + 1) * (comm.rank() + 2) / 2.0;
-    if (out[0] != expect) ++failures;
-  });
-  ASSERT_TRUE(cluster.world->allFinished());
-  EXPECT_EQ(failures, 0);
-}
-
 TEST(CollectiveTest, ConsecutiveBarriersDoNotCrossTalk) {
   Cluster cluster(4);
   cluster.run([&](Comm& comm) -> Task<> {

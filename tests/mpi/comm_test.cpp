@@ -1,4 +1,4 @@
-// Communicator management: dup, split, pair intercommunicators, context
+// Communicator management: dup, pair intercommunicators, context
 // isolation, attributes and the MPICH-GQ put trigger, flow extraction.
 #include <gtest/gtest.h>
 
@@ -45,54 +45,6 @@ TEST(CommTest, RepeatedDupsGetDistinctContexts) {
   ASSERT_EQ(contexts.size(), 4u);
   std::sort(contexts.begin(), contexts.end());
   EXPECT_EQ(std::unique(contexts.begin(), contexts.end()), contexts.end());
-}
-
-TEST(CommTest, SplitByParity) {
-  Cluster cluster(6);
-  std::vector<int> new_sizes(6, -1), new_ranks(6, -1);
-  cluster.run([&](Comm& comm) -> Task<> {
-    Comm sub = co_await comm.split(comm.rank() % 2, comm.rank());
-    new_sizes[static_cast<size_t>(comm.rank())] = sub.size();
-    new_ranks[static_cast<size_t>(comm.rank())] = sub.rank();
-    // The split communicator works: ring exchange inside the group.
-    if (sub.valid() && sub.size() > 1) {
-      co_await sub.barrier();
-    }
-  });
-  ASSERT_TRUE(cluster.world->allFinished());
-  for (int r = 0; r < 6; ++r) {
-    EXPECT_EQ(new_sizes[static_cast<size_t>(r)], 3) << r;
-    EXPECT_EQ(new_ranks[static_cast<size_t>(r)], r / 2) << r;
-  }
-}
-
-TEST(CommTest, SplitWithNegativeColorOptsOut) {
-  Cluster cluster(4);
-  std::vector<bool> valid(4, true);
-  cluster.run([&](Comm& comm) -> Task<> {
-    const int color = comm.rank() == 0 ? -1 : 1;
-    Comm sub = co_await comm.split(color, 0);
-    valid[static_cast<size_t>(comm.rank())] = sub.valid();
-    if (sub.valid()) co_await sub.barrier();
-  });
-  ASSERT_TRUE(cluster.world->allFinished());
-  EXPECT_FALSE(valid[0]);
-  EXPECT_TRUE(valid[1] && valid[2] && valid[3]);
-}
-
-TEST(CommTest, SplitKeyOrdersRanks) {
-  Cluster cluster(3);
-  std::vector<int> new_rank(3, -1);
-  cluster.run([&](Comm& comm) -> Task<> {
-    // Reverse order via descending keys.
-    Comm sub = co_await comm.split(0, comm.size() - comm.rank());
-    new_rank[static_cast<size_t>(comm.rank())] = sub.rank();
-    co_await sub.barrier();
-  });
-  ASSERT_TRUE(cluster.world->allFinished());
-  EXPECT_EQ(new_rank[0], 2);
-  EXPECT_EQ(new_rank[1], 1);
-  EXPECT_EQ(new_rank[2], 0);
 }
 
 TEST(CommTest, PairCommunicatorTwoParty) {

@@ -147,11 +147,17 @@ TEST(PackTest, DoublesRoundTrip) {
   const auto bytes = packDoubles(v);
   EXPECT_EQ(bytes.size(), 24u);
   EXPECT_EQ(unpackDoubles(bytes), v);
+  // Empty input (a non-root rank's reduce result): its data() is null.
+  const std::vector<double> none;
+  EXPECT_TRUE(packDoubles(none).empty());
+  EXPECT_TRUE(unpackDoubles(packDoubles(none)).empty());
 }
 
 TEST(PackTest, IntsRoundTrip) {
   const std::vector<std::int64_t> v{-1, 0, INT64_MAX};
   EXPECT_EQ(unpackInts(packInts(v)), v);
+  const std::vector<std::int64_t> none;
+  EXPECT_TRUE(unpackInts(packInts(none)).empty());
 }
 
 }  // namespace

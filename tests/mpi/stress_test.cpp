@@ -136,31 +136,6 @@ TEST(MpiStressTest, InterleavedCollectivesAndP2P) {
   EXPECT_EQ(failures, 0);
 }
 
-TEST(MpiStressTest, SixteenRankAllToAllRepeated) {
-  Cluster cluster(16, 1, 1e9);
-  int failures = 0;
-  cluster.run(
-      [&](Comm& comm) -> Task<> {
-        for (int round = 0; round < 3; ++round) {
-          std::vector<std::uint8_t> contribution;
-          for (int r = 0; r < comm.size(); ++r) {
-            contribution.push_back(
-                static_cast<std::uint8_t>((comm.rank() + r + round) & 0xff));
-          }
-          auto out = co_await comm.alltoall(contribution, 1);
-          for (int r = 0; r < comm.size(); ++r) {
-            if (out[static_cast<size_t>(r)] !=
-                static_cast<std::uint8_t>((r + comm.rank() + round) & 0xff)) {
-              ++failures;
-            }
-          }
-        }
-      },
-      sim::Duration::seconds(600));
-  ASSERT_TRUE(cluster.world->allFinished());
-  EXPECT_EQ(failures, 0);
-}
-
 TEST(MpiStressTest, ManyCommunicatorsCoexist) {
   Cluster cluster(4);
   int failures = 0;

@@ -141,7 +141,7 @@ TEST(ScenarioRegistry, SuiteExportsNeverOverwriteScenarioExports) {
       EXPECT_NE(info->name + "_sweep", suite.name);
     }
   }
-  EXPECT_EQ(names.size(), 12u);
+  EXPECT_EQ(names.size(), 13u);
   EXPECT_EQ(findSuite("fig1_under"), nullptr);
 }
 

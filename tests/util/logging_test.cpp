@@ -49,6 +49,25 @@ TEST_F(LoggingTest, LevelNames) {
   EXPECT_STREQ(logLevelName(LogLevel::kTrace), "TRACE");
 }
 
+TEST_F(LoggingTest, CaptureTakesThisThreadsRecordsUntilItEnds) {
+  {
+    LogCapture outer;
+    MGQ_LOG(kWarn) << "first";
+    {
+      LogCapture inner;
+      MGQ_LOG(kInfo) << "nested";
+      MGQ_LOG(kDebug) << "below the level";
+      EXPECT_EQ(inner.text(), "[INFO] nested\n");
+    }
+    MGQ_LOG(kError) << "second";
+    EXPECT_EQ(outer.text(), "[WARN] first\n[ERROR] second\n");
+  }
+  EXPECT_TRUE(records_.empty());
+  MGQ_LOG(kWarn) << "after";
+  ASSERT_EQ(records_.size(), 1u);
+  EXPECT_EQ(records_[0].second, "after");
+}
+
 TEST_F(LoggingTest, SetLevelRoundTrips) {
   setLogLevel(LogLevel::kError);
   EXPECT_EQ(logLevel(), LogLevel::kError);

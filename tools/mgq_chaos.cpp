@@ -13,11 +13,13 @@
 // With --shrink, the failing plan is delta-debugged down to a minimal
 // reproducing schedule and written as a replay file
 // (chaos_<scenario>_seed<seed>.replay in --json-dir) that --replay
-// re-runs byte-identically. Numbers must parse whole: counts and sizes as
-// unsigned integers (--seeds at least 1), the horizon and the rates as
-// finite decimals (horizon > 0, rates >= 0). Exit code: 0 when every seed
-// held its invariants, 1 on a violation (including a reproducing replay),
-// 2 on usage errors.
+// re-runs byte-identically. Each seed's log records go to stderr in seed
+// order once the sweep ends (the shrink's candidate runs print none), so
+// two identical sweeps print identical stderr at any --threads. Numbers
+// must parse whole: counts and sizes as unsigned integers (--seeds at
+// least 1), the horizon and the rates as finite decimals (horizon > 0,
+// rates >= 0). Exit code: 0 when every seed held its invariants, 1 on a
+// violation (including a reproducing replay), 2 on usage errors.
 #include <algorithm>
 #include <climits>
 #include <cstdint>
@@ -92,6 +94,7 @@ int replayFile(const std::string& path, const std::string& json_dir) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
   }
+  std::fputs(report.warnings.c_str(), stderr);
   std::printf("replayed %s seed=%llu events=%zu: %s\n",
               plan.scenario.c_str(),
               static_cast<unsigned long long>(plan.seed), plan.events.size(),
@@ -119,6 +122,11 @@ int sweepSeeds(const std::string& scenario, std::uint64_t first_seed,
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
+  }
+  // Workers capture their seeds' log records; printing them here, in
+  // seed order, makes stderr as deterministic as stdout.
+  for (const auto& report : outcome.reports) {
+    std::fputs(report.warnings.c_str(), stderr);
   }
 
   if (outcome.ok()) {
