@@ -33,19 +33,6 @@ std::size_t QosController::addTenant(
   return tenants_.size() - 1;
 }
 
-void QosController::setShaper(std::size_t tenant_index,
-                              gq::ShapedSocket* shaper) {
-  if (tenant_index < tenants_.size()) {
-    tenants_[tenant_index]->shaper = shaper;
-  }
-}
-
-void QosController::watchDegraded(const gq::QosAgent& agent,
-                                  const mpi::Comm& comm,
-                                  double reserve_bps) {
-  degraded_watches_.push_back({&agent, &comm, reserve_bps});
-}
-
 void QosController::attachObservability(obs::MetricsRegistry* metrics,
                                         obs::TraceBuffer* trace) {
   metrics_ = metrics;
@@ -74,17 +61,6 @@ double QosController::currentBps(const Tenant& tenant) {
     if (leg == nullptr || gara::isTerminal(leg->state())) return -1.0;
   }
   return tenant.path->handles.front()->request().amount;
-}
-
-double QosController::withheldForDegraded() const {
-  double withheld = 0.0;
-  for (const auto& watch : degraded_watches_) {
-    if (watch.agent->status(*watch.comm).state ==
-        gq::QosRequestState::kDegraded) {
-      withheld += watch.reserve_bps;
-    }
-  }
-  return withheld;
 }
 
 void QosController::applyResize(Tenant& tenant, AdaptAction action,
@@ -175,17 +151,8 @@ void QosController::tick() {
 
   if (grows.empty()) return;
 
-  // Phase 3: arbitrate the grow wants against the pool headroom, minus
-  // capacity withheld for degraded communicators awaiting promotion.
-  const double withheld = withheldForDegraded();
-  if (withheld > 0.0) {
-    countEvent("qos.adapt.withheld");
-    if (metrics_ != nullptr) {
-      metrics_->gauge("qos.adapt.withheld_bps").set(withheld);
-    }
-  }
-  const double pool =
-      std::max(arbiter_->headroomBps(sim_->now()) - withheld, 0.0);
+  // Phase 3: arbitrate the grow wants against the pool headroom.
+  const double pool = std::max(arbiter_->headroomBps(sim_->now()), 0.0);
   std::vector<double> wants;
   wants.reserve(grows.size());
   for (const auto& grow : grows) {

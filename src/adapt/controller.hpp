@@ -9,8 +9,7 @@
 //   2. applies shrinks first — freeing capacity into the arbiter's pool
 //      before anyone grows;
 //   3. asks the BandwidthArbiter for a max-min fair split of the
-//      remaining headroom across the grow wants (minus capacity withheld
-//      for degraded communicators being promoted);
+//      remaining headroom across the grow wants;
 //   4. applies grows, re-paces each tenant's shaper to the new amount,
 //      and emits qos.adapt.* counters and trace events.
 // A refused modify is never an error: the policy backs off (doubling
@@ -26,7 +25,6 @@
 #include "adapt/demand.hpp"
 #include "adapt/policy.hpp"
 #include "gara/bandwidth_broker.hpp"
-#include "gq/qos_agent.hpp"
 #include "gq/shaper.hpp"
 #include "sim/simulator.hpp"
 
@@ -52,9 +50,8 @@ class QosController {
     std::string name;
     AdaptationPolicy::Config policy;
     DemandEstimator::Inputs inputs;
-    /// Shaper to re-pace after a successful modify; optional, and settable
-    /// later via setShaper (clients construct their socket after
-    /// registering). Must outlive the controller or be cleared.
+    /// Shaper to re-pace after a successful modify; optional. Must outlive
+    /// the controller.
     gq::ShapedSocket* shaper = nullptr;
   };
 
@@ -67,19 +64,10 @@ class QosController {
   std::size_t addTenant(TenantConfig config,
                         gara::BandwidthBroker::PathReservation* path);
 
-  void setShaper(std::size_t tenant_index, gq::ShapedSocket* shaper);
-
-  /// While `comm`'s QoS state is kDegraded, withhold `reserve_bps` from
-  /// the grow-grantable pool so the agent's own re-escalation probe finds
-  /// capacity and promotes the communicator back to premium. The agent
-  /// and communicator must outlive the controller.
-  void watchDegraded(const gq::QosAgent& agent, const mpi::Comm& comm,
-                     double reserve_bps);
-
-  /// Counters (qos.adapt.grow/shrink/refused/clamped/ticks/withheld/
-  /// orphaned), per-tenant reservation/demand timelines, and "adapt"
-  /// trace events. Either pointer may be null; both must outlive the
-  /// controller. Call before start() so the first tick is recorded.
+  /// Counters (qos.adapt.grow/shrink/refused/clamped/ticks/orphaned),
+  /// per-tenant reservation/demand timelines, and "adapt" trace events.
+  /// Either pointer may be null; both must outlive the controller. Call
+  /// before start() so the first tick is recorded.
   void attachObservability(obs::MetricsRegistry* metrics,
                            obs::TraceBuffer* trace);
 
@@ -128,18 +116,11 @@ class QosController {
     std::uint64_t clamped = 0;
   };
 
-  struct DegradedWatch {
-    const gq::QosAgent* agent;
-    const mpi::Comm* comm;
-    double reserve_bps;
-  };
-
   sim::Task<> controlLoop();
   void tick();
   /// Live amount of a tenant's reservation, or < 0 when the path is gone
   /// (empty, or a leg in a terminal state).
   static double currentBps(const Tenant& tenant);
-  double withheldForDegraded() const;
   void applyResize(Tenant& tenant, AdaptAction action, double new_amount,
                    bool clamped, double now_seconds);
   void countEvent(const char* name);
@@ -151,7 +132,6 @@ class QosController {
   BandwidthArbiter* arbiter_;
   Config config_;
   std::vector<std::unique_ptr<Tenant>> tenants_;
-  std::vector<DegradedWatch> degraded_watches_;
   bool running_ = false;
   bool started_ = false;
   std::uint64_t ticks_ = 0;

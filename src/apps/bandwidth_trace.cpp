@@ -26,19 +26,6 @@ sim::Task<> BandwidthTrace::run() {
   }
 }
 
-double BandwidthTrace::meanKbps(double from_seconds,
-                                double to_seconds) const {
-  double sum = 0;
-  int n = 0;
-  for (const auto& p : series_) {
-    if (p.t_seconds > from_seconds && p.t_seconds <= to_seconds) {
-      sum += p.kbps;
-      ++n;
-    }
-  }
-  return n == 0 ? 0.0 : sum / n;
-}
-
 void SequenceTracer::attach(tcp::TcpSocket& socket) {
   socket.on_segment_sent = [this](sim::TimePoint t, std::uint64_t seq,
                                   std::int32_t bytes, bool retransmit) {

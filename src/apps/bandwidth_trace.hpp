@@ -35,8 +35,6 @@ class BandwidthTrace {
   void stop() { running_ = false; }
 
   const std::vector<Point>& series() const { return series_; }
-  /// Mean rate over points with t in (from, to].
-  double meanKbps(double from_seconds, double to_seconds) const;
 
  private:
   sim::Task<> run();

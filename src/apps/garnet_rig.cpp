@@ -37,14 +37,12 @@ GarnetRig::GarnetRig() : GarnetRig(Config{}) {}
 
 GarnetRig::GarnetRig(const Config& config, int ranks_per_host)
     : sim(config.seed),
-      garnet(sim, config.topology),
+      garnet(sim),
       sender_cpu(sim, "sender-cpu"),
       receiver_cpu(sim, "receiver-cpu"),
-      net_forward(config.topology.core_rate_bps *
-                      config.premium_capacity_fraction,
+      net_forward(net::GarnetTopology::kCoreRateBps * kPremiumCapacityFraction,
                   *garnet.ingressEdgeInterface()),
-      net_reverse(config.topology.core_rate_bps *
-                      config.premium_capacity_fraction,
+      net_reverse(net::GarnetTopology::kCoreRateBps * kPremiumCapacityFraction,
                   *garnet.egressEdgeInterface()),
       cpu_sender_rm(sender_cpu),
       cpu_receiver_rm(receiver_cpu),
@@ -52,7 +50,7 @@ GarnetRig::GarnetRig(const Config& config, int ranks_per_host)
       world(sim, worldConfig(garnet, config.tcp, ranks_per_host)),
       agent(world, gara, agentConfig(garnet, config.recovery)),
       contention_sink(*garnet.competitive_dst, 9),
-      config_(config) {
+      ranks_per_host_(ranks_per_host) {
   gara.registerManager("net-forward", net_forward);
   gara.registerManager("net-reverse", net_reverse);
   gara.registerManager("cpu-sender", cpu_sender_rm);
@@ -64,16 +62,12 @@ GarnetRig::GarnetRig(const Config& config, int ranks_per_host)
 void GarnetRig::startContention(double rate_bps) {
   if (contention == nullptr) {
     net::UdpTrafficGenerator::Config blast;
-    blast.rate_bps = rate_bps > 0.0 ? rate_bps
-                                    : config_.topology.core_rate_bps * 1.5;
+    blast.rate_bps =
+        rate_bps > 0.0 ? rate_bps : net::GarnetTopology::kCoreRateBps * 1.5;
     contention = std::make_unique<net::UdpTrafficGenerator>(
         *garnet.competitive_src, garnet.competitive_dst->id(), 9, blast);
   }
   contention->start();
-}
-
-void GarnetRig::stopContention() {
-  if (contention != nullptr) contention->stop();
 }
 
 sim::Task<bool> GarnetRig::requestPremium(mpi::Comm& comm,

@@ -25,6 +25,10 @@ namespace mgq::apps {
 
 class GarnetRig {
  public:
+  /// Premium (EF) traffic may use at most this fraction of the core
+  /// link — EF must stay bounded to avoid starving best effort (§2).
+  static constexpr double kPremiumCapacityFraction = 0.8;
+
   struct Config {
     Config() {
       // Period-accurate TCP timers (RFC 2988): the paper-era stacks
@@ -38,10 +42,6 @@ class GarnetRig {
       // recovery implies.
       tcp.max_rto = sim::Duration::seconds(4.0);
     }
-    net::GarnetTopology::Config topology;
-    /// Premium (EF) traffic may use at most this fraction of the core
-    /// link — EF must stay bounded to avoid starving best effort (§2).
-    double premium_capacity_fraction = 0.8;
     tcp::TcpConfig tcp;
     /// QoS-agent failure handling (default: no retries — a lost
     /// reservation degrades to best effort and stays there).
@@ -52,11 +52,21 @@ class GarnetRig {
   GarnetRig();
   explicit GarnetRig(const Config& config, int ranks_per_host = 1);
 
+  /// The premium flow: the MPI connection across the core from the source
+  /// host's last rank to the destination host's first (world ranks 0 -> 1,
+  /// or the finite-difference critical link 7 -> 8). The flow probes, the
+  /// end-of-run counters and Figure 7's sequence tracer all watch it.
+  int premiumSrcRank() const { return ranks_per_host_ - 1; }
+  int premiumDstRank() const { return ranks_per_host_; }
+  /// The premium flow's socket, or null until it connects.
+  tcp::TcpSocket* premiumSocket() {
+    return world.connectionSocket(premiumSrcRank(), premiumDstRank());
+  }
+
   // --- experiment controls ------------------------------------------------
   /// Starts best-effort UDP contention across the core at `rate_bps`
   /// (default comfortably saturates it).
   void startContention(double rate_bps = 0.0);
-  void stopContention();
 
   /// Convenience: a premium QoS attribute put on `comm` by the calling
   /// rank (both ranks of a pair should put it for bidirectional QoS).
@@ -85,7 +95,7 @@ class GarnetRig {
   gq::QosAttribute premium_attr;
 
  private:
-  Config config_;
+  int ranks_per_host_;
 };
 
 }  // namespace mgq::apps

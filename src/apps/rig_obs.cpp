@@ -83,12 +83,15 @@ void snapshotRigCounters(GarnetRig& rig, obs::MetricsRegistry& metrics) {
   add("net.routers.forwarded", forwarded);
   add("net.routers.no_route_drops", no_route);
 
-  if (auto* socket = rig.world.connectionSocket(0, 1)) {
+  if (auto* socket = rig.premiumSocket()) {
     const auto& ts = socket->stats();
-    add("tcp.flow01.segments_sent", ts.segments_sent);
-    add("tcp.flow01.retransmits", ts.retransmits);
-    add("tcp.flow01.fast_retransmits", ts.fast_retransmits);
-    add("tcp.flow01.timeouts", ts.timeouts);
+    const std::string base = "tcp.flow" +
+                             std::to_string(rig.premiumSrcRank()) +
+                             std::to_string(rig.premiumDstRank()) + ".";
+    add(base + "segments_sent", ts.segments_sent);
+    add(base + "retransmits", ts.retransmits);
+    add(base + "fast_retransmits", ts.fast_retransmits);
+    add(base + "timeouts", ts.timeouts);
   }
 }
 
@@ -112,18 +115,17 @@ void snapshotAdversarialCounters(GarnetRig& rig,
   add("pool.ceiling_rejections", ps.ceiling_rejections);
 }
 
-void addTcpFlowProbes(obs::Sampler& sampler, mpi::World& world, int src,
-                      int dst, const std::string& flow_name) {
-  auto socket = [&world, src, dst] { return world.connectionSocket(src, dst); };
-  sampler.addProbe(flow_name + ".cwnd_bytes", [socket] {
+void addPremiumFlowProbes(obs::Sampler& sampler, GarnetRig& rig) {
+  auto socket = [&rig] { return rig.premiumSocket(); };
+  sampler.addProbe("flow.premium.cwnd_bytes", [socket] {
     const auto* s = socket();
     return s != nullptr ? s->cwndBytes() : kNan;
   });
-  sampler.addProbe(flow_name + ".rto_ms", [socket] {
+  sampler.addProbe("flow.premium.rto_ms", [socket] {
     const auto* s = socket();
     return s != nullptr ? s->currentRto().toSeconds() * 1000.0 : kNan;
   });
-  sampler.addRateProbe(flow_name + ".delivered_kbps", [socket] {
+  sampler.addRateProbe("flow.premium.delivered_kbps", [socket] {
     const auto* s = socket();
     return s != nullptr ? static_cast<double>(s->bytesDelivered()) : kNan;
   });

@@ -29,8 +29,9 @@ void attachRigObservability(GarnetRig& rig, obs::MetricsRegistry& metrics,
 
 /// End-of-run counter snapshot: per-class qdisc
 /// enqueue/drop counts at the core bottleneck, ingress-edge policer and
-/// overflow drops, router forward/no-route counts, and the premium pair's
-/// TCP segment/retransmit/timeout counters (when connected).
+/// overflow drops, router forward/no-route counts, and the premium flow's
+/// TCP segment/retransmit/timeout counters as tcp.flow<src><dst>.* (when
+/// connected; <src><dst> are GarnetRig::premiumSrcRank/premiumDstRank).
 void snapshotRigCounters(GarnetRig& rig, obs::MetricsRegistry& metrics);
 
 /// End-of-run adversarial data-plane snapshot: premium-edge
@@ -43,13 +44,12 @@ void snapshotRigCounters(GarnetRig& rig, obs::MetricsRegistry& metrics);
 void snapshotAdversarialCounters(GarnetRig& rig,
                                  obs::MetricsRegistry& metrics);
 
-/// Installs cwnd/RTO/throughput probes for the TCP connection carrying
-/// world-rank `src` → `dst` traffic:
-///   <flow_name>.cwnd_bytes, <flow_name>.rto_ms   timelines
-///   <flow_name>.delivered_kbps                   per-interval rate
+/// Installs cwnd/RTO/throughput probes on the rig's premium flow
+/// (GarnetRig::premiumSocket):
+///   flow.premium.cwnd_bytes, flow.premium.rto_ms   timelines
+///   flow.premium.delivered_kbps                    per-interval rate
 /// Probes report NaN (skipped) until the connection exists.
-void addTcpFlowProbes(obs::Sampler& sampler, mpi::World& world, int src,
-                      int dst, const std::string& flow_name);
+void addPremiumFlowProbes(obs::Sampler& sampler, GarnetRig& rig);
 
 /// Copies a BandwidthTrace series into metrics.timeline(name) — used to
 /// export the workload-side throughput series benches already collect.

@@ -22,14 +22,6 @@ JobId CpuScheduler::registerJob(std::string name) {
   return id;
 }
 
-void CpuScheduler::unregisterJob(JobId id) {
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return;
-  assert(!it->second.runnable && "unregistering a running job");
-  total_reserved_ -= it->second.reservation;
-  jobs_.erase(it);
-}
-
 double CpuScheduler::shareOf(const Job& job) const {
   if (job.reservation > 0.0) return job.reservation;
   // Unreserved: split what reserved runnable jobs leave behind.

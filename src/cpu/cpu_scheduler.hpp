@@ -35,7 +35,6 @@ class CpuScheduler {
 
   /// Registers a job (an application process on this host).
   JobId registerJob(std::string name);
-  void unregisterJob(JobId id);
 
   /// Performs `work` CPU-seconds of computation; wall (simulated) time
   /// depends on the job's share while it runs. One compute() at a time

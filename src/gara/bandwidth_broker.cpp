@@ -46,11 +46,6 @@ BandwidthBroker::PathReservation BandwidthBroker::requestPath(
   return result;
 }
 
-void BandwidthBroker::cancel(PathReservation& reservation) {
-  for (auto& handle : reservation.handles) gara_->cancel(handle);
-  reservation.handles.clear();
-}
-
 bool BandwidthBroker::modify(PathReservation& reservation,
                              double new_amount) {
   std::vector<double> previous;

@@ -27,7 +27,6 @@ class LinkAccountingManager : public ResourceManager {
   explicit LinkAccountingManager(double premium_capacity_bps)
       : ResourceManager(premium_capacity_bps) {}
 
-  std::string type() const override { return "link-accounting"; }
   std::string validate(const ReservationRequest& request) const override {
     return request.amount > 0.0 ? std::string{}
                                 : "reservation needs amount > 0";
@@ -63,9 +62,6 @@ class BandwidthBroker {
   /// all-or-nothing.
   PathReservation requestPath(const std::string& path,
                               const ReservationRequest& request);
-
-  /// Cancels every leg.
-  void cancel(PathReservation& reservation);
 
   /// Modifies every leg to `new_amount`; on any failure the previous
   /// amounts are restored and false is returned.

@@ -24,7 +24,6 @@ class FlakyResourceManager : public ResourceManager {
   explicit FlakyResourceManager(ResourceManager& inner)
       : ResourceManager(inner.slots().capacity()), inner_(&inner) {}
 
-  std::string type() const override { return inner_->type() + "+flaky"; }
   std::string validate(const ReservationRequest& request) const override;
   void enforce(Reservation& reservation) override;
   void release(Reservation& reservation) override;

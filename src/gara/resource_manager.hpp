@@ -27,8 +27,6 @@ class ResourceManager {
   ResourceManager(const ResourceManager&) = delete;
   ResourceManager& operator=(const ResourceManager&) = delete;
 
-  virtual std::string type() const = 0;
-
   /// Validates manager-specific request fields; returns an error string
   /// (empty = OK). Called before slot-table admission.
   virtual std::string validate(const ReservationRequest& request) const = 0;
@@ -97,7 +95,6 @@ class NetworkResourceManager : public ResourceManager {
                          net::Interface& default_edge)
       : ResourceManager(premium_capacity_bps), edge_(&default_edge) {}
 
-  std::string type() const override { return "network"; }
   std::string validate(const ReservationRequest& request) const override;
   void enforce(Reservation& reservation) override;
   void release(Reservation& reservation) override;
@@ -130,7 +127,6 @@ class CpuResourceManager : public ResourceManager {
   explicit CpuResourceManager(cpu::CpuScheduler& cpu)
       : ResourceManager(cpu::CpuScheduler::maxReservable()), cpu_(&cpu) {}
 
-  std::string type() const override { return "cpu"; }
   std::string validate(const ReservationRequest& request) const override;
   void enforce(Reservation& reservation) override;
   void release(Reservation& reservation) override;

@@ -9,6 +9,12 @@
 
 namespace mgq::gq {
 
+namespace {
+/// Overhead multiplier when max_message_size is unknown: the paper's
+/// measured value (§5.3).
+constexpr double kDefaultOverhead = 1.06;
+}  // namespace
+
 const char* qosClassName(QosClass c) {
   switch (c) {
     case QosClass::kBestEffort:
@@ -74,7 +80,7 @@ bool qosTransitionLegal(QosRequestState from, QosRequestState to) {
 }
 
 double protocolOverheadFactor(int max_message_size, int mss) {
-  if (max_message_size <= 0) return 1.06;  // paper's measured default
+  if (max_message_size <= 0) return kDefaultOverhead;
   const double payload =
       static_cast<double>(max_message_size) + mpi::WireHeader::kBytes;
   const double segments = std::ceil(payload / mss);
@@ -105,10 +111,7 @@ QosAgent::RecoveryPolicy QosAgent::sanitizeRecoveryPolicy(
 QosAgent::QosAgent(mpi::World& world, gara::Gara& gara, Config config)
     : world_(world), gara_(gara), config_(std::move(config)) {
   config_.recovery = sanitizeRecoveryPolicy(config_.recovery);
-  // QoS attributes never propagate silently to duplicated communicators:
-  // reservations belong to the communicator they were requested on.
-  keyval_ = world_.attributes().create(
-      [](mpi::Comm&, mpi::Keyval, void*, void**) { return false; });
+  keyval_ = world_.attributes().create();
   world_.attributes().setPutHook(
       keyval_, [this](mpi::Comm& comm, mpi::Keyval, void* value) {
         onPut(comm, value);
@@ -150,7 +153,7 @@ QosStatus QosAgent::status(const mpi::Comm& comm) const {
 double QosAgent::networkReservationBps(const QosAttribute& attr) const {
   const double overhead = attr.max_message_size > 0
                               ? protocolOverheadFactor(attr.max_message_size)
-                              : config_.default_overhead;
+                              : kDefaultOverhead;
   return attr.bandwidth_kbps * 1000.0 * overhead;
 }
 

@@ -72,9 +72,6 @@ class QosAgent {
     /// Maps a concrete flow to the GARA network resource managing its
     /// path (multi-domain deployments register one manager per edge).
     std::function<std::string(const net::FlowKey&)> resource_resolver;
-    /// Fallback overhead multiplier when max_message_size is unknown
-    /// (the paper's measured value).
-    double default_overhead = 1.06;
     /// Failure handling; the default (no retries, degrade on loss) keeps
     /// the paper's fire-and-forget request semantics.
     RecoveryPolicy recovery;

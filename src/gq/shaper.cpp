@@ -35,18 +35,6 @@ sim::Task<> ShapedSocket::send(std::span<const std::uint8_t> data) {
   }
 }
 
-sim::Task<> ShapedSocket::sendSlice(net::BufSlice data) {
-  const auto chunk_size = static_cast<std::uint32_t>(
-      std::max(socket_.config().mss, 512));
-  std::uint32_t offset = 0;
-  while (offset < data.length) {
-    const auto chunk = std::min(chunk_size, data.length - offset);
-    co_await conform(static_cast<std::int64_t>(chunk));
-    co_await socket_.sendSlice(data.subslice(offset, chunk));
-    offset += chunk;
-  }
-}
-
 sim::Task<> ShapedSocket::sendBulk(std::int64_t bytes) {
   const auto chunk_size =
       static_cast<std::int64_t>(std::max(socket_.config().mss, 512));

@@ -26,9 +26,6 @@ class ShapedSocket {
                std::int64_t burst_bytes);
 
   sim::Task<> send(std::span<const std::uint8_t> data);
-  /// Zero-copy variant: paces MSS-sized subslices of `data` into the
-  /// socket's send ring without copying the bytes.
-  sim::Task<> sendSlice(net::BufSlice data);
   sim::Task<> sendBulk(std::int64_t bytes);
 
   /// Re-pace (e.g. after a reservation modify).

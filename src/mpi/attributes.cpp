@@ -4,41 +4,21 @@
 
 namespace mgq::mpi {
 
-Keyval AttributeRegistry::create(CopyFn copy, DeleteFn del) {
+Keyval AttributeRegistry::create() {
   const Keyval k = next_++;
-  entries_.emplace(k, Entry{std::move(copy), std::move(del), {}});
+  put_hooks_.emplace(k, PutHook{});
   return k;
 }
 
 void AttributeRegistry::setPutHook(Keyval k, PutHook hook) {
-  const auto it = entries_.find(k);
-  assert(it != entries_.end());
-  it->second.put_hook = std::move(hook);
+  const auto it = put_hooks_.find(k);
+  assert(it != put_hooks_.end());
+  it->second = std::move(hook);
 }
 
 void AttributeRegistry::firePut(Comm& comm, Keyval k, void* value) {
-  const auto it = entries_.find(k);
-  if (it != entries_.end() && it->second.put_hook) {
-    it->second.put_hook(comm, k, value);
-  }
-}
-
-bool AttributeRegistry::fireCopy(Comm& parent, Keyval k, void* value,
-                                 void** out) {
-  const auto it = entries_.find(k);
-  if (it == entries_.end()) return false;
-  if (!it->second.copy) {
-    *out = value;  // default: shallow copy
-    return true;
-  }
-  return it->second.copy(parent, k, value, out);
-}
-
-void AttributeRegistry::fireDelete(Comm& comm, Keyval k, void* value) {
-  const auto it = entries_.find(k);
-  if (it != entries_.end() && it->second.del) {
-    it->second.del(comm, k, value);
-  }
+  const auto it = put_hooks_.find(k);
+  if (it != put_hooks_.end() && it->second) it->second(comm, k, value);
 }
 
 }  // namespace mgq::mpi

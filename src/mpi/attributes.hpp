@@ -1,8 +1,8 @@
 // Communicator attribute machinery (MPI-1 keyvals), the paper's chosen
 // standards-compliant hook for QoS (§4.1).
 //
-// A keyval is created once (optionally with copy/delete callbacks, as in
-// MPI_Keyval_create); values are opaque pointers stored per communicator.
+// A keyval is created once (MPI_Keyval_create); values are opaque pointers
+// stored per communicator.
 // The MPICH-GQ extension point is the *put hook*: registering a hook on a
 // keyval makes every attrPut of that keyval trigger an action — "the
 // action of putting the attribute actually triggers the request".
@@ -20,32 +20,19 @@ inline constexpr Keyval kInvalidKeyval = -1;
 
 class AttributeRegistry {
  public:
-  /// Invoked when a communicator with the attribute is duplicated.
-  /// Returns true to propagate `value` (possibly transformed via `out`).
-  using CopyFn =
-      std::function<bool(Comm& parent, Keyval, void* value, void** out)>;
-  /// Invoked when the attribute is deleted or its communicator destroyed.
-  using DeleteFn = std::function<void(Comm&, Keyval, void*)>;
   /// MPICH-GQ extension: fired synchronously on every attrPut.
   using PutHook = std::function<void(Comm&, Keyval, void*)>;
 
-  Keyval create(CopyFn copy = {}, DeleteFn del = {});
-  bool exists(Keyval k) const { return entries_.count(k) != 0; }
+  Keyval create();
+  bool exists(Keyval k) const { return put_hooks_.count(k) != 0; }
 
   void setPutHook(Keyval k, PutHook hook);
 
   // Used by Comm.
   void firePut(Comm& comm, Keyval k, void* value);
-  bool fireCopy(Comm& parent, Keyval k, void* value, void** out);
-  void fireDelete(Comm& comm, Keyval k, void* value);
 
  private:
-  struct Entry {
-    CopyFn copy;
-    DeleteFn del;
-    PutHook put_hook;
-  };
-  std::map<Keyval, Entry> entries_;
+  std::map<Keyval, PutHook> put_hooks_;  // every keyval; hook may be empty
   Keyval next_ = 1;
 };
 

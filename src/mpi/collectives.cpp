@@ -4,7 +4,6 @@
 // wildcard receives can never intercept it; per-pair TCP FIFO plus exact
 // (source, tag) matching makes consecutive collectives safe without
 // sequence numbers.
-#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -20,27 +19,6 @@ constexpr int kTagBcast = 2 * 64;
 constexpr int kTagReduce = 3 * 64;
 }  // namespace
 
-void Comm::applyOp(std::vector<double>& acc, std::span<const double> in,
-                   ReduceOp op) {
-  assert(acc.size() == in.size());
-  for (std::size_t i = 0; i < acc.size(); ++i) {
-    switch (op) {
-      case ReduceOp::kSum:
-        acc[i] += in[i];
-        break;
-      case ReduceOp::kMin:
-        acc[i] = std::min(acc[i], in[i]);
-        break;
-      case ReduceOp::kMax:
-        acc[i] = std::max(acc[i], in[i]);
-        break;
-      case ReduceOp::kProd:
-        acc[i] *= in[i];
-        break;
-    }
-  }
-}
-
 sim::Task<> Comm::barrier() {
   assert(valid());
   // Dissemination barrier: log2(size) rounds of shifted exchanges.
@@ -50,7 +28,7 @@ sim::Task<> Comm::barrier() {
     const int to = (my_rank_ + dist) % size();
     const int from = (my_rank_ - dist + size()) % size();
     const int tag = kTagBarrier + round;
-    auto req = isendInternal(to, tag, empty);
+    auto req = isendOnContext(internalContext(), to, tag, empty);
     (void)co_await recvOnContext(internalContext(), from, tag);
     co_await wait(std::move(req));
   }
@@ -86,7 +64,7 @@ sim::Task<> Comm::bcast(std::vector<std::uint8_t>& data, int root) {
 }
 
 sim::Task<std::vector<double>> Comm::reduce(
-    std::span<const double> contribution, ReduceOp op, int root) {
+    std::span<const double> contribution, ReduceOp /*kSum*/, int root) {
   assert(valid());
   std::vector<double> acc(contribution.begin(), contribution.end());
   const int vrank = (my_rank_ - root + size()) % size();
@@ -106,7 +84,7 @@ sim::Task<std::vector<double>> Comm::reduce(
       if (in.size() != acc.size()) {
         throw std::runtime_error("reduce: contribution size mismatch");
       }
-      applyOp(acc, in, op);
+      for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += in[i];
     }
   }
   if (my_rank_ != root) acc.clear();

@@ -1,11 +1,11 @@
 // Communicators: process groups with an isolating context id, point-to-
 // point messaging, nonblocking requests, collectives, attribute storage,
-// and the communicator-derivation operations (dup, pair
-// intercommunicators) the paper's QoS targeting relies on ("by careful
-// creation of appropriate communicators, [one can] target both queries
-// and requests to specific links or sets of links").
+// and the pair communicator the paper's QoS targeting relies on ("by
+// careful creation of appropriate communicators, [one can] target both
+// queries and requests to specific links or sets of links").
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -17,10 +17,6 @@
 #include "net/packet.hpp"
 #include "sim/condition.hpp"
 #include "sim/task.hpp"
-
-namespace mgq::net {
-class Host;
-}
 
 namespace mgq::mpi {
 
@@ -34,8 +30,9 @@ struct RequestState {
 };
 using Request = std::shared_ptr<RequestState>;
 
-/// Reduction operators for the typed collectives.
-enum class ReduceOp { kSum, kMin, kMax, kProd };
+/// Reduction operator of the typed collectives (the finite-difference
+/// residual is a sum).
+enum class ReduceOp { kSum };
 
 class Comm {
  public:
@@ -48,30 +45,21 @@ class Comm {
   World& world() const { return *world_; }
   /// World rank of communicator rank `r`.
   int worldRank(int r) const { return members_.at(static_cast<size_t>(r)); }
-  /// Host on which communicator rank `r` runs.
-  net::Host& hostOfRank(int r) const;
 
   // --- point-to-point ----------------------------------------------------
   sim::Task<> send(int dst, int tag, std::span<const std::uint8_t> data);
   sim::Task<> send(int dst, int tag, const std::vector<std::uint8_t>& data) {
     return send(dst, tag, std::span<const std::uint8_t>(data));
   }
-  /// Sends `bytes` of zero payload (bulk benchmark traffic).
-  sim::Task<> sendZeros(int dst, int tag, std::int64_t bytes);
   sim::Task<Message> recv(int src, int tag);
-  /// Convenience: receive and require an exact payload size.
-  sim::Task<Message> recvExpect(int src, int tag, std::size_t bytes);
-  /// Combined send+recv (deadlock-free pairwise exchange).
-  sim::Task<Message> sendrecv(int dst, int send_tag,
-                              std::span<const std::uint8_t> data, int src,
-                              int recv_tag);
 
-  Request isend(int dst, int tag, std::vector<std::uint8_t> data);
+  Request isend(int dst, int tag, std::vector<std::uint8_t> data) {
+    assert(tag >= 0 && "user tags must be non-negative");
+    return isendOnContext(context_, dst, tag, std::move(data));
+  }
   Request irecv(int src, int tag);
   sim::Task<Message> wait(Request request);
   bool test(const Request& request) const { return request->done; }
-  /// Non-blocking probe for a matching queued message.
-  bool iprobe(int src, int tag) const;
 
   // --- collectives ---------------------------------------------------------
   sim::Task<> barrier();
@@ -88,12 +76,8 @@ class Comm {
   bool attrPut(Keyval k, void* value);
   /// Retrieves the attribute; `flag` semantics of MPI_Attr_get.
   bool attrGet(Keyval k, void** value) const;
-  bool attrDelete(Keyval k);
 
   // --- derivation ------------------------------------------------------------
-  /// Collective: duplicate this communicator (attributes propagate through
-  /// their copy callbacks).
-  sim::Task<Comm> dup();
   /// Collective between `rank()` and `other`: a two-party communicator
   /// (the paper's QoS unit). Both parties call it with each other's rank.
   sim::Task<Comm> createPair(int other);
@@ -120,12 +104,9 @@ class Comm {
 
   sim::Task<> sendOnContext(std::int32_t ctx, int dst, int tag,
                             std::span<const std::uint8_t> data);
-  sim::Task<> sendSliceOnContext(std::int32_t ctx, int dst, int tag,
-                                 net::BufSlice data);
   sim::Task<Message> recvOnContext(std::int32_t ctx, int src, int tag);
-  Request isendInternal(int dst, int tag, std::vector<std::uint8_t> data);
-  static void applyOp(std::vector<double>& acc, std::span<const double> in,
-                      ReduceOp op);
+  Request isendOnContext(std::int32_t ctx, int dst, int tag,
+                         std::vector<std::uint8_t> data);
 
   World* world_ = nullptr;
   std::int32_t context_ = 0;

@@ -1,7 +1,5 @@
 #include "mpi/matching.hpp"
 
-#include <algorithm>
-
 namespace mgq::mpi {
 
 sim::Task<Message> MatchingEngine::receive(std::int32_t context, int source,
@@ -24,15 +22,6 @@ sim::Task<Message> MatchingEngine::receive(std::int32_t context, int source,
   Message m = std::move(it->message);
   posted_.erase(it);
   co_return m;
-}
-
-bool MatchingEngine::probe(std::int32_t context, int source, int tag) const {
-  return std::any_of(unexpected_.begin(), unexpected_.end(),
-                     [&](const Envelope& e) {
-                       return e.context == context &&
-                              (source == kAnySource || source == e.source) &&
-                              (tag == kAnyTag || tag == e.tag);
-                     });
 }
 
 void MatchingEngine::deliver(Envelope envelope) {

@@ -26,9 +26,6 @@ class MatchingEngine {
   /// tag) arrives; removes and returns it.
   sim::Task<Message> receive(std::int32_t context, int source, int tag);
 
-  /// Non-blocking probe: true if a matching message is already queued.
-  bool probe(std::int32_t context, int source, int tag) const;
-
   /// Delivers an arriving envelope to a posted receive or queues it.
   void deliver(Envelope envelope);
 

@@ -56,12 +56,6 @@ bool World::allFinished() const {
   return true;
 }
 
-int World::finishedCount() const {
-  int n = 0;
-  for (const auto& rank : ranks_) n += rank->finished ? 1 : 0;
-  return n;
-}
-
 sim::Task<> World::acceptLoop(RankContext& rank) {
   for (;;) {
     auto socket = co_await rank.listener->accept();
@@ -143,24 +137,6 @@ sim::Task<> World::sendBytes(int src_world, int dst_world,
   conn.write_mutex->unlock();
 }
 
-sim::Task<> World::sendBytes(int src_world, int dst_world,
-                             std::int32_t context, std::int32_t comm_source,
-                             std::int32_t tag, net::BufSlice payload) {
-  co_await establishConnection(src_world, dst_world);
-  auto& rank = *ranks_.at(static_cast<std::size_t>(src_world));
-  auto& conn = connectionTo(rank, dst_world);
-
-  WireHeader wire{context, comm_source, tag,
-                  static_cast<std::int64_t>(payload.size())};
-  std::array<std::uint8_t, WireHeader::kBytes> header;
-  wire.encode(header);
-
-  co_await conn.write_mutex->lock();
-  co_await conn.socket->send(header);
-  if (!payload.empty()) co_await conn.socket->sendSlice(std::move(payload));
-  conn.write_mutex->unlock();
-}
-
 tcp::TcpSocket* World::connectionSocket(int src_world, int dst_world) {
   auto& rank = *ranks_.at(static_cast<std::size_t>(src_world));
   const auto it = rank.outgoing.find(dst_world);
@@ -176,11 +152,6 @@ std::int32_t World::allocContext(std::int32_t parent, std::int64_t salt,
   assert(ctx < 0x40000000 && "context id space exhausted");
   context_cache_.emplace(key, ctx);
   return ctx;
-}
-
-int World::nextDerivation(int world_rank, std::int32_t parent) {
-  auto& rank = *ranks_.at(static_cast<std::size_t>(world_rank));
-  return rank.derivations[parent]++;
 }
 
 int World::nextPairDerivation(int world_rank, std::int32_t parent,

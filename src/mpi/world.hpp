@@ -18,7 +18,6 @@
 #include "mpi/attributes.hpp"
 #include "mpi/comm.hpp"
 #include "mpi/matching.hpp"
-#include "net/buffer.hpp"
 #include "net/host.hpp"
 #include "sim/async_mutex.hpp"
 #include "sim/simulator.hpp"
@@ -53,8 +52,6 @@ class World {
   void launch(std::function<sim::Task<>(Comm&)> rank_main);
   /// True once every launched rank main has returned.
   bool allFinished() const;
-  /// Number of rank mains that have finished.
-  int finishedCount() const;
 
   /// The world communicator as seen by `world_rank` (valid after
   /// construction; usable even without launch() for tests).
@@ -66,11 +63,6 @@ class World {
   sim::Task<> sendBytes(int src_world, int dst_world, std::int32_t context,
                         std::int32_t comm_source, std::int32_t tag,
                         std::span<const std::uint8_t> payload);
-  /// Zero-copy variant: the payload slice is adopted into the TCP send
-  /// ring by reference; only the fixed header is copied.
-  sim::Task<> sendBytes(int src_world, int dst_world, std::int32_t context,
-                        std::int32_t comm_source, std::int32_t tag,
-                        net::BufSlice payload);
   MatchingEngine& matchingOf(int world_rank) {
     return ranks_.at(static_cast<size_t>(world_rank))->matching;
   }
@@ -78,9 +70,7 @@ class World {
   /// same (parent, salt, counter) gets the same fresh id.
   std::int32_t allocContext(std::int32_t parent, std::int64_t salt,
                             int counter);
-  /// Per-rank derivation counters (dup/split share one sequence, pairs one
-  /// per peer).
-  int nextDerivation(int world_rank, std::int32_t parent);
+  /// Per-rank pair-derivation counter, one sequence per (parent, peer).
   int nextPairDerivation(int world_rank, std::int32_t parent, int peer);
   /// Ensures the connection src->dst exists and returns its flow key.
   sim::Task<net::FlowKey> establishConnection(int src_world, int dst_world);
@@ -104,8 +94,6 @@ class World {
     std::map<int, OutboundConnection> outgoing;  // dst world rank -> conn
     Comm world_comm;
     bool finished = false;
-    // Derivation counters.
-    std::map<std::int32_t, int> derivations;
     std::map<std::pair<std::int32_t, int>, int> pair_derivations;
 
     explicit RankContext(sim::Simulator& sim) : matching(sim) {}

@@ -22,11 +22,6 @@ bool DsPolicy::removeRule(std::uint64_t rule_id) {
   return false;
 }
 
-void DsPolicy::clear() {
-  rules_.clear();
-  flow_cache_.clear();
-}
-
 std::optional<Packet> DsPolicy::applyRule(std::size_t index, Packet p) {
   auto& rule = rules_[index];
   if (!rule.bucket || rule.bucket->tryConsume(p.size_bytes)) {

@@ -81,7 +81,6 @@ class DsPolicy {
   /// Adds a rule; returns its id for later removal.
   std::uint64_t addRule(MarkingRule rule);
   bool removeRule(std::uint64_t rule_id);
-  void clear();
 
   /// Applies classification/marking/policing. Returns the (possibly
   /// re-marked) packet, or nullopt when it was policed away.

@@ -13,11 +13,6 @@ LinkFault::LinkFault(Interface& a) : a_(&a), b_(a.peer()) {
   assert(b_ != nullptr && "LinkFault needs a connected interface");
 }
 
-LinkFault::LinkFault(Interface& a, Interface& b) : a_(&a), b_(&b) {
-  assert(a.peer() == &b && b.peer() == &a &&
-         "LinkFault endpoints must be peers");
-}
-
 void LinkFault::fail() {
   a_->setUp(false);
   b_->setUp(false);

@@ -26,7 +26,6 @@ class LinkFault {
  public:
   /// `a` must be connected; the reverse direction is its peer.
   explicit LinkFault(Interface& a);
-  LinkFault(Interface& a, Interface& b);
 
   void fail();
   void restore();

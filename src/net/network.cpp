@@ -70,18 +70,7 @@ void Network::computeRoutes() {
   }
 }
 
-Node* Network::findNode(NodeId id) {
-  for (const auto& n : nodes_) {
-    if (n->id() == id) return n.get();
-  }
-  return nullptr;
-}
-
-GarnetTopology::GarnetTopology(sim::Simulator& sim)
-    : GarnetTopology(sim, Config{}) {}
-
-GarnetTopology::GarnetTopology(sim::Simulator& sim, const Config& config)
-    : network(sim) {
+GarnetTopology::GarnetTopology(sim::Simulator& sim) : network(sim) {
   premium_src = &network.addHost("premium-src");
   premium_dst = &network.addHost("premium-dst");
   competitive_src = &network.addHost("competitive-src");
@@ -91,13 +80,12 @@ GarnetTopology::GarnetTopology(sim::Simulator& sim, const Config& config)
   egress_router = &network.addRouter("r-egress");
 
   LinkConfig edge;
-  edge.rate_bps = config.edge_rate_bps;
-  edge.delay = config.edge_delay;
+  edge.rate_bps = kEdgeRateBps;
+  edge.delay = kEdgeDelay;
 
   LinkConfig core;
-  core.rate_bps = config.core_rate_bps;
-  core.delay = config.core_delay;
-  core.qdisc = config.core_qdisc;
+  core.rate_bps = kCoreRateBps;
+  core.delay = kCoreDelay;
 
   network.connect(*premium_src, *ingress_router, edge);
   network.connect(*competitive_src, *ingress_router, edge);

@@ -42,7 +42,6 @@ class Network {
 
   sim::Simulator& simulator() { return sim_; }
   const std::vector<std::unique_ptr<Node>>& nodes() const { return nodes_; }
-  Node* findNode(NodeId id);
 
  private:
   struct Edge {
@@ -60,19 +59,15 @@ class Network {
 /// The paper's laboratory testbed (Figure 4): a chain of three DS routers;
 /// a premium source/destination pair and a competitive (contention)
 /// source/destination pair attached at the ends. Edge links model switched
-/// Fast Ethernet; the router chain models the OC3 core. The core rate is
-/// configurable because the paper's wide-area VCs have "varying capacity".
+/// Fast Ethernet; the router chain models the OC3 core at the 55 Mb/s every
+/// experiment uses. Every qdisc has the default QdiscConfig.
 struct GarnetTopology {
-  struct Config {
-    double edge_rate_bps = 100e6;  // host <-> edge router
-    double core_rate_bps = 55e6;   // router <-> router bottleneck
-    sim::Duration edge_delay = sim::Duration::micros(100);
-    sim::Duration core_delay = sim::Duration::micros(400);
-    QdiscConfig core_qdisc;        // queue sizing on the bottleneck
-  };
+  static constexpr double kEdgeRateBps = 100e6;  // host <-> edge router
+  static constexpr double kCoreRateBps = 55e6;   // router <-> router
+  static constexpr sim::Duration kEdgeDelay = sim::Duration::micros(100);
+  static constexpr sim::Duration kCoreDelay = sim::Duration::micros(400);
 
   explicit GarnetTopology(sim::Simulator& sim);
-  GarnetTopology(sim::Simulator& sim, const Config& config);
 
   Network network;
   Host* premium_src = nullptr;

@@ -10,9 +10,8 @@ namespace mgq::net {
 namespace {
 
 bool carriesPayload(const Packet& p) {
-  if (const auto* t = p.tcp()) return !t->payload.empty();
-  if (const auto* u = p.udp()) return !u->payload.empty();
-  return false;
+  const auto* t = p.tcp();
+  return t != nullptr && !t->payload.empty();
 }
 
 }  // namespace

@@ -95,12 +95,10 @@ struct TcpHeader {
 /// receive (see tcp/tcp_socket.cpp).
 std::uint32_t tcpWireChecksum(const TcpHeader& h);
 
-/// UDP datagram metadata. Contention traffic is size-only (`payload`
-/// empty); applications that carry real bytes attach a slice, shared
-/// across fragments of the same datagram.
+/// UDP datagram metadata. UDP traffic is size-only: no datagram carries
+/// payload bytes.
 struct UdpHeader {
   std::uint64_t datagram_id = 0;
-  BufSlice payload;
 };
 
 inline constexpr std::int32_t kIpHeaderBytes = 20;
@@ -116,7 +114,6 @@ struct Packet {
 
   const TcpHeader* tcp() const { return std::get_if<TcpHeader>(&header); }
   TcpHeader* tcp() { return std::get_if<TcpHeader>(&header); }
-  const UdpHeader* udp() const { return std::get_if<UdpHeader>(&header); }
 };
 
 /// Why a packet was dropped — used by counters and tests.

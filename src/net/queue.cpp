@@ -90,10 +90,4 @@ bool DsQdisc::empty() const {
          classQueue(Dscp::kBestEffort).empty();
 }
 
-std::int64_t DsQdisc::bytes() const {
-  return classQueue(Dscp::kExpedited).bytes() +
-         classQueue(Dscp::kLowLatency).bytes() +
-         classQueue(Dscp::kBestEffort).bytes();
-}
-
 }  // namespace mgq::net

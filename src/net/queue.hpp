@@ -78,7 +78,6 @@ class DsQdisc {
   bool passThrough(const Packet& p);
 
   bool empty() const;
-  std::int64_t bytes() const;
   const DropTailQueue& classQueue(Dscp d) const;
 
  private:

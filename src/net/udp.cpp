@@ -23,28 +23,9 @@ void UdpSocket::sendTo(NodeId dst, PortId dst_port,
     Packet p;
     p.flow = FlowKey{host_.id(), dst, port_, dst_port, Protocol::kUdp};
     p.size_bytes = chunk + kIpHeaderBytes + kUdpHeaderBytes;
-    p.header = UdpHeader{next_datagram_id_, BufSlice{}};
+    p.header = UdpHeader{next_datagram_id_};
     host_.sendPacket(std::move(p));
     remaining -= chunk;
-  }
-  ++next_datagram_id_;
-}
-
-void UdpSocket::sendTo(NodeId dst, PortId dst_port, BufSlice payload) {
-  ++datagrams_sent_;
-  const auto total = static_cast<std::int32_t>(payload.size());
-  std::int32_t offset = 0;
-  while (offset < total) {
-    const std::int32_t chunk = std::min(total - offset, kMtuPayload);
-    Packet p;
-    p.flow = FlowKey{host_.id(), dst, port_, dst_port, Protocol::kUdp};
-    p.size_bytes = chunk + kIpHeaderBytes + kUdpHeaderBytes;
-    p.header = UdpHeader{
-        next_datagram_id_,
-        payload.subslice(static_cast<std::uint32_t>(offset),
-                         static_cast<std::uint32_t>(chunk))};
-    host_.sendPacket(std::move(p));
-    offset += chunk;
   }
   ++next_datagram_id_;
 }

@@ -24,11 +24,6 @@ class UdpSocket : public PacketReceiver {
   /// larger than the MTU payload are fragmented into MTU-sized packets.
   void sendTo(NodeId dst, PortId dst_port, std::int32_t payload_bytes);
 
-  /// Sends one datagram carrying real bytes. Fragments share the slice's
-  /// underlying buffer (zero-copy): each packet's UdpHeader holds a
-  /// subslice view of `payload`.
-  void sendTo(NodeId dst, PortId dst_port, BufSlice payload);
-
   /// Receive callback: invoked with each arriving datagram packet.
   void onReceive(std::function<void(const Packet&)> cb) {
     receive_cb_ = std::move(cb);

@@ -18,9 +18,4 @@ void TraceBuffer::record(std::string category, std::string event,
   events_.push_back(std::move(e));
 }
 
-void TraceBuffer::clear() {
-  events_.clear();
-  dropped_ = 0;
-}
-
 }  // namespace mgq::obs

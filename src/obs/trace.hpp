@@ -43,7 +43,6 @@ class TraceBuffer {
   std::size_t capacity() const { return capacity_; }
   /// Events discarded because the ring was full.
   std::uint64_t droppedEvents() const { return dropped_; }
-  void clear();
 
  private:
   std::size_t capacity_;

@@ -4,34 +4,6 @@
 
 namespace mgq::resil {
 
-const char* journalOpName(JournalOp op) {
-  switch (op) {
-    case JournalOp::kAdmitted:
-      return "admitted";
-    case JournalOp::kActivated:
-      return "activated";
-    case JournalOp::kModified:
-      return "modified";
-    case JournalOp::kAdopted:
-      return "adopted";
-    case JournalOp::kExpired:
-      return "expired";
-    case JournalOp::kCancelled:
-      return "cancelled";
-    case JournalOp::kFailed:
-      return "failed";
-    case JournalOp::kQosPut:
-      return "qos_put";
-    case JournalOp::kQosRelease:
-      return "qos_release";
-    case JournalOp::kCrash:
-      return "crash";
-    case JournalOp::kRestart:
-      return "restart";
-  }
-  return "?";
-}
-
 namespace {
 
 bool lifecycleOpFromName(const std::string& name, JournalOp& op) {

@@ -37,8 +37,6 @@ enum class JournalOp {
   kRestart,
 };
 
-const char* journalOpName(JournalOp op);
-
 struct JournalRecord {
   JournalOp op;
   double t_seconds = 0.0;

@@ -24,6 +24,14 @@ struct Overloaded : Ts... {
 template <class... Ts>
 Overloaded(Ts...) -> Overloaded<Ts...>;
 
+/// Period of the rig probes and the workload's bandwidth trace.
+constexpr Duration kSampleInterval = Duration::seconds(1.0);
+/// When Figure 7's sequence tracer attaches: once the connection exists.
+constexpr Duration kTraceAttachAt = Duration::seconds(0.5);
+/// Offered-load stream: listener port, and the end-system shaper's burst.
+constexpr net::PortId kOfferedLoadPort = 7000;
+constexpr std::int64_t kShapeBurstBytes = 5'000;
+
 /// Application-level rate for a network reservation spec: sweeps quote
 /// the raw wire reservation (the paper's x-axis), so the agent's
 /// protocol-overhead multiplier is divided back out.
@@ -79,7 +87,7 @@ Task<> offeredLoadClient(BuiltScenario& b, OfferedLoadTcpWorkload w,
                          tcp::TcpConfig cfg) {
   auto s = co_await tcp::TcpSocket::connect(*b.rig.garnet.premium_src,
                                             b.rig.garnet.premium_dst->id(),
-                                            w.port, cfg);
+                                            kOfferedLoadPort, cfg);
   const std::int64_t chunk =
       w.chunk_bytes > 0
           ? w.chunk_bytes
@@ -88,7 +96,7 @@ Task<> offeredLoadClient(BuiltScenario& b, OfferedLoadTcpWorkload w,
   std::unique_ptr<gq::ShapedSocket> shaper;
   if (w.shaped) {
     shaper = std::make_unique<gq::ShapedSocket>(*s, w.shape_rate_bps,
-                                                w.shape_burst_bytes);
+                                                kShapeBurstBytes);
   }
   const auto start = b.rig.sim.now();
   for (int i = 0; w.chunk_count <= 0 || i < w.chunk_count; ++i) {
@@ -263,7 +271,7 @@ void wireVisualization(BuiltScenario& b, const ScenarioSpec& spec,
 void wireOfferedLoad(BuiltScenario& b, const OfferedLoadTcpWorkload& w) {
   const tcp::TcpConfig cfg = w.use_world_tcp ? b.rig.world.tcpConfig() : w.tcp;
   b.listener = std::make_unique<tcp::TcpListener>(*b.rig.garnet.premium_dst,
-                                                  w.port, cfg);
+                                                  kOfferedLoadPort, cfg);
   b.rig.sim.spawn(offeredLoadServer(*b.listener, b.receiver));
   b.rig.sim.spawn(offeredLoadClient(b, w, cfg));
   b.delivered_fn = [&b]() -> std::int64_t {
@@ -349,15 +357,11 @@ std::unique_ptr<BuiltScenario> ScenarioBuilder::build(
   if (spec.observe) {
     built->metrics = std::make_shared<obs::MetricsRegistry>();
     built->trace = std::make_shared<obs::TraceBuffer>(16 * 1024);
-    built->sampler = std::make_unique<obs::Sampler>(
-        rig.sim, *built->metrics,
-        Duration::seconds(spec.sample_interval_seconds));
+    built->sampler = std::make_unique<obs::Sampler>(rig.sim, *built->metrics,
+                                                    kSampleInterval);
     apps::attachRigObservability(rig, *built->metrics, *built->trace,
                                  *built->sampler);
-    // The premium flow runs from the source host's last rank to the
-    // destination host's first: 0 -> 1, or the FD critical link 7 -> 8.
-    apps::addTcpFlowProbes(*built->sampler, rig.world, ranks_per_host - 1,
-                           ranks_per_host, "flow.premium");
+    apps::addPremiumFlowProbes(*built->sampler, rig);
     built->sampler->start();
   }
 
@@ -410,7 +414,7 @@ std::unique_ptr<BuiltScenario> ScenarioBuilder::build(
     net::MarkingRule rule;
     rule.match.src = rig.garnet.premium_src->id();
     if (f.match_dst) rule.match.dst = rig.garnet.premium_dst->id();
-    rule.match.proto = f.proto;
+    rule.match.proto = net::Protocol::kTcp;
     rule.mark = f.mark;
     rule.bucket = std::move(bucket);
     rig.garnet.ingressEdgeInterface()->ingressPolicy().addRule(rule);
@@ -487,15 +491,13 @@ std::unique_ptr<BuiltScenario> ScenarioBuilder::build(
   // the workload's dynamics or RNG draws).
   if (built->delivered_fn) {
     built->bandwidth = std::make_unique<apps::BandwidthTrace>(
-        rig.sim, [b] { return b->deliveredBytes(); },
-        Duration::seconds(spec.sample_interval_seconds));
+        rig.sim, [b] { return b->deliveredBytes(); }, kSampleInterval);
     built->bandwidth->start();
   }
 
   if (spec.trace_sequences) {
-    rig.sim.schedule(Duration::seconds(spec.trace_attach_seconds), [b] {
-      auto* socket = b->rig.world.connectionSocket(0, 1);
-      if (socket != nullptr) b->tracer.attach(*socket);
+    rig.sim.schedule(kTraceAttachAt, [b] {
+      if (auto* socket = b->rig.premiumSocket()) b->tracer.attach(*socket);
     });
   }
 

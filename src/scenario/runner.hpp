@@ -42,6 +42,10 @@ struct ScenarioResult {
   /// one. Both stay zero when the job did not finish.
   apps::FiniteDifferenceResult fd;
   double fd_seconds = 0.0;
+  /// fd_seconds per iteration in ms (0 when the job did not finish).
+  double fdIterationMs() const {
+    return fd.iterations > 0 ? fd_seconds * 1000.0 / fd.iterations : 0.0;
+  }
 
   /// Receiver-side byte counts: at the end of the run, and at the
   /// measure_at snapshot (-1 when no snapshot was requested).

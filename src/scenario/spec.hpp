@@ -65,12 +65,10 @@ struct OfferedLoadTcpWorkload {
   /// Send through a gq::ShapedSocket paced to shape_rate_bps.
   bool shaped = false;
   double shape_rate_bps = 0.0;
-  std::int64_t shape_burst_bytes = 5'000;
   double seconds = 0.0;  // goodput measurement window
   /// Socket configuration: the world's TCP config, or the override below.
   bool use_world_tcp = true;
   tcp::TcpConfig tcp;
-  net::PortId port = 7000;
 };
 
 /// Small request/response messages timed under bulk contention (the
@@ -136,13 +134,12 @@ using Workload = std::variant<PingPongWorkload, VisualizationWorkload,
 // Premium admission and reservations
 // --------------------------------------------------------------------------
 
-/// A hand-built marking rule on the ingress edge (token bucket sized by
+/// A hand-built marking rule for TCP on the ingress edge (token bucket sized by
 /// the paper's depth rule), bypassing GARA — Figure-1-style admission.
 struct FlowSpec {
   double rate_bps = 0.0;
   double bucket_divisor = net::TokenBucket::kNormalDivisor;
   net::Dscp mark = net::Dscp::kExpedited;
-  net::Protocol proto = net::Protocol::kTcp;
   bool match_dst = true;  // false: match the premium source only
 };
 
@@ -256,12 +253,10 @@ struct ScenarioSpec {
   double measure_at_seconds = 0.0;
   double snapshot_grace_seconds = 0.0;
 
-  bool trace_sequences = false;       // Figure 7: attach a SequenceTracer
-  double trace_attach_seconds = 0.5;  // once the connection exists
+  bool trace_sequences = false;  // Figure 7: attach a SequenceTracer
 
   /// Per-run metrics registry + trace buffer + standard rig probes.
   bool observe = true;
-  double sample_interval_seconds = 1.0;
 
   std::vector<Check> checks;
 };

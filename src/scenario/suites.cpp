@@ -53,16 +53,11 @@ Results fd(const SweepRunner& pool, CheckReporter& checks) {
   best_effort.name = "fd_best_effort";
   best_effort.reservations.clear();
   auto results = pool.run({paperSpec("fd_critical_link"), best_effort});
-  const auto iteration_ms = [](const ScenarioResult& r) {
-    return r.fd.iterations > 0 ? r.fd_seconds * 1000.0 / r.fd.iterations
-                               : 0.0;
-  };
   const auto& premium = results[0];
   const auto& be = results[1];
   Table table({"variant", "iteration_ms", "job_s", "checksum"});
-  auto row = [&table, &iteration_ms](const char* variant,
-                                     const ScenarioResult& r) {
-    table.addRow({variant, Table::num(iteration_ms(r), 2),
+  auto row = [&table](const char* variant, const ScenarioResult& r) {
+    table.addRow({variant, Table::num(r.fdIterationMs(), 2),
                   Table::num(r.fd_seconds, 3), Table::num(r.fd.checksum, 6)});
   };
   row("premium on rank 7 <-> 8", premium);
@@ -70,7 +65,7 @@ Results fd(const SweepRunner& pool, CheckReporter& checks) {
   table.renderAscii(std::cout);
   std::cout << "\n";
   checks.check(premium.fd.iterations > 0 && be.fd.iterations > 0 &&
-                   iteration_ms(premium) < 0.1 * iteration_ms(be),
+                   premium.fdIterationMs() < 0.1 * be.fdIterationMs(),
                "premium QoS on the critical link cuts the iteration time "
                "at least tenfold");
   return results;

@@ -15,18 +15,12 @@ struct TcpConfig {
   std::int32_t mss = 1460;
   std::int64_t send_buffer_bytes = 64 * 1024;
   std::int64_t recv_buffer_bytes = 64 * 1024;
-  /// Initial congestion window, in segments (RFC 2581 allowed 2).
-  std::int32_t initial_cwnd_segments = 2;
-  /// Initial slow-start threshold, bytes ("infinite" by default).
-  std::int64_t initial_ssthresh = INT64_MAX / 4;
   sim::Duration initial_rto = sim::Duration::millis(1000);
   sim::Duration min_rto = sim::Duration::millis(200);
   sim::Duration max_rto = sim::Duration::seconds(60.0);
   /// Delayed ACKs (one ACK per two segments, 40 ms cap). Off by default:
   /// the experiments use immediate ACKs.
   bool delayed_ack = false;
-  /// Persist-probe interval when the peer advertises a zero window.
-  sim::Duration persist_interval = sim::Duration::millis(500);
 };
 
 struct TcpStats {

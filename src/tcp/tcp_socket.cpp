@@ -8,6 +8,12 @@ namespace mgq::tcp {
 
 namespace {
 constexpr int kMaxSynRetries = 6;
+/// Initial congestion window, in segments (RFC 2581 allowed 2).
+constexpr std::int32_t kInitialCwndSegments = 2;
+/// Initial slow-start threshold, bytes: "infinite".
+constexpr std::int64_t kInitialSsthresh = INT64_MAX / 4;
+/// Persist-probe interval while the peer advertises a zero window.
+constexpr sim::Duration kPersistInterval = sim::Duration::millis(500);
 constexpr std::int32_t kAckWireBytes =
     net::kIpHeaderBytes + net::kTcpHeaderBytes;
 }  // namespace
@@ -29,8 +35,8 @@ TcpSocket::TcpSocket(net::Host& host, net::FlowKey flow, TcpConfig config,
       send_space_cond_(sim_),
       recv_data_cond_(sim_),
       acked_cond_(sim_) {
-  ssthresh_ = config_.initial_ssthresh;
-  cwnd_ = static_cast<double>(config_.initial_cwnd_segments) * config_.mss;
+  ssthresh_ = kInitialSsthresh;
+  cwnd_ = static_cast<double>(kInitialCwndSegments) * config_.mss;
 }
 
 TcpSocket::~TcpSocket() {
@@ -95,21 +101,6 @@ sim::Task<> TcpSocket::send(std::span<const std::uint8_t> data) {
         free, static_cast<std::int64_t>(data.size() - offset));
     send_buf_.append(data.subspan(offset, static_cast<std::size_t>(chunk)));
     offset += static_cast<std::size_t>(chunk);
-    stats_.bytes_sent_app += chunk;
-    trySend();
-  }
-}
-
-sim::Task<> TcpSocket::sendSlice(net::BufSlice data) {
-  std::uint32_t offset = 0;
-  while (offset < data.length) {
-    co_await awaitUntil(send_space_cond_,
-                        [this] { return sendAdmissionOpen(); });
-    const auto free = config_.send_buffer_bytes - send_buf_.size();
-    const auto chunk = static_cast<std::uint32_t>(std::min<std::int64_t>(
-        free, static_cast<std::int64_t>(data.length - offset)));
-    send_buf_.appendSlice(data.subslice(offset, chunk));
-    offset += chunk;
     stats_.bytes_sent_app += chunk;
     trySend();
   }
@@ -401,7 +392,7 @@ void TcpSocket::onRtoExpired() {
 void TcpSocket::armPersist() {
   if (persist_armed_) return;
   persist_armed_ = true;
-  persist_event_ = sim_.schedule(config_.persist_interval, [this] {
+  persist_event_ = sim_.schedule(kPersistInterval, [this] {
     persist_armed_ = false;
     onPersistExpired();
   });

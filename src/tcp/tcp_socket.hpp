@@ -63,9 +63,6 @@ class TcpSocket : public net::PacketReceiver {
   // --- sending -----------------------------------------------------------
   /// Copies `data` into the send buffer, suspending while it is full.
   sim::Task<> send(std::span<const std::uint8_t> data);
-  /// Zero-copy variant: the slice's buffer is adopted into the send
-  /// stream (refcount bump, no byte copy), suspending while it is full.
-  sim::Task<> sendSlice(net::BufSlice data);
   /// Sends `n` pattern bytes (stream byte k = k & 0xff) without the app
   /// materializing them.
   sim::Task<> sendBulk(std::int64_t n);

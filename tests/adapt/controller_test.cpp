@@ -1,9 +1,8 @@
 // QosController end to end against a real broker domain: demand-driven
 // grow to demand x headroom, idle shrink to the floor with reclaimed
 // accounting, refusal backoff that never fails the path, max-min sharing
-// of reclaimed capacity across tenants, the degraded-communicator watch
-// that keeps re-escalation capacity out of the grow pool, and a 64-tenant
-// fleet that keeps resizing on cadence within the loop's event budget.
+// of reclaimed capacity across tenants, and a 64-tenant fleet that keeps
+// resizing on cadence within the loop's event budget.
 #include "adapt/controller.hpp"
 
 #include <gtest/gtest.h>
@@ -11,8 +10,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "apps/garnet_rig.hpp"
 
 namespace mgq::adapt {
 namespace {
@@ -259,120 +256,6 @@ TEST(QosControllerTest, ReclaimedCapacityFundsTheHungryTenant) {
   // A zero grant on a full pool is a silent skip, never a refusal.
   EXPECT_EQ(views[0].refused, 0u);
   EXPECT_NEAR(d.arbiter.headroomBps(d.sim.now()), 0.0, 1.0);
-}
-
-gq::QosAgent::RecoveryPolicy fastRetries(int max_retries) {
-  gq::QosAgent::RecoveryPolicy policy;
-  policy.max_retries = max_retries;
-  policy.initial_backoff = Duration::millis(100);
-  policy.backoff_multiplier = 2.0;
-  policy.max_backoff = Duration::millis(500);
-  policy.jitter = 0.0;
-  policy.degrade_to_best_effort = true;
-  policy.reescalate_interval = Duration::millis(500);
-  return policy;
-}
-
-struct DegradedRaceResult {
-  gq::QosRequestState state = gq::QosRequestState::kNone;
-  double tenant_bps = 0.0;
-  /// The re-granted premium reservation's raw amount (0 unless granted).
-  double premium_bps = 0.0;
-};
-
-/// A degraded premium comm races the controller for returning capacity:
-/// its leg is preempted at t=5 with the remaining premium share blocked,
-/// the blocker is cancelled at t=5.95, and an aggressive tenant's demand
-/// turns on at t=6. Only the watch keeps the agent's ~10.3 Mb/s raw
-/// reservation (10 Mb/s application rate plus protocol overhead) out of
-/// the grow pool long enough for the 500 ms re-escalation probe to land.
-DegradedRaceResult runDegradedRace(bool watch) {
-  apps::GarnetRig::Config config;
-  config.recovery = fastRetries(2);
-  apps::GarnetRig rig(config);
-  mpi::Comm* comm0 = nullptr;
-  bool granted = false;
-  rig.world.launch([&](mpi::Comm& comm) -> sim::Task<> {
-    if (comm.rank() == 0) {
-      comm0 = &comm;
-      granted = co_await rig.requestPremium(comm, 10'000.0, 37'500);
-    }
-    co_return;
-  });
-  rig.sim.runUntil(TimePoint::fromSeconds(2.0));
-  EXPECT_TRUE(granted);
-  EXPECT_NE(comm0, nullptr);
-
-  gara::BandwidthBroker broker(rig.gara);
-  broker.definePath("fwd", {"net-forward"});
-  BandwidthArbiter arbiter(rig.gara);
-  arbiter.setPoolResources({"net-forward"});
-  gara::ReservationRequest request;
-  request.start = rig.sim.now();
-  request.amount = 4e6;
-  auto path = broker.requestPath("fwd", request);
-  EXPECT_TRUE(static_cast<bool>(path)) << path.error;
-
-  QosController::Config cc;
-  cc.cadence_seconds = 0.1;  // much faster than the agent's 500 ms probe
-  QosController controller(rig.sim, broker, arbiter, cc);
-  QosController::TenantConfig tenant;
-  tenant.name = "tenant";
-  tenant.policy.floor_bps = 4e6;
-  tenant.policy.grow_multiplier = 8.0;
-  tenant.policy.grow_cooldown_seconds = 0.1;
-  tenant.inputs = {[&rig] {
-                     const double t = rig.sim.now().toSeconds();
-                     return static_cast<std::int64_t>(
-                         t <= 6.0 ? 0.0 : 100e6 / 8.0 * (t - 6.0));
-                   },
-                   {},
-                   {}};
-  controller.addTenant(std::move(tenant), &path);
-  if (watch) controller.watchDegraded(rig.agent, *comm0, 12e6);
-  controller.start();
-
-  gara::ReservationHandle blocker;
-  rig.sim.schedule(Duration::seconds(3), [&] {
-    auto held = rig.agent.status(*comm0).reservations;
-    ASSERT_EQ(held.size(), 1u);
-    rig.gara.fail(held[0], "preempted");
-    gara::ReservationRequest block;
-    block.start = rig.sim.now();
-    block.amount = rig.net_forward.slots().capacity() - 4e6;
-    auto outcome = rig.gara.reserve("net-forward", block);
-    ASSERT_TRUE(static_cast<bool>(outcome)) << outcome.error;
-    blocker = outcome.handle;
-  });
-  rig.sim.schedule(Duration::seconds(3.95), [&] { rig.gara.cancel(blocker); });
-  rig.sim.runUntil(TimePoint::fromSeconds(10.0));
-
-  const auto views = controller.tenantViews();
-  DegradedRaceResult result;
-  const auto status = rig.agent.status(*comm0);
-  result.state = status.state;
-  if (!views.empty()) result.tenant_bps = views[0].current_bps;
-  if (!status.reservations.empty()) {
-    result.premium_bps = status.reservations[0]->request().amount;
-  }
-  return result;
-}
-
-TEST(QosControllerTest, DegradedWatchReservesCapacityForReescalation) {
-  // Without the watch the 100 ms control loop wins the race: the tenant
-  // swallows the whole 44 Mb/s premium share before the 500 ms probe
-  // fires, and the communicator is stuck degraded.
-  const auto without = runDegradedRace(false);
-  EXPECT_EQ(without.state, gq::QosRequestState::kDegraded);
-  EXPECT_NEAR(without.tenant_bps, 44e6, 1.0);
-
-  // With the watch, 12 Mb/s stays out of the grow pool while the comm is
-  // degraded: the probe re-grants, and the tenant ends with exactly the
-  // premium share the re-granted reservation left behind.
-  const auto with = runDegradedRace(true);
-  EXPECT_EQ(with.state, gq::QosRequestState::kGranted);
-  EXPECT_GT(with.premium_bps, 0.0);
-  EXPECT_NEAR(with.tenant_bps, 44e6 - with.premium_bps, 1.0);
 }
 
 }  // namespace

@@ -84,8 +84,7 @@ TEST(BandwidthBrokerTest, CancelFreesTheWholePath) {
   auto a = f.broker->requestPath("via-a", f.request(40e6));
   ASSERT_TRUE(a);
   EXPECT_FALSE(f.broker->requestPath("via-b", f.request(10e6)));
-  f.broker->cancel(a);
-  EXPECT_TRUE(a.handles.empty());
+  for (const auto& leg : a.handles) f.gara.cancel(leg);
   EXPECT_DOUBLE_EQ(f.core->slots().usedAt(f.sim.now()), 0.0);
   EXPECT_TRUE(f.broker->requestPath("via-b", f.request(10e6)));
 }
@@ -152,7 +151,6 @@ class RefusingManager : public ResourceManager {
   explicit RefusingManager(double capacity) : ResourceManager(capacity) {}
   void allowValidates(int n) { validates_remaining_ = n; }
 
-  std::string type() const override { return "refusing"; }
   std::string validate(const ReservationRequest& request) const override {
     if (request.amount <= 0.0) return "reservation needs amount > 0";
     if (validates_remaining_ == 0) return "validation budget exhausted";

@@ -229,7 +229,6 @@ TEST(ReservationFailureTest, ModifyAndCancelRefusedOnEveryTerminalState) {
 class PreemptingManager : public ResourceManager {
  public:
   explicit PreemptingManager(double capacity) : ResourceManager(capacity) {}
-  std::string type() const override { return "preempting"; }
   std::string validate(const ReservationRequest&) const override {
     return {};
   }

@@ -151,9 +151,21 @@ TEST(EndToEndQosTest, CpuReservationRestoresComputeBoundSender) {
   });
   rig.sim.runUntil(TimePoint::fromSeconds(40));
 
-  const double phase_free = sampler.meanKbps(2, 10);
-  const double phase_hog = sampler.meanKbps(12, 20);
-  const double phase_resv = sampler.meanKbps(22, 30);
+  // Mean rate over the samples with t in (from, to].
+  auto mean_kbps = [&sampler](double from, double to) {
+    double sum = 0.0;
+    int n = 0;
+    for (const auto& p : sampler.series()) {
+      if (p.t_seconds > from && p.t_seconds <= to) {
+        sum += p.kbps;
+        ++n;
+      }
+    }
+    return n == 0 ? 0.0 : sum / n;
+  };
+  const double phase_free = mean_kbps(2, 10);
+  const double phase_hog = mean_kbps(12, 20);
+  const double phase_resv = mean_kbps(22, 30);
   EXPECT_NEAR(phase_free, 2000.0, 300.0);
   EXPECT_LT(phase_hog, phase_free * 0.7);    // hog throttles the stream
   EXPECT_NEAR(phase_resv, phase_free, 300.0);  // reservation restores it

@@ -142,26 +142,5 @@ TEST(MultipartyQosTest, PartialCapacityDeniesAtomically) {
   EXPECT_DOUBLE_EQ(f.managers[0]->slots().usedAt(f.sim.now()), 0.0);
 }
 
-TEST(MultipartyQosTest, AttrDeleteDoesNotCancelReservations) {
-  // MPI semantics: deleting the attribute removes the value; releasing
-  // QoS is an explicit agent operation (or a best-effort re-put).
-  TriFixture f;
-  QosAttribute attr;
-  attr.qosclass = QosClass::kPremium;
-  attr.bandwidth_kbps = 500.0;
-  f.world->launch([&](mpi::Comm& comm) -> Task<> {
-    if (comm.rank() == 0) {
-      comm.attrPut(f.agent->keyval(), &attr);
-      co_await f.agent->awaitSettled(comm);
-      comm.attrDelete(f.agent->keyval());
-    }
-    co_return;
-  });
-  f.sim.runFor(Duration::seconds(10));
-  EXPECT_EQ(f.router->interfaces()[0]->ingressPolicy().ruleCount(), 2u);
-  void* out = nullptr;
-  EXPECT_FALSE(f.world->worldComm(0).attrGet(f.agent->keyval(), &out));
-}
-
 }  // namespace
 }  // namespace mgq::gq

@@ -119,18 +119,6 @@ TEST(MatchingTest, SelectiveRecvSkipsNonMatching) {
   EXPECT_EQ(engine.unexpectedCount(), 1u);  // tag-1 message still queued
 }
 
-TEST(MatchingTest, ProbeMatchesWildcardsWithoutConsuming) {
-  sim::Simulator sim;
-  MatchingEngine engine(sim);
-  EXPECT_FALSE(engine.probe(1, kAnySource, kAnyTag));
-  engine.deliver(makeEnv(1, 4, 6));
-  EXPECT_TRUE(engine.probe(1, kAnySource, kAnyTag));
-  EXPECT_TRUE(engine.probe(1, 4, 6));
-  EXPECT_FALSE(engine.probe(1, 5, kAnyTag));
-  EXPECT_FALSE(engine.probe(2, kAnySource, kAnyTag));
-  EXPECT_EQ(engine.unexpectedCount(), 1u);
-}
-
 TEST(WireHeaderTest, EncodeDecodeRoundTrip) {
   WireHeader h{123, -4, 56789, 1'000'000'000'000LL};
   std::vector<std::uint8_t> buf(WireHeader::kBytes);

@@ -96,9 +96,10 @@ TEST(MpiP2PTest, LargeMessageIntegrity) {
       }
       co_await comm.send(1, 1, payload);
     } else {
-      Message m = co_await comm.recvExpect(0, 1, kSize);
-      bool ok = true;
-      for (std::size_t i = 0; i < kSize; ++i) {
+      Message m = co_await comm.recv(0, 1);
+      EXPECT_EQ(m.size(), kSize);
+      bool ok = m.size() == kSize;
+      for (std::size_t i = 0; ok && i < kSize; ++i) {
         ok &= m.data[i] == static_cast<std::uint8_t>((i * 31) & 0xff);
       }
       EXPECT_TRUE(ok);
@@ -135,30 +136,15 @@ TEST(MpiP2PTest, SendrecvExchange) {
   std::vector<int> got(2, -1);
   cluster.run([&](Comm& comm) -> Task<> {
     const int peer = 1 - comm.rank();
-    const auto mine = bytesVec(comm.rank() + 40);
-    Message m = co_await comm.sendrecv(peer, 3, mine, peer, 3);
+    // Both ranks send before either receives: the nonblocking send keeps
+    // the pairwise exchange deadlock-free (the halo-exchange pattern).
+    auto sent = comm.isend(peer, 3, bytesVec(comm.rank() + 40));
+    Message m = co_await comm.recv(peer, 3);
+    co_await comm.wait(std::move(sent));
     got[static_cast<size_t>(comm.rank())] = m.data[0];
   });
   EXPECT_EQ(got[0], 41);
   EXPECT_EQ(got[1], 40);
-}
-
-TEST(MpiP2PTest, IprobeSeesQueuedMessage) {
-  Cluster cluster(2);
-  bool probed_before = true, probed_after = false;
-  cluster.run([&](Comm& comm) -> Task<> {
-    if (comm.rank() == 0) {
-      co_await comm.send(1, 9, bytesVec(1));
-    } else {
-      probed_before = comm.iprobe(0, 9);  // nothing sent yet at t=0
-      co_await comm.world().simulator().delay(sim::Duration::millis(50));
-      probed_after = comm.iprobe(0, 9);
-      (void)co_await comm.recv(0, 9);
-      EXPECT_FALSE(comm.iprobe(0, 9));
-    }
-  });
-  EXPECT_FALSE(probed_before);
-  EXPECT_TRUE(probed_after);
 }
 
 TEST(MpiP2PTest, SelfMessagingOnSameHostPair) {
@@ -198,23 +184,6 @@ TEST(MpiP2PTest, ZeroLengthMessage) {
     }
   });
   EXPECT_TRUE(got);
-}
-
-TEST(MpiP2PTest, SendZerosMovesBulkPayload) {
-  Cluster cluster(2);
-  std::size_t got = 0;
-  bool all_zero = true;
-  cluster.run([&](Comm& comm) -> Task<> {
-    if (comm.rank() == 0) {
-      co_await comm.sendZeros(1, 3, 100'000);
-    } else {
-      Message m = co_await comm.recv(0, 3);
-      got = m.size();
-      for (auto b : m.data) all_zero &= (b == 0);
-    }
-  });
-  EXPECT_EQ(got, 100'000u);
-  EXPECT_TRUE(all_zero);
 }
 
 TEST(MpiP2PTest, ConcurrentSendersToOneReceiver) {

@@ -175,10 +175,6 @@ TEST(DsPolicyCacheTest, RuleMutationInvalidatesCachedVerdicts) {
   // And a cached match must not survive that rule's removal.
   EXPECT_TRUE(policy.removeRule(id));
   EXPECT_EQ(policy.process(makePacket(flow))->dscp, Dscp::kBestEffort);
-  policy.addRule(MarkingRule{FlowMatch::exact(flow), Dscp::kLowLatency,
-                             nullptr, OutOfProfileAction::kDrop});
-  policy.clear();
-  EXPECT_EQ(policy.process(makePacket(flow))->dscp, Dscp::kBestEffort);
 }
 
 TEST(DsPolicyCacheTest, CachedAndUncachedClassificationAgree) {

@@ -103,7 +103,8 @@ TEST(DsQdiscTest, EmptyAndBytes) {
   q.enqueue(makePacket(100, Dscp::kLowLatency));
   q.enqueue(makePacket(50, Dscp::kBestEffort));
   EXPECT_FALSE(q.empty());
-  EXPECT_EQ(q.bytes(), 150);
+  EXPECT_EQ(q.classQueue(Dscp::kLowLatency).bytes(), 100);
+  EXPECT_EQ(q.classQueue(Dscp::kBestEffort).bytes(), 50);
   q.dequeue();
   q.dequeue();
   EXPECT_TRUE(q.empty());

@@ -63,37 +63,6 @@ TEST(UdpSocketTest, ReceiveCallbackSeesEachPacket) {
   EXPECT_EQ(rx.bytesReceived(), 3000);
 }
 
-TEST(UdpSocketTest, SliceDatagramFragmentsShareOneBuffer) {
-  sim::Simulator sim;
-  Pair pair(sim);
-  UdpSocket rx(*pair.b, 7);
-  std::vector<Packet> got;
-  rx.onReceive([&](const Packet& p) { got.push_back(p); });
-
-  // 4000 B straddles three MTU fragments (1472 + 1472 + 1056).
-  auto payload = BufSlice::fill(4000, 0x3c);
-  const Buffer* backing = payload.buffer.get();
-  UdpSocket tx(*pair.a);
-  tx.sendTo(pair.b->id(), 7, std::move(payload));
-  sim.run();
-
-  ASSERT_EQ(got.size(), 3u);
-  std::size_t total = 0;
-  for (const auto& p : got) {
-    const auto* udp = p.udp();
-    ASSERT_NE(udp, nullptr);
-    EXPECT_EQ(udp->datagram_id, got.front().udp()->datagram_id);
-    // Zero-copy fragmentation: every fragment views the original buffer.
-    EXPECT_EQ(udp->payload.buffer.get(), backing);
-    for (std::size_t i = 0; i < udp->payload.size(); ++i) {
-      ASSERT_EQ(udp->payload[i], 0x3c);
-    }
-    total += udp->payload.size();
-  }
-  EXPECT_EQ(total, 4000u);
-  EXPECT_EQ(rx.bytesReceived(), 4000);
-}
-
 TEST(UdpGeneratorTest, OnOffBurstingConcentratesTraffic) {
   // on_fraction = 0.2: all of each period's bytes arrive in the first
   // fifth of the period.

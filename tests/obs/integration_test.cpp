@@ -32,7 +32,7 @@ TEST(RigObservabilityTest, PremiumTransferProducesLifecycleAndSeries) {
   GarnetRig rig;
   obs::Sampler sampler(rig.sim, metrics, Duration::seconds(1.0));
   attachRigObservability(rig, metrics, trace, sampler);
-  addTcpFlowProbes(sampler, rig.world, 0, 1, "flow.premium");
+  addPremiumFlowProbes(sampler, rig);
   sampler.start();
 
   PingPongStats stats;

@@ -63,16 +63,6 @@ TEST(TraceBufferTest, ZeroCapacityClampedToOne) {
   EXPECT_EQ(trace.events().front().event, "second");
 }
 
-TEST(TraceBufferTest, ClearResetsEventsAndDropCount) {
-  TraceBuffer trace(2);
-  for (int i = 0; i < 4; ++i) trace.record("c", "e");
-  trace.clear();
-  EXPECT_TRUE(trace.events().empty());
-  EXPECT_EQ(trace.droppedEvents(), 0u);
-  trace.record("c", "after");
-  EXPECT_EQ(trace.events().size(), 1u);
-}
-
 TEST(TraceBufferTest, ScopeSwitchesMidStream) {
   // Multi-run benches keep one buffer per run; the merged document scopes
   // each run's events by its label, in run order.

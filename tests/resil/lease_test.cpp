@@ -19,7 +19,6 @@ using sim::TimePoint;
 class RecordingManager : public gara::ResourceManager {
  public:
   explicit RecordingManager(double capacity) : ResourceManager(capacity) {}
-  std::string type() const override { return "recording"; }
   std::string validate(const gara::ReservationRequest&) const override {
     return {};
   }

@@ -23,6 +23,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "cli_parse.hpp"
@@ -107,9 +108,26 @@ int finish(const scenario::CheckReporter& checks) {
   return 0;
 }
 
-void printHeadline(const scenario::ScenarioResult& r) {
-  std::printf("%-40s goodput %10.1f kb/s  checks %zu\n", r.name.c_str(),
-              r.goodput_kbps, r.checks.size());
+/// A run's own measurement as (column, value) pairs, chosen by workload:
+/// the finite-difference job's time and time per iteration, otherwise the
+/// delivered goodput and the edge policer's drops.
+std::vector<std::pair<std::string, std::string>> measurement(
+    const scenario::Workload& workload, const scenario::ScenarioResult& r) {
+  if (std::holds_alternative<scenario::FiniteDifferenceWorkload>(workload)) {
+    return {{"job_s", util::Table::num(r.fd_seconds, 3)},
+            {"iteration_ms", util::Table::num(r.fdIterationMs(), 2)}};
+  }
+  return {{"goodput_kbps", util::Table::num(r.goodput_kbps, 1)},
+          {"policer_drops", std::to_string(r.policer_drops)}};
+}
+
+void printHeadline(const scenario::ScenarioSpec& spec,
+                   const scenario::ScenarioResult& r) {
+  std::printf("%-40s", r.name.c_str());
+  for (const auto& [column, value] : measurement(spec.workload, r)) {
+    std::printf(" %s %10s", column.c_str(), value.c_str());
+  }
+  std::printf("  checks %zu\n", r.checks.size());
 }
 
 /// --seed override: retunes a spec's simulation seed via the sweep
@@ -143,8 +161,9 @@ int runScenarios(const std::vector<std::string>& names, const double* seed,
   const auto results = pool.run(specs);
 
   scenario::CheckReporter checks(&std::cout);
-  for (const auto& r : results) {
-    printHeadline(r);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const auto& r = results[i];
+    printHeadline(specs[i], r);
     checks.merge(r.checks);
     checks.check(
         obs::exportMultiRunBenchJson(r.name, scenario::runExports({r}),
@@ -181,12 +200,22 @@ int sweepScenario(const std::string& name,
               specs.size(), pool.threads());
   const auto results = pool.run(specs);
 
-  util::Table table({"variant", "goodput_kbps", "policer_drops"});
+  // Every variant shares the scenario's workload type, so the first one
+  // names the columns.
+  std::vector<std::string> header{"variant"};
+  for (const auto& [column, value] :
+       measurement(specs.front().workload, results.front())) {
+    header.push_back(column);
+  }
+  util::Table table(header);
   scenario::CheckReporter checks(&std::cout);
-  for (const auto& r : results) {
-    table.addRow({r.name, util::Table::num(r.goodput_kbps, 1),
-                  std::to_string(r.policer_drops)});
-    checks.merge(r.checks);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    std::vector<std::string> row{results[i].name};
+    for (auto& cell : measurement(specs[i].workload, results[i])) {
+      row.push_back(std::move(cell.second));
+    }
+    table.addRow(std::move(row));
+    checks.merge(results[i].checks);
   }
   table.renderAscii(std::cout);
 
