@@ -208,7 +208,7 @@ sim::Task<FiniteDifferenceResult> runFiniteDifference(
     }
   }
   std::vector<double> mine(1, local);
-  auto total = co_await comm.allreduce(mine, mpi::ReduceOp::kSum);
+  auto total = co_await comm.allreduce(mine);
   result.checksum = total[0];
   co_return result;
 }

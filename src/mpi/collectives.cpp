@@ -64,7 +64,7 @@ sim::Task<> Comm::bcast(std::vector<std::uint8_t>& data, int root) {
 }
 
 sim::Task<std::vector<double>> Comm::reduce(
-    std::span<const double> contribution, ReduceOp /*kSum*/, int root) {
+    std::span<const double> contribution, int root) {
   assert(valid());
   std::vector<double> acc(contribution.begin(), contribution.end());
   const int vrank = (my_rank_ - root + size()) % size();
@@ -92,8 +92,8 @@ sim::Task<std::vector<double>> Comm::reduce(
 }
 
 sim::Task<std::vector<double>> Comm::allreduce(
-    std::span<const double> contribution, ReduceOp op) {
-  auto result = co_await reduce(contribution, op, 0);
+    std::span<const double> contribution) {
+  auto result = co_await reduce(contribution, 0);
   auto bytes = packDoubles(result);
   co_await bcast(bytes, 0);
   co_return unpackDoubles(bytes);

@@ -30,10 +30,6 @@ struct RequestState {
 };
 using Request = std::shared_ptr<RequestState>;
 
-/// Reduction operator of the typed collectives (the finite-difference
-/// residual is a sum).
-enum class ReduceOp { kSum };
-
 class Comm {
  public:
   Comm() = default;  // invalid communicator (size 0)
@@ -65,10 +61,12 @@ class Comm {
   sim::Task<> barrier();
   /// Root's `data` is distributed; non-roots receive into `data`.
   sim::Task<> bcast(std::vector<std::uint8_t>& data, int root);
+  /// Element-wise sums (MPI_SUM, the one operator the finite-difference
+  /// residual needs); reduce leaves the result at `root` only.
   sim::Task<std::vector<double>> reduce(std::span<const double> contribution,
-                                        ReduceOp op, int root);
+                                        int root);
   sim::Task<std::vector<double>> allreduce(
-      std::span<const double> contribution, ReduceOp op);
+      std::span<const double> contribution);
 
   // --- attributes ----------------------------------------------------------
   /// Stores `value` under `k` and fires the keyval's put hook (the

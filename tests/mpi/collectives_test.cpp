@@ -65,7 +65,7 @@ TEST_P(CollectiveSizeTest, ReduceSumAtEveryRoot) {
   cluster.run([&](Comm& comm) -> Task<> {
     for (int root = 0; root < comm.size(); ++root) {
       const std::vector<double> mine = doublesVec(comm.rank(), 1.0);
-      auto out = co_await comm.reduce(mine, ReduceOp::kSum, root);
+      auto out = co_await comm.reduce(mine, root);
       if (comm.rank() == root) {
         const double expect_sum = n * (n - 1) / 2.0;
         if (out.size() != 2 || out[0] != expect_sum || out[1] != n) {
@@ -86,7 +86,7 @@ TEST_P(CollectiveSizeTest, AllreduceSum) {
   int failures = 0;
   cluster.run([&](Comm& comm) -> Task<> {
     const std::vector<double> mine = doublesVec(comm.rank(), 1.0);
-    auto sum = co_await comm.allreduce(mine, ReduceOp::kSum);
+    auto sum = co_await comm.allreduce(mine);
     // Every rank, not only the reduce root, holds the total.
     if (sum.size() != 2 || sum[0] != n * (n - 1) / 2 || sum[1] != n) {
       ++failures;

@@ -127,8 +127,7 @@ TEST(MpiStressTest, InterleavedCollectivesAndP2P) {
       Message m = co_await comm.wait(std::move(req));
       if (m.data[0] != round || m.data[1] != prev) ++failures;
       // Collective in the same round.
-      auto sum = co_await comm.allreduce(testing::doublesVec(1.0),
-                                         ReduceOp::kSum);
+      auto sum = co_await comm.allreduce(testing::doublesVec(1.0));
       if (sum[0] != comm.size()) ++failures;
     }
   });
