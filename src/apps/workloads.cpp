@@ -219,13 +219,12 @@ sim::Task<FiniteDifferenceResult> runFiniteDifference(
 
 double phasedBulkActiveSeconds(const PhasedBulkConfig& config,
                                double t_seconds) {
-  const double local = t_seconds - config.phase_offset_seconds;
-  if (local <= 0.0) return 0.0;
-  if (config.bulk_seconds <= 0.0) return local;
+  if (t_seconds <= 0.0) return 0.0;
+  if (config.bulk_seconds <= 0.0) return t_seconds;
   const double period = config.bulk_seconds + config.idle_seconds;
-  if (period <= 0.0) return local;
-  const double full_periods = std::floor(local / period);
-  const double pos = local - full_periods * period;
+  if (period <= 0.0) return t_seconds;
+  const double full_periods = std::floor(t_seconds / period);
+  const double pos = t_seconds - full_periods * period;
   return full_periods * config.bulk_seconds +
          std::min(pos, config.bulk_seconds);
 }
@@ -250,16 +249,15 @@ sim::Task<> phasedBulkSender(sim::Simulator& sim, gq::ShapedSocket& socket,
 
   const double period = config.bulk_seconds + config.idle_seconds;
   const double deadline = until.toSeconds();
-  double t = std::max(config.phase_offset_seconds, 0.0);
+  double t = 0.0;
   int last_phase = -1;
   while (t < deadline) {
     if (config.bulk_seconds > 0.0 && period > 0.0) {
-      const double local = t - config.phase_offset_seconds;
-      const double full_periods = std::floor(local / period);
-      const double pos = local - full_periods * period;
+      const double full_periods = std::floor(t / period);
+      const double pos = t - full_periods * period;
       if (pos >= config.bulk_seconds) {
         // Idle phase: jump to the next bulk start.
-        t = config.phase_offset_seconds + (full_periods + 1.0) * period;
+        t = (full_periods + 1.0) * period;
         continue;
       }
       const int phase = static_cast<int>(full_periods);

@@ -104,8 +104,8 @@ double finiteDifferenceReferenceChecksum(int rows, int cols, int iterations);
 
 /// A bulk TCP stream that alternates bulk and idle phases on a fixed
 /// schedule: bulk for `bulk_seconds`, idle for `idle_seconds`, repeat,
-/// starting at `phase_offset_seconds`. bulk_seconds <= 0 means always
-/// bulk (a steady hungry tenant).
+/// starting at t = 0. bulk_seconds <= 0 means always bulk (a steady
+/// hungry tenant).
 struct PhasedBulkConfig {
   double offered_bps = 0.0;
   /// Bytes per send; 0 derives offered_bps ÷ 8 × chunk_interval.
@@ -113,7 +113,6 @@ struct PhasedBulkConfig {
   double chunk_interval_seconds = 0.010;
   double bulk_seconds = 0.0;
   double idle_seconds = 0.0;
-  double phase_offset_seconds = 0.0;
 };
 
 struct PhasedBulkStats {

@@ -21,20 +21,6 @@ sim::Task<> ShapedSocket::conform(std::int64_t bytes) {
   bucket_.forceConsume(bytes);
 }
 
-sim::Task<> ShapedSocket::send(std::span<const std::uint8_t> data) {
-  // Pace in MSS-sized chunks so the stream leaves the host smoothly
-  // rather than conforming one huge write at once.
-  const auto chunk_size =
-      static_cast<std::size_t>(std::max(socket_.config().mss, 512));
-  std::size_t offset = 0;
-  while (offset < data.size()) {
-    const auto chunk = std::min(chunk_size, data.size() - offset);
-    co_await conform(static_cast<std::int64_t>(chunk));
-    co_await socket_.send(data.subspan(offset, chunk));
-    offset += chunk;
-  }
-}
-
 sim::Task<> ShapedSocket::sendBulk(std::int64_t bytes) {
   const auto chunk_size =
       static_cast<std::int64_t>(std::max(socket_.config().mss, 512));

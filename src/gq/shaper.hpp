@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 #include "net/token_bucket.hpp"
 #include "sim/task.hpp"
@@ -25,7 +24,6 @@ class ShapedSocket {
   ShapedSocket(tcp::TcpSocket& socket, double rate_bps,
                std::int64_t burst_bytes);
 
-  sim::Task<> send(std::span<const std::uint8_t> data);
   sim::Task<> sendBulk(std::int64_t bytes);
 
   /// Re-pace (e.g. after a reservation modify).

@@ -47,8 +47,8 @@ void Interface::send(Packet p) {
     return;
   }
   // Idle transmitter, nothing queued: the packet would be dequeued again
-  // immediately, so skip the qdisc round-trip. passThrough keeps the
-  // queue counters exactly as enqueue()+dequeue() would have left them.
+  // immediately, so skip the qdisc round-trip. passThrough applies the
+  // same drop rule and counts the packet as enqueue() would.
   if (!transmitting_ && up_ && qdisc_.empty()) {
     if (!qdisc_.passThrough(p)) {
       ++stats_.drops_overflow;
@@ -96,7 +96,6 @@ void Interface::transmitNext() {
 void Interface::startTransmit(Packet&& p) {
   const auto tx_time = sim::transmissionTime(p.size_bytes, rate_bps_);
   ++stats_.tx_packets;
-  stats_.tx_bytes += p.size_bytes;
   wire_.push_back(std::move(p));
   sim_.schedule(tx_time, [this] { onSerialized(); });
 }
@@ -186,7 +185,6 @@ void Interface::receive(Packet&& p) {
     return;
   }
   ++stats_.rx_packets;
-  stats_.rx_bytes += p.size_bytes;
   if (!ingress_policy_.hasRules()) {
     ingress_policy_.countBypass();
     owner_.deliver(std::move(p), *this);

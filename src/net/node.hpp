@@ -28,8 +28,6 @@ class WireFaults;
 struct InterfaceStats {
   std::uint64_t tx_packets = 0;
   std::uint64_t rx_packets = 0;
-  std::int64_t tx_bytes = 0;
-  std::int64_t rx_bytes = 0;
   std::uint64_t drops_overflow = 0;
   std::uint64_t drops_policed = 0;
   std::uint64_t drops_link_down = 0;  // arrived while the interface was down

@@ -17,7 +17,6 @@ bool DropTailQueue::enqueue(Packet&& p) {
   }
   bytes_ += p.size_bytes;
   ++stats_.enqueued;
-  stats_.bytes_enqueued += p.size_bytes;
   items_.push_back(std::move(p));
   return true;
 }
@@ -25,7 +24,6 @@ bool DropTailQueue::enqueue(Packet&& p) {
 std::optional<Packet> DropTailQueue::dequeue() {
   if (items_.empty()) return std::nullopt;
   bytes_ -= items_.front().size_bytes;
-  ++stats_.dequeued;
   return items_.takeFront();
 }
 
@@ -38,8 +36,6 @@ bool DropTailQueue::passThrough(const Packet& p) {
     return false;
   }
   ++stats_.enqueued;
-  stats_.bytes_enqueued += p.size_bytes;
-  ++stats_.dequeued;
   return true;
 }
 

@@ -21,14 +21,12 @@ namespace mgq::net {
 
 struct QueueStats {
   std::uint64_t enqueued = 0;
-  std::uint64_t dequeued = 0;
   /// Packet did not fit on top of the current backlog.
   std::uint64_t dropped_overflow = 0;
   /// Packet is larger than the queue capacity itself — it would be dropped
   /// even on an empty queue. Kept separate from overflow so exported drop
   /// stats distinguish congestion from misconfiguration (MTU vs capacity).
   std::uint64_t dropped_oversize = 0;
-  std::int64_t bytes_enqueued = 0;
   std::int64_t bytes_dropped = 0;
 };
 
@@ -42,10 +40,10 @@ class DropTailQueue {
   bool enqueue(Packet&& p);
   std::optional<Packet> dequeue();
 
-  /// Idle-transmitter bypass: performs exactly the bookkeeping an
-  /// enqueue() immediately followed by dequeue() would on an empty queue
-  /// (oversize check, enqueued/dequeued counters) without the ring
-  /// round-trip. Only valid when empty().
+  /// Idle-transmitter bypass: on an empty queue the overflow check of
+  /// enqueue() reduces to the oversize check, so this does that check
+  /// and counts the packet as enqueued, without the ring round-trip.
+  /// Only valid when empty().
   bool passThrough(const Packet& p);
 
   bool empty() const { return items_.empty(); }

@@ -94,7 +94,7 @@ Task<> offeredLoadClient(BuiltScenario& b, OfferedLoadTcpWorkload w,
           : static_cast<std::int64_t>(w.offered_bps / 8.0 *
                                       w.chunk_interval_seconds);
   std::unique_ptr<gq::ShapedSocket> shaper;
-  if (w.shaped) {
+  if (w.shape_rate_bps > 0) {
     shaper = std::make_unique<gq::ShapedSocket>(*s, w.shape_rate_bps,
                                                 kShapeBurstBytes);
   }
@@ -153,7 +153,6 @@ Task<> adaptiveTenantClient(BuiltScenario& b,
   pc.chunk_bytes = t.spec.chunk_bytes;
   pc.bulk_seconds = t.spec.bulk_seconds;
   pc.idle_seconds = t.spec.idle_seconds;
-  pc.phase_offset_seconds = t.spec.phase_offset_seconds;
 
   if (b.adapt->controller != nullptr && t.path) {
     adapt::QosController::TenantConfig tc;
@@ -279,23 +278,23 @@ void wireOfferedLoad(BuiltScenario& b, const OfferedLoadTcpWorkload& w) {
   };
 }
 
-void wirePingLatency(BuiltScenario& b, const ScenarioSpec& spec,
-                     const PingLatencyWorkload& w) {
+void wirePingLatency(BuiltScenario& b, const ScenarioSpec& spec) {
+  using W = PingLatencyWorkload;
   auto inl = inlineReservations(spec);
   b.rig.world.launch(
-      [&b, w, inl = std::move(inl)](mpi::Comm& comm) -> Task<> {
+      [&b, inl = std::move(inl)](mpi::Comm& comm) -> Task<> {
         if (comm.rank() == 0) b.comm0 = &comm;
         // Request/response flow: both ranks request the reservation.
         co_await applyInlineReservations(b, inl, comm);
         auto& sim = comm.world().simulator();
         if (comm.rank() == 0) {
-          std::vector<std::uint8_t> payload(w.payload_bytes, 1);
-          for (int i = 0; i < w.rounds; ++i) {
+          std::vector<std::uint8_t> payload(W::kPayloadBytes, 1);
+          for (int i = 0; i < W::kRounds; ++i) {
             const auto start = sim.now();
             co_await comm.send(1, 0, payload);
             (void)co_await comm.recv(1, 0);
             b.rtt_ms.push_back((sim.now() - start).toMillis());
-            co_await sim.delay(Duration::seconds(w.gap_seconds));
+            co_await sim.delay(Duration::seconds(W::kGapSeconds));
           }
           co_await comm.send(1, 1, std::vector<std::uint8_t>());
         } else {
@@ -477,7 +476,7 @@ std::unique_ptr<BuiltScenario> ScenarioBuilder::build(
             wireVisualization(*b, spec, w);
           },
           [&](const OfferedLoadTcpWorkload& w) { wireOfferedLoad(*b, w); },
-          [&](const PingLatencyWorkload& w) { wirePingLatency(*b, spec, w); },
+          [&](const PingLatencyWorkload&) { wirePingLatency(*b, spec); },
           [&](const AdaptiveTenantsWorkload& w) {
             wireAdaptiveTenants(*b, w);
           },

@@ -26,9 +26,6 @@ ScenarioSpec offeredLoadFlowSpec(const std::string& name,
                                  double seconds) {
   ScenarioSpec spec;
   spec.name = name;
-  spec.title = "Figure 1: premium TCP flow, " +
-               paramValueLabel(reservation_bps / 1e6) + " Mb/s reserved";
-  spec.paper_ref = "Figure 1 (§5): achieved bandwidth of a reserved TCP flow";
   OfferedLoadTcpWorkload w;
   w.offered_bps = offered_bps;
   w.seconds = seconds;
@@ -50,9 +47,6 @@ ScenarioSpec pingPongSpec(const std::string& name, double reservation_kbps,
                           int message_bytes, double seconds) {
   ScenarioSpec spec;
   spec.name = name;
-  spec.title = "Figure 5: ping-pong, " + paramValueLabel(reservation_kbps) +
-               " kb/s reserved";
-  spec.paper_ref = "Figure 5 (§5.2): ping-pong throughput vs. reservation";
   PingPongWorkload w;
   w.message_bytes = message_bytes;
   w.seconds = seconds;
@@ -76,10 +70,6 @@ ScenarioSpec visualizationSpec(const std::string& name,
                                double snapshot_grace_seconds) {
   ScenarioSpec spec;
   spec.name = name;
-  spec.title = "Visualization stream, " + paramValueLabel(reservation_kbps) +
-               " kb/s reserved";
-  spec.paper_ref =
-      "Figures 6/7, Table 1 (§5.3-5.4): visualization vs. reservation";
   VisualizationWorkload w;
   w.frames_per_second = frames_per_second;
   w.frame_bytes = frame_bytes;
@@ -103,10 +93,6 @@ ScenarioSpec burstTraceSpec(const std::string& name, double frames_per_second,
                             std::int64_t frame_bytes) {
   ScenarioSpec spec;
   spec.name = name;
-  spec.title = "Figure 7: sequence trace at " +
-               paramValueLabel(frames_per_second) + " fps";
-  spec.paper_ref = "Figure 7 (§5.4): TCP traces at equal rate, different "
-                   "burstiness";
   VisualizationWorkload w;
   w.frames_per_second = frames_per_second;
   w.frame_bytes = frame_bytes;
@@ -121,10 +107,6 @@ ScenarioSpec burstTraceSpec(const std::string& name, double frames_per_second,
 ScenarioSpec fig8Spec() {
   ScenarioSpec spec;
   spec.name = "fig8_cpu_reservation";
-  spec.title = "Figure 8: visualization bandwidth under CPU contention and "
-               "a DSRT reservation";
-  spec.paper_ref = "Figure 8 (§5.5): 15 Mb/s stream; CPU hog at t=10 s; 90% "
-                   "CPU reservation at t=20 s";
   VisualizationWorkload w;
   w.frames_per_second = 20.0;
   w.frame_bytes = 93'750;  // 20 fps x 93.75 KB = 15 Mb/s
@@ -160,10 +142,6 @@ ScenarioSpec fig8Spec() {
 ScenarioSpec fig9Spec() {
   ScenarioSpec spec;
   spec.name = "fig9_combined";
-  spec.title = "Figure 9: combined network and CPU reservations";
-  spec.paper_ref = "Figure 9 (§5.5): 35 Mb/s stream; net congestion @10s, "
-                   "net reservation @21s, CPU contention @31s, CPU "
-                   "reservation @41s";
   VisualizationWorkload w;
   w.frames_per_second = 20.0;
   w.frame_bytes = 218'750;  // 20 fps x 218.75 KB = 35 Mb/s
@@ -219,10 +197,6 @@ ScenarioSpec fdCriticalLinkSpec() {
   using W = FiniteDifferenceWorkload;
   ScenarioSpec spec;
   spec.name = "fd_critical_link";
-  spec.title = "Finite difference on two 8-rank SMPs: premium QoS on the "
-               "rank 7 <-> 8 critical link";
-  spec.paper_ref = "§3: \"a small amount of contention over a critical "
-                   "link can play havoc with overall performance\"";
   spec.workload = W{};
   spec.contention.enabled = true;
   // A budget, not the stop time: the job stops the run when it finishes.
@@ -246,10 +220,6 @@ ScenarioSpec fdCriticalLinkSpec() {
 ScenarioSpec priorityQueuingSpec(const std::string& name, bool mark_ef) {
   ScenarioSpec spec;
   spec.name = name;
-  spec.title = std::string("Priority-queuing ablation: 5 Mb/s admission, ") +
-               (mark_ef ? "EF-marked" : "best-effort-marked");
-  spec.paper_ref = "§5.1 router setup: is the EF PHB doing the work, or "
-                   "would classification + policing alone suffice?";
   OfferedLoadTcpWorkload w;
   // Paced at the reserved rate: 6.25 KB every 10 ms = 5 Mb/s.
   w.chunk_bytes = 6'250;
@@ -275,10 +245,6 @@ ScenarioSpec priorityQueuingSpec(const std::string& name, bool mark_ef) {
 ScenarioSpec sourceShapingSpec(const std::string& name, bool shaped) {
   ScenarioSpec spec;
   spec.name = name;
-  spec.title = std::string("Source-shaping ablation: 50 KB bursts, ") +
-               (shaped ? "shaped to the reserved rate" : "unshaped");
-  spec.paper_ref = "§5.4: traffic-shaping support on the end-system vs. "
-                   "per-application token bucket sizing";
   const double reservation_bps = 1.7e6;  // slightly above the 1.6 Mb/s rate
   OfferedLoadTcpWorkload w;
   w.chunk_bytes = 50'000;
@@ -287,8 +253,7 @@ ScenarioSpec sourceShapingSpec(const std::string& name, bool shaped) {
   // Hold the 4-bursts-per-second schedule (a shaped burst itself takes
   // ~235 ms; sleeping a fixed interval would halve the offered rate).
   w.pace_absolute = true;
-  w.shaped = shaped;
-  w.shape_rate_bps = reservation_bps;
+  if (shaped) w.shape_rate_bps = reservation_bps;
   w.seconds = 30.0;
   spec.workload = w;
   spec.measure_at_seconds = 30.0;
@@ -311,11 +276,6 @@ ScenarioSpec sourceShapingSpec(const std::string& name, bool shaped) {
 ScenarioSpec pingLatencySpec(const std::string& name, bool low_latency) {
   ScenarioSpec spec;
   spec.name = name;
-  spec.title = std::string("Low-latency-class ablation: 256 B "
-                           "request/response, ") +
-               (low_latency ? "low-latency class" : "best effort");
-  spec.paper_ref = "§4.1: the low-latency class for small-message traffic "
-                   "(e.g. certain collective operations)";
   spec.workload = PingLatencyWorkload{};
   spec.contention.enabled = true;  // bulk best effort fills the core queue
   spec.run_until_seconds = 120.0;
@@ -338,11 +298,6 @@ ScenarioSpec pingLatencySpec(const std::string& name, bool low_latency) {
 ScenarioSpec faultRecoverySpec(const std::string& name, bool recovery_on) {
   ScenarioSpec spec;
   spec.name = name;
-  spec.title = std::string("Fault recovery: link flap during the Figure-1 "
-                           "premium transfer, recovery ") +
-               (recovery_on ? "on" : "off");
-  spec.paper_ref = "GARA monitoring/state-change callbacks (§4.2); "
-                   "reservation preemption treated as the common case";
   if (recovery_on) {
     spec.rig.recovery.max_retries = 6;
     spec.rig.recovery.initial_backoff = sim::Duration::millis(250);
@@ -400,10 +355,6 @@ ScenarioSpec faultRecoverySpec(const std::string& name, bool recovery_on) {
 ScenarioSpec crashRecoverySpec(const std::string& name) {
   ScenarioSpec spec;
   spec.name = name;
-  spec.title = "Crash recovery: QoS agent dies mid-stream, journal replay "
-               "and reconciliation re-converge to granted QoS";
-  spec.paper_ref = "GARA persistent slot table / restartable gatekeeper "
-                   "(§3.1, §4.2), extended with leases and anti-entropy";
   spec.rig.recovery.max_retries = 6;
   spec.rig.recovery.initial_backoff = sim::Duration::millis(250);
   spec.rig.recovery.backoff_multiplier = 2.0;
@@ -472,8 +423,6 @@ ScenarioSpec crashRecoverySpec(const std::string& name) {
 
 ScenarioSpec adversarialCorruptionSpec(const std::string& name) {
   auto spec = offeredLoadFlowSpec(name, 55e6 * 1.06, 50e6, /*seconds=*/30.0);
-  spec.title = "Adversarial wire: Figure-1 flow through 0.5% corruption";
-  spec.paper_ref = "DESIGN.md §14: TCP integrity under wire corruption";
   spec.faults.push_back(
       fault(0.0, fault_target::kEdgeCorrupt, kLossStart, 0.005));
   spec.checks = {
@@ -496,8 +445,6 @@ ScenarioSpec adversarialCorruptionSpec(const std::string& name) {
 
 ScenarioSpec partitionHealSpec(const std::string& name) {
   auto spec = offeredLoadFlowSpec(name, 55e6 * 1.06, 50e6, /*seconds=*/30.0);
-  spec.title = "Partition/heal: premium egress blackholed 8-16 s";
-  spec.paper_ref = "DESIGN.md §14: reconvergence after a healed partition";
   spec.faults = {fault(8.0, fault_target::kEdgePartition, kDown),
                  fault(16.0, fault_target::kEdgePartition, kUp)};
   spec.checks = {
@@ -519,9 +466,6 @@ ScenarioSpec partitionHealSpec(const std::string& name) {
 ScenarioSpec adaptPhaseShiftSpec(const std::string& name, bool adaptive) {
   ScenarioSpec spec;
   spec.name = name;
-  spec.title = "Adaptive QoS: phase-shifting tenant, bulk 10 s / idle 10 s";
-  spec.paper_ref = "§6 future work: adaptive reservation management "
-                   "(DESIGN.md §15)";
   AdaptiveTenantsWorkload w;
   TenantSpec t;
   t.name = "phased";
@@ -582,9 +526,6 @@ ScenarioSpec adaptTwoTenantTradeoffSpec(const std::string& name,
                                         bool adaptive) {
   ScenarioSpec spec;
   spec.name = name;
-  spec.title = "Adaptive QoS: hungry tenant vs. fading tenant arbitration";
-  spec.paper_ref = "§6 future work: cross-tenant bandwidth arbitration "
-                   "(DESIGN.md §15)";
   AdaptiveTenantsWorkload w;
   // Initial grants total 36 Mb/s against the 44 Mb/s premium share, so
   // both admissions succeed but the hungry tenant starts starved.

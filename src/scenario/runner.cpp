@@ -104,15 +104,12 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec,
   result.seconds = measurementSeconds(spec);
   if (built->bandwidth != nullptr) result.series = built->bandwidth->series();
   result.sequence_trace = built->tracer.series();
-  result.pingpong = built->pingpong;
-  result.viz = built->viz;
   result.rtt_ms = std::move(built->rtt_ms);
   result.fd = built->fd;
   result.fd_seconds = built->fd_seconds;
   result.delivered_bytes = built->deliveredBytes();
-  result.delivered_at_measure = built->delivered_at_measure;
-  const std::int64_t measured = result.delivered_at_measure >= 0
-                                    ? result.delivered_at_measure
+  const std::int64_t measured = built->delivered_at_measure >= 0
+                                    ? built->delivered_at_measure
                                     : result.delivered_bytes;
   if (result.seconds > 0) {
     result.goodput_kbps =

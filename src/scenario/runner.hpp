@@ -34,8 +34,6 @@ struct ScenarioResult {
   // Workload-side measurements.
   std::vector<apps::BandwidthTrace::Point> series;
   std::vector<apps::SequenceTracer::Point> sequence_trace;
-  apps::PingPongStats pingpong;
-  apps::VisualizationStats viz;
   std::vector<double> rtt_ms;
   /// FiniteDifferenceWorkload: rank 0's result (its checksum is the
   /// global one) and the seconds from the opening barrier to the closing
@@ -47,12 +45,10 @@ struct ScenarioResult {
     return fd.iterations > 0 ? fd_seconds * 1000.0 / fd.iterations : 0.0;
   }
 
-  /// Receiver-side byte counts: at the end of the run, and at the
-  /// measure_at snapshot (-1 when no snapshot was requested).
+  /// Receiver-side byte count at the end of the run.
   std::int64_t delivered_bytes = 0;
-  std::int64_t delivered_at_measure = -1;
   /// Headline delivered application rate over `seconds`, using the
-  /// snapshot when one was taken.
+  /// measure_at snapshot when one was taken.
   double goodput_kbps = 0.0;
 
   std::uint64_t policer_drops = 0;

@@ -62,8 +62,7 @@ struct OfferedLoadTcpWorkload {
   /// sleeping a fixed gap after each chunk — a shaped burst can take
   /// nearly the whole interval to hand off.
   bool pace_absolute = false;
-  /// Send through a gq::ShapedSocket paced to shape_rate_bps.
-  bool shaped = false;
+  /// >0: send through a gq::ShapedSocket paced to this rate.
   double shape_rate_bps = 0.0;
   double seconds = 0.0;  // goodput measurement window
   /// Socket configuration: the world's TCP config, or the override below.
@@ -72,11 +71,12 @@ struct OfferedLoadTcpWorkload {
 };
 
 /// Small request/response messages timed under bulk contention (the
-/// low-latency-class ablation). Inline reservations: both ranks.
+/// low-latency-class ablation): kRounds requests of kPayloadBytes,
+/// kGapSeconds apart. Inline reservations: both ranks.
 struct PingLatencyWorkload {
-  int payload_bytes = 256;
-  int rounds = 200;
-  double gap_seconds = 0.050;
+  static constexpr int kPayloadBytes = 256;
+  static constexpr int kRounds = 200;
+  static constexpr double kGapSeconds = 0.050;
 };
 
 /// One adaptive tenant: a shaped raw-TCP bulk stream with its own path
@@ -91,12 +91,11 @@ struct TenantSpec {
   double floor_kbps = 0.0;
   double ceiling_kbps = 0.0;
   /// Offered schedule: bulk_seconds on / idle_seconds off, repeating
-  /// from phase_offset_seconds. bulk_seconds 0 = always bulk.
+  /// from t = 0. bulk_seconds 0 = always bulk.
   double offered_bps = 0.0;
   std::int64_t chunk_bytes = 0;  // 0 = derived from the 10 ms interval
   double bulk_seconds = 0.0;
   double idle_seconds = 0.0;
-  double phase_offset_seconds = 0.0;
   net::PortId port = 7100;
 };
 
@@ -223,9 +222,7 @@ struct Check {
 // --------------------------------------------------------------------------
 
 struct ScenarioSpec {
-  std::string name;       // registry key; also the run label in sweeps
-  std::string title;      // banner line
-  std::string paper_ref;  // which figure/table/claim this reproduces
+  std::string name;  // registry key; also the run label in sweeps
 
   apps::GarnetRig::Config rig;
   /// Simulation seed (overrides rig.seed so sweeps can vary it alone).

@@ -2,15 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <iostream>
+#include <optional>
 
 #include "obs/export.hpp"
 #include "scenario/catalog.hpp"
 #include "scenario/registry.hpp"
 #include "util/stats.hpp"
-#include "util/table.hpp"
 
 namespace mgq::scenario {
 namespace {
@@ -28,27 +28,106 @@ ScenarioSpec paperSpec(const std::string& name) {
   return info->make();
 }
 
-/// Prints the runs' bandwidth series side by side, one row per sample.
-void printSeries(const std::vector<std::string>& headers, const Results& runs) {
+std::vector<std::string> labels(const std::vector<double>& values,
+                                int precision) {
+  std::vector<std::string> out;
+  for (double v : values) out.push_back(Table::num(v, precision));
+  return out;
+}
+
+/// Prints the runs' bandwidth series side by side, one row per sample,
+/// and `label(t)` last when given.
+void printSeries(const std::vector<std::string>& headers, const Results& runs,
+                 const std::function<std::string(double)>& label = {}) {
   Table table(headers);
   std::size_t rows = runs.front().series.size();
   for (const auto& r : runs) rows = std::min(rows, r.series.size());
   for (std::size_t i = 0; i < rows; ++i) {
-    std::vector<std::string> row{
-        Table::num(runs.front().series[i].t_seconds, 0)};
+    const double t = runs.front().series[i].t_seconds;
+    std::vector<std::string> row{Table::num(t, 0)};
     for (const auto& r : runs) row.push_back(Table::num(r.series[i].kbps, 0));
+    if (label) row.push_back(label(t));
     table.addRow(row);
   }
-  table.renderAscii(std::cout);
+  table.render(std::cout);
+  std::cout << "\n";
 }
 
-// ------------------------------------------------------ §3 finite difference
-// The motivating application: a Jacobi code on two 8-processor machines
+// -------------------------------------------------------------------- Grid
+// A figure or table as rows x columns of cells, printed whole (kb/s or
+// counts). A cell holds a measured value and, where the paper gives a
+// number, the paper's, printed as "419 (paper 500, 0.84x)": measured,
+// paper, measured / paper.
+
+struct Cell {
+  std::optional<double> measured;
+  std::optional<double> paper;
+};
+
+struct Grid {
+  Grid(std::string corner, std::vector<std::string> row_labels,
+       std::vector<std::string> col_labels)
+      : corner(std::move(corner)),
+        rows(std::move(row_labels)),
+        cols(std::move(col_labels)),
+        cells(rows.size(), std::vector<Cell>(cols.size())) {}
+
+  /// A filled cell's measured value.
+  double operator()(std::size_t r, std::size_t c) const {
+    return cells[r][c].measured.value();
+  }
+
+  /// Runs spec(r, c) for every cell it gives a spec, row-major in one pool
+  /// batch, and fills those cells with the runs' goodput. Returns the runs
+  /// in that order.
+  template <typename SpecFn>
+  Results run(const SweepRunner& pool, SpecFn spec) {
+    std::vector<ScenarioSpec> specs;
+    std::vector<Cell*> filled;
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      for (std::size_t c = 0; c < cols.size(); ++c) {
+        if (std::optional<ScenarioSpec> s = spec(r, c)) {
+          specs.push_back(std::move(*s));
+          filled.push_back(&cells[r][c]);
+        }
+      }
+    }
+    auto results = pool.run(specs);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      filled[i]->measured = results[i].goodput_kbps;
+    }
+    return results;
+  }
+
+  Table table() const {
+    std::vector<std::string> header{corner};
+    header.insert(header.end(), cols.begin(), cols.end());
+    Table table(header);
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      std::vector<std::string> row{rows[r]};
+      for (const auto& [measured, paper] : cells[r]) {
+        row.emplace_back(measured ? Table::num(*measured, 0) : "");
+        if (measured && paper) {
+          row.back() += " (paper " + Table::num(*paper, 0) + ", " +
+                        Table::num(*measured / *paper, 2) + "x)";
+        }
+      }
+      table.addRow(std::move(row));
+    }
+    return table;
+  }
+
+  std::string corner;
+  std::vector<std::string> rows;
+  std::vector<std::string> cols;
+  std::vector<std::vector<Cell>> cells;  // [row][col]
+};
+
+// §3's motivating application: a Jacobi code on two 8-processor machines
 // whose one wide-area halo, rank 7 <-> 8, crosses the contended core.
 // Premium QoS on that pair communicator alone cuts the iteration time;
 // both runs compute the same answer.
-
-Results fd(const SweepRunner& pool, CheckReporter& checks) {
+SuiteRun fd(const SweepRunner& pool, CheckReporter& checks) {
   auto best_effort = paperSpec("fd_critical_link");
   best_effort.name = "fd_best_effort";
   best_effort.reservations.clear();
@@ -56,202 +135,163 @@ Results fd(const SweepRunner& pool, CheckReporter& checks) {
   const auto& premium = results[0];
   const auto& be = results[1];
   Table table({"variant", "iteration_ms", "job_s", "checksum"});
-  auto row = [&table](const char* variant, const ScenarioResult& r) {
-    table.addRow({variant, Table::num(r.fdIterationMs(), 2),
-                  Table::num(r.fd_seconds, 3), Table::num(r.fd.checksum, 6)});
-  };
-  row("premium on rank 7 <-> 8", premium);
-  row("best effort", be);
-  table.renderAscii(std::cout);
-  std::cout << "\n";
+  for (const auto* r : {&premium, &be}) {
+    table.addRow({r == &premium ? "premium on rank 7 <-> 8" : "best effort",
+                  Table::num(r->fdIterationMs(), 2),
+                  Table::num(r->fd_seconds, 3), Table::num(r->fd.checksum, 6)});
+  }
   checks.check(premium.fd.iterations > 0 && be.fd.iterations > 0 &&
                    premium.fdIterationMs() < 0.1 * be.fdIterationMs(),
                "premium QoS on the critical link cuts the iteration time "
                "at least tenfold");
-  return results;
+  return {std::move(results), {table}};
 }
 
-// ---------------------------------------------------------------- Figure 1
-// An undersized (40 Mb/s) reservation under a 50 Mb/s offered TCP load
-// oscillates as the policer drops out-of-profile packets and TCP backs
-// off; an adequate reservation is smooth.
-
-Results fig1(const SweepRunner& pool, CheckReporter& checks) {
+// Figure 1: an undersized (40 Mb/s) reservation under a 50 Mb/s offered
+// TCP load oscillates as the policer drops out-of-profile packets and TCP
+// backs off; an adequate reservation is smooth.
+SuiteRun fig1(const SweepRunner& pool, CheckReporter& checks) {
   auto results =
       pool.run({paperSpec("fig1_under"), paperSpec("fig1_adequate")});
-  const auto& under = results[0];
-  const auto& adequate = results[1];
   printSeries({"time_s", "under_reserved_kbps", "adequate_kbps"}, results);
 
-  // Past slow start only.
-  auto steady = [](const ScenarioResult& r) {
-    std::vector<double> values;
-    for (const auto& p : r.series) {
-      if (p.t_seconds > 2.0) values.push_back(p.kbps);
+  // Past slow start only; [0] under-reserved, [1] adequate.
+  std::vector<double> steady[2];
+  double mean[2], cov[2];
+  Table summary({"variant", "mean_mbps", "cov"});
+  for (int i = 0; i < 2; ++i) {
+    for (const auto& p : results[i].series) {
+      if (p.t_seconds > 2.0) steady[i].push_back(p.kbps);
     }
-    return values;
-  };
-  const auto under_kbps = steady(under);
-  const auto adequate_kbps = steady(adequate);
-  const double under_mean = util::mean(under_kbps);
-  const double under_cov = util::coefficientOfVariation(under_kbps);
-  const double adequate_mean = util::mean(adequate_kbps);
-  const double adequate_cov = util::coefficientOfVariation(adequate_kbps);
-  std::printf("\nunder-reserved: mean %.1f Mb/s, cov %.3f\n",
-              under_mean / 1000, under_cov);
-  std::printf("adequate:       mean %.1f Mb/s, cov %.3f\n\n",
-              adequate_mean / 1000, adequate_cov);
-
-  double lo = 1e18, hi = 0;
-  for (double v : under_kbps) {
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
+    mean[i] = util::mean(steady[i]);
+    cov[i] = util::coefficientOfVariation(steady[i]);
+    summary.addRow({i == 0 ? "under-reserved" : "adequate",
+                    Table::num(mean[i] / 1000, 1), Table::num(cov[i], 3)});
   }
-  checks.check(under_mean < 40e3,
+
+  const auto [lo, hi] = std::minmax_element(steady[0].begin(), steady[0].end());
+  checks.check(mean[0] < 40e3,
                "under-reserved mean stays below the 40 Mb/s reservation");
-  checks.check(hi - lo > 10e3,
+  checks.check(!steady[0].empty() && *hi - *lo > 10e3,
                "under-reserved bandwidth oscillates over a >10 Mb/s range");
-  checks.check(under_cov > 3 * adequate_cov,
+  checks.check(cov[0] > 3 * cov[1],
                "oscillation (cov) far larger than with an adequate "
                "reservation");
-  checks.check(adequate_mean > 45e3,
+  checks.check(mean[1] > 45e3,
                "adequate reservation sustains ~50 Mb/s offered load");
-  return results;
+  return {std::move(results), {summary}};
 }
 
-// ---------------------------------------------------------------- Figure 5
-// Ping-pong throughput rises with the reservation until it is adequate
-// for the message size, then flattens; larger messages plateau higher.
-
-Results fig5(const SweepRunner& pool, CheckReporter& checks) {
+// Figure 5: ping-pong throughput rises with the reservation until it is
+// adequate for the message size, then flattens; larger messages plateau
+// higher.
+SuiteRun fig5(const SweepRunner& pool, CheckReporter& checks) {
   const std::vector<int> message_kilobits{8, 40, 80, 120};
+  // The last row: "performance is extremely poor" with no reservation at
+  // all (40Kb messages only).
   const std::vector<double> reservations_kbps{
-      500, 1000, 2000, 3000, 4000, 6000, 8000, 10000, 12000, 16000, 20000};
-  std::vector<ScenarioSpec> specs;
-  for (double resv : reservations_kbps) {
-    for (int kilobits : message_kilobits) {
-      specs.push_back(pingPongSpec("res" + Table::num(resv, 0) + ".msg" +
-                                       std::to_string(kilobits) + "kb",
-                                   resv, kilobits * 1000 / 8, 10.0));
+      500, 1000, 2000, 3000, 4000, 6000, 8000, 10000, 12000, 16000, 20000, 0};
+  const std::size_t none = reservations_kbps.size() - 1;
+  const std::size_t top = none - 1;
+  auto rows = labels(reservations_kbps, 0);
+  rows[none] = "none";
+  Grid grid("reservation_kbps", rows,
+            {"8Kb_msgs", "40Kb_msgs", "80Kb_msgs", "120Kb_msgs"});
+  // Paper: 8Kb messages plateau near 2.5 Mb/s, 120Kb near 8-9 Mb/s.
+  grid.cells[top][0].paper = 2500;
+  grid.cells[top][3].paper = 8500;
+  auto results = grid.run(pool, [&](auto r, auto c) {
+    const int kilobits = message_kilobits[c];
+    const std::string name = r == none ? "noresv" : "res" + rows[r];
+    std::optional<ScenarioSpec> spec;
+    if (r != none || kilobits == 40) {
+      spec = pingPongSpec(name + ".msg" + std::to_string(kilobits) + "kb",
+                          reservations_kbps[r], kilobits * 1000 / 8, 10.0);
     }
-  }
-  // Paper: "performance is extremely poor" with no reservation at all.
-  specs.push_back(pingPongSpec("noresv.msg40kb", 0.0, 40 * 1000 / 8, 10.0));
-  auto results = pool.run(specs);
+    return spec;
+  });
 
-  Table table({"reservation_kbps", "8Kb_msgs", "40Kb_msgs", "80Kb_msgs",
-               "120Kb_msgs"});
-  // curves[size][reservation index] = achieved one-way throughput.
-  std::vector<std::vector<double>> curves(message_kilobits.size());
-  std::size_t next = 0;
-  for (double resv : reservations_kbps) {
-    std::vector<std::string> row{Table::num(resv, 0)};
-    for (auto& curve : curves) {
-      curve.push_back(results[next++].goodput_kbps);
-      row.push_back(Table::num(curve.back(), 0));
-    }
-    table.addRow(row);
-  }
-  table.renderAscii(std::cout);
-  const double no_resv_40kb = results.back().goodput_kbps;
-  std::printf("\nno reservation, 40Kb messages: %.0f kb/s\n\n", no_resv_40kb);
-
-  for (std::size_t m = 0; m < curves.size(); ++m) {
-    const auto& c = curves[m];
+  for (std::size_t m = 0; m < message_kilobits.size(); ++m) {
     const std::string label =
         " (" + std::to_string(message_kilobits[m]) + "Kb messages)";
-    checks.check(c.back() > 2.0 * c.front(),
+    checks.check(grid(top, m) > 2.0 * grid(0, m),
                  "curve rises substantially with reservation" + label);
-    checks.check(std::abs(c.back() - c[c.size() - 2]) < 0.30 * c.back(),
-                 "curve flattens once the reservation is adequate" + label);
+    checks.check(
+        std::abs(grid(top, m) - grid(top - 1, m)) < 0.30 * grid(top, m),
+        "curve flattens once the reservation is adequate" + label);
   }
-  checks.check(curves[1][0] < 500.0,
+  checks.check(grid(0, 1) < 500.0,
                "under-reserved throughput below the reservation itself "
                "(40Kb)");
-  checks.check(curves[3].back() > curves[0].back(),
+  checks.check(grid(top, 3) > grid(top, 0),
                "120Kb messages plateau above 8Kb messages");
-  checks.check(no_resv_40kb < 0.3 * curves[1].back(),
+  checks.check(grid(none, 1) < 0.3 * grid(top, 1),
                "no reservation under contention is far below the reserved "
                "case");
-  return results;
+  return {std::move(results), {grid.table()}};
 }
 
-// ---------------------------------------------------------------- Figure 6
-// A reservation even a little below the sending rate collapses the
-// stream; ~1.06x the rate delivers it.
-
-Results fig6(const SweepRunner& pool, CheckReporter& checks) {
-  const std::vector<std::int64_t> frame_bytes{5'000, 10'000, 20'000, 30'000};
+// Figure 6: a reservation even a little below the sending rate collapses
+// the stream; ~1.06x the rate delivers it. Rows are the reservation as a
+// fraction of the target rate, cells the achieved kb/s.
+SuiteRun fig6(const SweepRunner& pool, CheckReporter& checks) {
   const std::vector<double> fractions{0.5, 0.7, 0.85, 0.95, 1.06, 1.25, 1.5};
-  auto target = [](std::int64_t bytes) {
-    return static_cast<double>(bytes) * 8.0 * 10.0 / 1000.0;  // at 10 fps
-  };
-  std::vector<ScenarioSpec> specs;
-  for (double frac : fractions) {
-    for (std::int64_t bytes : frame_bytes) {
-      specs.push_back(visualizationSpec(
-          "target" + Table::num(target(bytes), 0) + ".frac" +
-              Table::num(frac, 2),
-          target(bytes) * frac, 10.0, bytes, 20.0));
-    }
+  const std::vector<double> targets{400, 800, 1600, 2400};  // kb/s at 10 fps
+  const std::size_t cliff = 4;  // 1.06x
+  const auto names = labels(targets, 0);
+  Grid grid("reservation/target", labels(fractions, 2), names);
+  for (std::size_t f = 0; f < targets.size(); ++f) {
+    grid.cols[f] += "kbps";
+    // Paper: a reservation of ~1.06x the sending rate delivers that rate.
+    grid.cells[cliff][f].paper = targets[f];
   }
-  auto results = pool.run(specs);
+  auto results = grid.run(pool, [&](auto r, auto c) {
+    return std::optional(visualizationSpec(
+        "target" + names[c] + ".frac" + grid.rows[r],
+        targets[c] * fractions[r], 10.0,
+        static_cast<std::int64_t>(targets[c] * 1000 / 8 / 10), 20.0));
+  });
 
-  Table table({"reservation/target", "400kbps", "800kbps", "1600kbps",
-               "2400kbps"});
-  std::vector<std::vector<double>> curves(frame_bytes.size());
-  std::size_t next = 0;
-  for (double frac : fractions) {
-    std::vector<std::string> row{Table::num(frac, 2)};
-    for (auto& curve : curves) {
-      curve.push_back(results[next++].goodput_kbps);
-      row.push_back(Table::num(curve.back(), 0));
-    }
-    table.addRow(row);
-  }
-  table.renderAscii(std::cout);
-  std::cout << "\n(rows are reservation as a fraction of the target rate; "
-               "cells are achieved kb/s)\n\n";
-
-  for (std::size_t f = 0; f < frame_bytes.size(); ++f) {
-    const double target_kbps = target(frame_bytes[f]);
-    const auto& c = curves[f];  // indexed like `fractions`
-    const std::string label = " (" + Table::num(target_kbps, 0) + " kb/s)";
-    checks.check(c[4] > 0.9 * target_kbps,
+  for (std::size_t f = 0; f < targets.size(); ++f) {
+    const std::string label = " (" + names[f] + " kb/s)";
+    checks.check(grid(cliff, f) > 0.9 * targets[f],
                  "1.06x reservation delivers the target" + label);
-    checks.check(c[2] < 0.8 * 0.85 * target_kbps,
+    checks.check(grid(2, f) < 0.8 * 0.85 * targets[f],
                  "0.85x reservation collapses below the reserved rate" +
                      label);
-    checks.check(c.front() < c.back(),
+    checks.check(grid(0, f) < grid(fractions.size() - 1, f),
                  "throughput increases with reservation" + label);
   }
-  return results;
+  return {std::move(results), {grid.table()}};
 }
 
-// ---------------------------------------------------------------- Figure 7
-// Equal-rate streams, different burstiness: the sender's sequence trace
-// over one steady-state second.
+// Figure 7: equal-rate streams, different burstiness. The sender's
+// sequence trace over one steady-state second.
 
 struct BurstTrace {
-  std::vector<apps::SequenceTracer::Point> window;  // [2 s, 3 s), re-based
   int bursts = 0;  // clusters separated by >20 ms gaps
   double largest_burst_bytes = 0;
+  double total_bytes = 0;
 };
 
-BurstTrace burstTrace(const ScenarioResult& r) {
-  BurstTrace trace;
+/// Prints `r`'s trace over [2 s, 3 s), re-based to zero (at most ~40
+/// points), and adds its bursts to `summary`.
+BurstTrace burstTrace(const std::string& label, const ScenarioResult& r,
+                      Table& summary) {
+  std::vector<apps::SequenceTracer::Point> window;
   std::uint64_t base_seq = 0;
   for (const auto& p : r.sequence_trace) {
     if (p.t_seconds < 2.0 || p.t_seconds >= 3.0) continue;
-    if (trace.window.empty()) base_seq = p.seq;
+    if (window.empty()) base_seq = p.seq;
     auto q = p;
     q.t_seconds -= 2.0;
     q.seq -= base_seq;
-    trace.window.push_back(q);
+    window.push_back(q);
   }
+  BurstTrace trace;
   double burst_bytes = 0;
   double last_t = -1;
-  for (const auto& p : trace.window) {
+  for (const auto& p : window) {
     if (last_t < 0 || p.t_seconds - last_t > 0.020) {
       ++trace.bursts;
       burst_bytes = 0;
@@ -260,236 +300,209 @@ BurstTrace burstTrace(const ScenarioResult& r) {
     trace.largest_burst_bytes =
         std::max(trace.largest_burst_bytes, burst_bytes);
     last_t = p.t_seconds;
+    trace.total_bytes = static_cast<double>(p.seq);
   }
+
+  std::cout << label << " — (time s, sequence Kb):\n";
+  Table table({"t_s", "seq_kb"});
+  const std::size_t stride = std::max<std::size_t>(1, window.size() / 40);
+  for (std::size_t i = 0; i < window.size(); i += stride) {
+    table.addRow({Table::num(window[i].t_seconds, 3),
+                  Table::num(window[i].seq * 8 / 1000.0, 1)});
+  }
+  table.render(std::cout);
+  std::cout << "\n";
+  summary.addRow({label, std::to_string(trace.bursts),
+                  Table::num(trace.largest_burst_bytes * 8 / 1000.0, 1)});
   return trace;
 }
 
-void printTrace(const std::string& label, const BurstTrace& trace) {
-  std::cout << label << " — (time s, sequence Kb):\n";
-  Table table({"t_s", "seq_kb"});
-  // At most ~40 points.
-  const std::size_t stride = std::max<std::size_t>(1, trace.window.size() / 40);
-  for (std::size_t i = 0; i < trace.window.size(); i += stride) {
-    const auto& p = trace.window[i];
-    table.addRow({Table::num(p.t_seconds, 3),
-                  Table::num(static_cast<double>(p.seq) * 8 / 1000.0, 1)});
-  }
-  table.renderAscii(std::cout);
-  std::printf("bursts in 1 s: %d, largest burst: %.1f Kb\n\n", trace.bursts,
-              trace.largest_burst_bytes * 8 / 1000.0);
-}
-
-Results fig7(const SweepRunner& pool, CheckReporter& checks) {
+SuiteRun fig7(const SweepRunner& pool, CheckReporter& checks) {
   auto results = pool.run(
       {paperSpec("fig7_frames_10fps"), paperSpec("fig7_frames_1fps")});
-  const auto smooth = burstTrace(results[0]);
-  const auto bursty = burstTrace(results[1]);
-  printTrace("10 frames/second (top panel)", smooth);
-  printTrace("1 frame/second (bottom panel)", bursty);
+  Table summary({"trace", "bursts_in_1s", "largest_burst_kb"});
+  const auto smooth =
+      burstTrace("10 frames/second (top panel)", results[0], summary);
+  const auto bursty =
+      burstTrace("1 frame/second (bottom panel)", results[1], summary);
 
   checks.check(smooth.bursts >= 8 && smooth.bursts <= 12,
                "10 fps trace shows ~10 evenly spaced small bursts");
   checks.check(bursty.bursts <= 3, "1 fps trace is a single large burst");
   checks.check(bursty.largest_burst_bytes > 5.0 * smooth.largest_burst_bytes,
                "the 1 fps burst is far larger than any 10 fps burst");
-  auto total = [](const BurstTrace& t) {
-    return t.window.empty() ? 0.0 : static_cast<double>(t.window.back().seq);
-  };
-  checks.check(std::abs(total(smooth) - total(bursty)) < 0.3 * total(smooth),
+  checks.check(std::abs(smooth.total_bytes - bursty.total_bytes) <
+                   0.3 * smooth.total_bytes,
                "both programs send ~the same bytes per second (equal rate)");
-  return results;
+  return {std::move(results), {summary}};
 }
 
-// ------------------------------------------------------- Figures 8 and 9
-// Single timelines whose phase checks live in the registry specs.
+// Figures 8 and 9: single timelines whose phase checks live in the
+// registry specs. The series labels each sample with its phase, the first
+// whose window ends at or after it; the summary is each window's mean
+// rate, and the paper's where the figure shows the full or halved rate.
 
-Results fig8(const SweepRunner& pool, CheckReporter&) {
-  auto results = pool.run({paperSpec("fig8_cpu_reservation")});
-  const auto& r = results[0];
-  Table table({"time_s", "bandwidth_kbps"});
-  for (const auto& p : r.series) {
-    table.addRow({Table::num(p.t_seconds, 0), Table::num(p.kbps, 0)});
+struct Phase {
+  const char* name;
+  double from, to;  // the mean's window, seconds
+  std::optional<double> paper_kbps;
+};
+
+SuiteRun phases(const SweepRunner& pool, const char* scenario,
+                const std::vector<Phase>& phases) {
+  auto results = pool.run({paperSpec(scenario)});
+  printSeries({"time_s", "bandwidth_kbps", "phase"}, results, [&](double t) {
+    auto phase = phases.begin();
+    while (phase + 1 != phases.end() && t > phase->to) ++phase;
+    return std::string(phase->name);
+  });
+  Grid grid("phase", {}, {"mean_kbps"});
+  for (const auto& p : phases) {
+    grid.rows.push_back(p.name);
+    grid.cells.push_back({{results[0].meanKbps(p.from, p.to), p.paper_kbps}});
   }
-  table.renderAscii(std::cout);
-  std::printf("\nfree: %.0f kb/s | contended: %.0f kb/s | reserved: %.0f "
-              "kb/s\n\n",
-              r.meanKbps(2, 10), r.meanKbps(12, 20), r.meanKbps(22, 30));
-  return results;
+  return {std::move(results), {grid.table()}};
 }
 
-Results fig9(const SweepRunner& pool, CheckReporter&) {
-  auto results = pool.run({paperSpec("fig9_combined")});
-  const auto& r = results[0];
-  auto phase = [](double t) {
-    if (t <= 10) return "clean";
-    if (t <= 21) return "net-congestion";
-    if (t <= 31) return "net-reserved";
-    if (t <= 41) return "cpu-contention";
-    return "net+cpu-reserved";
-  };
-  Table table({"time_s", "bandwidth_kbps", "phase"});
-  for (const auto& p : r.series) {
-    table.addRow({Table::num(p.t_seconds, 0), Table::num(p.kbps, 0),
-                  phase(p.t_seconds)});
-  }
-  table.renderAscii(std::cout);
-  std::printf("\nclean %.0f | congested %.0f | net-reserved %.0f | "
-              "cpu-contended %.0f | both-reserved %.0f (kb/s)\n\n",
-              r.meanKbps(2, 10), r.meanKbps(12, 21), r.meanKbps(24, 31),
-              r.meanKbps(33, 41), r.meanKbps(44, 50));
-  return results;
+SuiteRun fig8(const SweepRunner& pool, CheckReporter&) {
+  return phases(pool, "fig8_cpu_reservation",
+                {{"free", 2, 10, 15'000},
+                 {"contended", 12, 20, 7'500},
+                 {"reserved", 22, 30, 15'000}});
 }
 
-// ----------------------------------------------------------------- Table 1
-// The minimum reservation achieving >= 97% of the desired rate, by
+SuiteRun fig9(const SweepRunner& pool, CheckReporter&) {
+  return phases(pool, "fig9_combined",
+                {{"clean", 2, 10, 35'000},
+                 {"net-congestion", 12, 21, std::nullopt},
+                 {"net-reserved", 24, 31, 35'000},
+                 {"cpu-contention", 33, 41, std::nullopt},
+                 {"net+cpu-reserved", 44, 50, 35'000}});
+}
+
+// Table 1: the minimum reservation achieving >= 97% of the desired rate, by
 // bisection on [desired, 4 x desired]. 97% sits above the ~96.5% ceiling
 // a reservation of exactly the application rate reaches (TCP/IP header
 // overhead), so "required" always exceeds the rate; a one second
 // snapshot grace forgives the final frame's in-flight tail. All twelve
 // cells bisect in lockstep: one pool batch per step. Every probe is
 // deterministic, so the table does not depend on the batching.
-
-Results table1(const SweepRunner& pool, CheckReporter& checks) {
-  struct Cell {
-    double desired_kbps;
-    double fps;
-    double bucket_divisor;
-    double lo = 0, hi = 0;  // bisection bracket
-    bool done = false;
-  };
+SuiteRun table1(const SweepRunner& pool, CheckReporter& checks) {
   const std::vector<double> desired{400, 800, 1600, 2400};
-  std::vector<Cell> cells;
-  for (double d : desired) {
-    cells.push_back({d, 10.0, 40.0});
-    cells.push_back({d, 1.0, 40.0});
-    cells.push_back({d, 1.0, 4.0});
+  const double fps[] = {10.0, 1.0, 1.0}, bucket_divisor[] = {40, 40, 4};
+  // The paper's Table 1 (kb/s), by desired rate and column.
+  const double paper[4][3] = {{500, 750, 500}, {900, 1450, 900},
+                              {1700, 2700, 1700}, {2500, 3600, 2500}};
+  Grid grid("desired_kbps", labels(desired, 0),
+            {"normal_10fps", "normal_1fps", "large_1fps"});
+
+  struct Bracket { std::size_t row, col; double lo, hi; bool done = false; };
+  std::vector<Bracket> cells;  // row-major, like the grid
+  for (std::size_t r = 0; r < desired.size(); ++r) {
+    for (std::size_t c = 0; c < 3; ++c) {
+      grid.cells[r][c].paper = paper[r][c];
+      cells.push_back({r, c, desired[r], desired[r] * 4.0});
+    }
   }
-  auto probe = [](const Cell& c, double reservation_kbps) {
+  auto probe = [&](const Bracket& b, double reservation_kbps) {
     auto spec = visualizationSpec(
-        "table1.probe", reservation_kbps, c.fps,
-        static_cast<std::int64_t>(c.desired_kbps * 1000.0 / 8.0 / c.fps),
-        20.0, c.bucket_divisor, /*snapshot_grace_seconds=*/1.0);
+        "table1.probe", reservation_kbps, fps[b.col],
+        static_cast<std::int64_t>(desired[b.row] * 1000.0 / 8.0 / fps[b.col]),
+        20.0, bucket_divisor[b.col], /*snapshot_grace_seconds=*/1.0);
     spec.observe = false;  // probes feed only the bisection
     return spec;
   };
-  auto achieves = [](const Cell& c, const ScenarioResult& r) {
-    return r.goodput_kbps >= 0.97 * c.desired_kbps;
+  auto achieves = [&](const Bracket& b, const ScenarioResult& r) {
+    return r.goodput_kbps >= 0.97 * desired[b.row];
   };
 
   // Step 0 probes both ends: the rate itself never suffices (overheads),
   // 4x is assumed to; a cell outside the bracket is settled at once.
   std::vector<ScenarioSpec> specs;
-  for (auto& c : cells) {
-    c.lo = c.desired_kbps;
-    c.hi = c.desired_kbps * 4.0;
-    specs.push_back(probe(c, c.lo));
-    specs.push_back(probe(c, c.hi));
+  for (const auto& b : cells) {
+    specs.push_back(probe(b, b.lo));
+    specs.push_back(probe(b, b.hi));
   }
   auto ends = pool.run(specs);
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    auto& c = cells[i];
-    if (achieves(c, ends[2 * i])) {
-      c.hi = c.lo;
-      c.done = true;
-    } else if (!achieves(c, ends[2 * i + 1])) {
-      c.hi *= 1.2;  // out-of-range marker
-      c.done = true;
+    auto& b = cells[i];
+    if (achieves(b, ends[2 * i])) {
+      b.hi = b.lo;
+      b.done = true;
+    } else if (!achieves(b, ends[2 * i + 1])) {
+      b.hi *= 1.2;  // out-of-range marker
+      b.done = true;
     }
   }
   for (int step = 0; step < 6; ++step) {
     specs.clear();
-    for (const auto& c : cells) {
-      if (!c.done) specs.push_back(probe(c, (c.lo + c.hi) / 2));
+    for (const auto& b : cells) {
+      if (!b.done) specs.push_back(probe(b, (b.lo + b.hi) / 2));
     }
     const auto mids = pool.run(specs);
     std::size_t next = 0;
-    for (auto& c : cells) {
-      if (c.done) continue;
-      const double mid = (c.lo + c.hi) / 2;
-      if (achieves(c, mids[next++])) {
-        c.hi = mid;
-      } else {
-        c.lo = mid;
-      }
+    for (auto& b : cells) {
+      if (b.done) continue;
+      const double mid = (b.lo + b.hi) / 2;
+      (achieves(b, mids[next++]) ? b.hi : b.lo) = mid;
     }
   }
-
-  Table table({"desired_kbps", "normal_10fps", "normal_1fps", "large_1fps"});
-  for (std::size_t i = 0; i < desired.size(); ++i) {
-    table.addRow({Table::num(desired[i], 0), Table::num(cells[3 * i].hi, 0),
-                  Table::num(cells[3 * i + 1].hi, 0),
-                  Table::num(cells[3 * i + 2].hi, 0)});
-  }
-  table.renderAscii(std::cout);
-  std::cout << "\npaper's values (kb/s):\n"
-               "  400: 500 / 750 / 500\n"
-               "  800: 900 / 1450 / 900\n"
-               " 1600: 1700 / 2700 / 1700\n"
-               " 2400: 2500 / 3600 / 2500\n\n";
+  for (const auto& b : cells) grid.cells[b.row][b.col].measured = b.hi;
 
   for (std::size_t i = 0; i < desired.size(); ++i) {
-    const double normal10 = cells[3 * i].hi;
-    const double normal1 = cells[3 * i + 1].hi;
-    const double large1 = cells[3 * i + 2].hi;
-    const std::string label = " (" + Table::num(desired[i], 0) + " kb/s)";
-    checks.check(normal10 > desired[i],
+    const std::string label = " (" + grid.rows[i] + " kb/s)";
+    checks.check(grid(i, 0) > desired[i],
                  "smooth traffic still needs > the application rate" + label);
-    checks.check(normal1 > 1.2 * normal10,
+    checks.check(grid(i, 1) > 1.2 * grid(i, 0),
                  "very bursty traffic needs a much larger reservation with "
                  "the normal bucket" + label);
-    checks.check(large1 < 1.15 * normal10,
+    checks.check(grid(i, 2) < 1.15 * grid(i, 0),
                  "the large bucket removes the burstiness penalty" + label);
   }
-  return {};
+  return {{}, {grid.table()}};
 }
-
-// --------------------------------------------------------------- Ablations
 
 // Token-bucket depth (§4.3/§5.4): the paper fixes depth = bandwidth/40,
 // a compromise between dropping bursts and spending router buffer.
-Results ablationBucket(const SweepRunner& pool, CheckReporter& checks) {
+SuiteRun ablationBucket(const SweepRunner& pool, CheckReporter& checks) {
   const double desired_kbps = 800.0;
   const double reservation = desired_kbps * 1.3;
   const std::vector<double> divisors{400, 100, 62, 40, 10, 4, 1};
-  std::vector<ScenarioSpec> specs;
-  for (double d : divisors) {
-    specs.push_back(visualizationSpec("divisor" + Table::num(d, 0),
-                                      reservation, 1.0, 100'000, 20.0, d,
-                                      /*snapshot_grace_seconds=*/1.0));
+  Grid grid("divisor", labels(divisors, 0),
+            {"depth_bytes", "achieved_kbps", "policer_drops"});
+  // One run per row: its goodput is the achieved_kbps cell.
+  auto results = grid.run(pool, [&](auto r, auto c) {
+    std::optional<ScenarioSpec> spec;
+    if (c == 1) {
+      spec = visualizationSpec("divisor" + grid.rows[r], reservation, 1.0,
+                               100'000, 20.0, divisors[r],
+                               /*snapshot_grace_seconds=*/1.0);
+    }
+    return spec;
+  });
+  for (std::size_t r = 0; r < divisors.size(); ++r) {
+    grid.cells[r][0].measured = static_cast<double>(
+        net::TokenBucket::depthForRate(reservation * 1000, divisors[r]));
+    grid.cells[r][2].measured = static_cast<double>(results[r].policer_drops);
   }
-  auto results = pool.run(specs);
 
-  Table table({"divisor", "depth_bytes", "achieved_kbps", "policer_drops"});
-  for (std::size_t i = 0; i < divisors.size(); ++i) {
-    table.addRow({Table::num(divisors[i], 0),
-                  std::to_string(net::TokenBucket::depthForRate(
-                      reservation * 1000, divisors[i])),
-                  Table::num(results[i].goodput_kbps, 0),
-                  std::to_string(results[i].policer_drops)});
-  }
-  table.renderAscii(std::cout);
-  std::cout << "\n";
-
-  checks.check(results.back().goodput_kbps >= 0.97 * desired_kbps,
+  checks.check(grid(divisors.size() - 1, 1) >= 0.97 * desired_kbps,
                "a bucket deeper than the burst absorbs it entirely "
                "(divisor 1)");
-  checks.check(results.front().goodput_kbps < 0.7 * desired_kbps,
+  checks.check(grid(0, 1) < 0.7 * desired_kbps,
                "a very shallow bucket (divisor 400) cripples the bursty "
                "stream");
   bool monotone = true;  // deeper buckets never hurt (within 12%)
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    if (results[i].goodput_kbps + 0.12 * desired_kbps <
-        results[i - 1].goodput_kbps) {
-      monotone = false;
-    }
+  for (std::size_t r = 1; r < divisors.size(); ++r) {
+    if (grid(r, 1) + 0.12 * desired_kbps < grid(r - 1, 1)) monotone = false;
   }
   checks.check(monotone,
                "achieved throughput is (weakly) monotone in bucket depth");
-  return results;
+  return {std::move(results), {grid.table()}};
 }
 
 // EF priority queuing (§5.1): the same admission without the PHB starves.
-Results ablationPriority(const SweepRunner& pool, CheckReporter& checks) {
+SuiteRun ablationPriority(const SweepRunner& pool, CheckReporter& checks) {
   auto results = pool.run(
       {paperSpec("ablation_priority_ef"), paperSpec("ablation_priority_be")});
   const double with_ef = results[0].goodput_kbps;
@@ -497,71 +510,60 @@ Results ablationPriority(const SweepRunner& pool, CheckReporter& checks) {
   Table table({"variant", "goodput_kbps"});
   table.addRow({"EF (priority queue)", Table::num(with_ef, 0)});
   table.addRow({"policed, best-effort queue", Table::num(without_ef, 0)});
-  table.renderAscii(std::cout);
-  std::cout << "\n";
   checks.check(without_ef < 0.25 * with_ef,
                "the same admission without the EF PHB starves in the "
                "congested best-effort queue");
-  return results;
+  return {std::move(results), {table}};
 }
 
 // Source shaping (§5.4's proposed alternative to per-application bucket
 // sizes): shaped bursts pass a shallow bucket that raw bursts overflow.
-Results ablationShaping(const SweepRunner& pool, CheckReporter& checks) {
+SuiteRun ablationShaping(const SweepRunner& pool, CheckReporter& checks) {
   auto results = pool.run(
       {paperSpec("ablation_shaping_off"), paperSpec("ablation_shaping_on")});
   const auto& raw = results[0];
   const auto& shaped = results[1];
   Table table({"variant", "goodput_kbps", "policer_drops", "tcp_timeouts"});
-  auto row = [&table](const char* variant, const ScenarioResult& r) {
-    table.addRow({variant, Table::num(r.goodput_kbps, 0),
-                  std::to_string(r.policer_drops),
-                  std::to_string(r.tcp_timeouts)});
-  };
-  row("unshaped", raw);
-  row("shaped", shaped);
-  table.renderAscii(std::cout);
-  std::cout << "\n";
+  for (const auto* r : {&raw, &shaped}) {
+    table.addRow({r == &raw ? "unshaped" : "shaped",
+                  Table::num(r->goodput_kbps, 0),
+                  std::to_string(r->policer_drops),
+                  std::to_string(r->tcp_timeouts)});
+  }
   checks.check(raw.goodput_kbps < 0.75 * shaped.goodput_kbps,
                "unshaped bursts through the shallow bucket lose substantial "
                "throughput");
   checks.check(shaped.policer_drops < raw.policer_drops / 5,
                "shaping eliminates (nearly) all policer drops");
-  return results;
+  return {std::move(results), {table}};
 }
 
 // The low-latency class (§4.1): small control messages skip the standing
 // bulk queue.
-Results ablationLatency(const SweepRunner& pool, CheckReporter& checks) {
+SuiteRun ablationLatency(const SweepRunner& pool, CheckReporter& checks) {
   auto results = pool.run(
       {paperSpec("ablation_latency_be"), paperSpec("ablation_latency_ll")});
   auto p = [](const ScenarioResult& r, double pct) {
     return util::percentile(r.rtt_ms, pct);
   };
-  auto row = [&](const char* variant, const ScenarioResult& r) {
-    return std::vector<std::string>{variant, Table::num(p(r, 50), 2),
-                                    Table::num(p(r, 99), 2)};
-  };
   const auto& be = results[0];
   const auto& ll = results[1];
   Table table({"variant", "median_rtt_ms", "p99_rtt_ms"});
-  table.addRow(row("best effort", be));
-  table.addRow(row("low-latency class", ll));
-  table.renderAscii(std::cout);
-  std::cout << "\n";
+  for (const auto* r : {&be, &ll}) {
+    table.addRow({r == &be ? "best effort" : "low-latency class",
+                  Table::num(p(*r, 50), 2), Table::num(p(*r, 99), 2)});
+  }
   checks.check(p(ll, 50) < p(be, 50) / 2,
                "low-latency marking at least halves the median RTT");
   checks.check(p(ll, 99) < p(be, 99) / 2,
                "tail latency improves at least as much");
-  return results;
+  return {std::move(results), {table}};
 }
 
-// ----------------------------------------------------------- Fault recovery
-// A 3 s edge-link flap at t=20 s: with the RecoveryPolicy the agent
-// re-reserves once the link is back; without it the stream degrades to
-// best effort and starves. A third run replays the first.
-
-Results faultRecovery(const SweepRunner& pool, CheckReporter& checks) {
+// Fault recovery: a 3 s edge-link flap at t=20 s. With the RecoveryPolicy
+// the agent re-reserves once the link is back; without it the stream
+// degrades to best effort and starves. A third run replays the first.
+SuiteRun faultRecovery(const SweepRunner& pool, CheckReporter& checks) {
   auto results = pool.run({paperSpec("fault_recovery_on"),
                            paperSpec("fault_recovery_off"),
                            paperSpec("fault_recovery_on")});
@@ -573,15 +575,15 @@ Results faultRecovery(const SweepRunner& pool, CheckReporter& checks) {
 
   auto pre = [](const ScenarioResult& r) { return r.meanKbps(5.0, 20.0); };
   auto post = [](const ScenarioResult& r) { return r.meanKbps(28.0, 60.0); };
-  std::printf("\nrecovery on:  pre-flap %.1f Mb/s, post-flap %.1f Mb/s, "
-              "final state %s, %d recovery attempt(s)\n",
-              pre(with) / 1000, post(with) / 1000,
-              gq::qosRequestStateName(with.qos_state),
-              with.recovery_attempts);
-  std::printf("recovery off: pre-flap %.1f Mb/s, post-flap %.1f Mb/s, "
-              "final state %s\n\n",
-              pre(without) / 1000, post(without) / 1000,
-              gq::qosRequestStateName(without.qos_state));
+  Table summary({"variant", "pre_flap_mbps", "post_flap_mbps", "final_state",
+                 "recovery_attempts"});
+  for (const auto* r : {&with, &without}) {
+    summary.addRow({r == &with ? "recovery on" : "recovery off",
+                    Table::num(pre(*r) / 1000, 1),
+                    Table::num(post(*r) / 1000, 1),
+                    gq::qosRequestStateName(r->qos_state),
+                    r == &with ? std::to_string(r->recovery_attempts) : ""});
+  }
 
   checks.check(post(with) > post(without),
                "post-flap goodput strictly higher with RecoveryPolicy "
@@ -590,7 +592,7 @@ Results faultRecovery(const SweepRunner& pool, CheckReporter& checks) {
                    with.injector_log == replay.injector_log,
                "scenario replay with the same seed gives a byte-identical "
                "injector log");
-  return results;
+  return {std::move(results), {summary}};
 }
 
 }  // namespace
@@ -599,57 +601,45 @@ const std::vector<SuiteInfo>& paperSuites() {
   static const std::vector<SuiteInfo> suites{
       {"fd", "§3: finite difference across two SMPs, critical link reserved",
        "§3: 16 ranks on two 8-processor hosts under contention; premium "
-       "QoS on the rank 7 <-> 8 pair communicator vs. best effort",
-       fd},
+       "QoS on the rank 7 <-> 8 pair communicator vs. best effort", fd},
       {"fig1", "Figure 1: TCP with an undersized premium reservation",
        "Figure 1 (§5): 50 Mb/s offered, 40 Mb/s reserved; the paper shows "
-       "oscillation between ~25 and ~52 Mb/s over 100 s",
-       fig1},
+       "oscillation between ~25 and ~52 Mb/s over 100 s", fig1},
       {"fig5", "Figure 5: ping-pong throughput vs. reservation",
        "Figure 5 (§5.2): message sizes 8/40/80/120 Kb, one-way reservation "
-       "0.5-12 Mb/s, heavy UDP contention",
-       fig5},
+       "0.5-20 Mb/s, heavy UDP contention", fig5},
       {"fig6", "Figure 6: visualization throughput vs. reservation",
        "Figure 6 (§5.3): 10 fps, frames 5/10/20/30 KB (targets 400-2400 "
-       "kb/s); the paper finds ~1.06x the sending rate is required",
-       fig6},
+       "kb/s); the paper finds ~1.06x the sending rate is required", fig6},
       {"fig7",
        "Figure 7: sequence-number traces at equal rate, different burstiness",
        "Figure 7 (§5.4): 400 kb/s as 10 fps x 40 Kb frames vs 1 fps x "
-       "400 Kb frame; 1 s window",
-       fig7},
+       "400 Kb frame; 1 s window", fig7},
       {"fig8",
        "Figure 8: visualization bandwidth under CPU contention and a DSRT "
        "reservation",
        "Figure 8 (§5.5): 15 Mb/s stream; CPU hog at t=10 s; 90% CPU "
-       "reservation at t=20 s",
-       fig8},
+       "reservation at t=20 s", fig8},
       {"fig9", "Figure 9: combined network and CPU reservations",
        "Figure 9 (§5.5): 35 Mb/s stream; net congestion @10s, net "
-       "reservation @21s, CPU contention @31s, CPU reservation @41s",
-       fig9},
+       "reservation @21s, CPU contention @31s, CPU reservation @41s", fig9},
       {"table1", "Table 1: reservation required vs. burstiness and bucket size",
        "Table 1 (§5.4): desired 400/800/1600/2400 kb/s; 10 fps vs 1 fps; "
-       "bucket bw/40 vs bw/4",
-       table1},
+       "bucket bw/40 vs bw/4", table1},
       {"ablation_bucket", "Ablation: token-bucket depth divisor",
        "§4.3/§5.4: 1 fps x 100 KB frames (800 kb/s) with a fixed 1.3x "
-       "reservation; depth = reservation/divisor",
-       ablationBucket},
+       "reservation; depth = reservation/divisor", ablationBucket},
       {"ablation_priority", "Ablation: EF priority queuing vs. policing-only",
        "§5.1: identical 5 Mb/s token-bucket admission; EF marking vs. "
-       "best-effort marking under saturating contention",
-       ablationPriority},
+       "best-effort marking under saturating contention", ablationPriority},
       {"ablation_shaping",
        "Ablation: source shaping vs. raw bursts through a shallow bucket",
        "§5.4: 50 KB bursts at 1.6 Mb/s through a 1.7 Mb/s premium "
-       "reservation with the normal (bw/40) bucket",
-       ablationShaping},
+       "reservation with the normal (bw/40) bucket", ablationShaping},
       {"ablation_latency",
        "Ablation: low-latency class for small-message traffic",
        "§4.1: 256 B request/response under saturating bulk contention; "
-       "best-effort vs low-latency marking",
-       ablationLatency},
+       "best-effort vs low-latency marking", ablationLatency},
       {"fault_recovery",
        "Fault recovery: link flap during the Figure-1 premium transfer",
        "§4.2: GARA monitoring/state-change callbacks; reservation "
@@ -670,10 +660,18 @@ void runSuite(const SuiteInfo& suite, const SweepRunner& pool,
               CheckReporter& checks, const std::string& json_dir) {
   std::cout << "\n=== " << suite.title << " ===\n";
   std::cout << "paper reference: " << suite.paper_ref << "\n\n";
-  const auto results = suite.run(pool, checks);
-  if (results.empty()) return;
-  for (const auto& r : results) checks.merge(r.checks);
-  checks.check(obs::exportMultiRunBenchJson(suite.name, runExports(results),
+  CheckReporter cross_run;  // echoed after the summary block
+  const auto out = suite.run(pool, cross_run);
+  std::cout << "<!-- suite:" << suite.name << " -->\n";
+  for (const auto& table : out.summary) {
+    std::cout << "\n";
+    table.render(std::cout);
+  }
+  std::cout << "\n<!-- /suite:" << suite.name << " -->\n\n";
+  checks.merge(cross_run.results());
+  if (out.runs.empty()) return;
+  for (const auto& r : out.runs) checks.merge(r.checks);
+  checks.check(obs::exportMultiRunBenchJson(suite.name, runExports(out.runs),
                                             json_dir),
                "wrote BENCH_" + suite.name + ".json");
 }

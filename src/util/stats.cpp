@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 namespace mgq::util {
 
@@ -71,21 +72,6 @@ double coefficientOfVariation(std::span<const double> values) {
   for (double v : values) s.add(v);
   if (s.mean() == 0.0) return 0.0;
   return s.stddev() / s.mean();
-}
-
-std::vector<double> movingAverage(std::span<const double> values,
-                                  std::size_t window) {
-  std::vector<double> out;
-  out.reserve(values.size());
-  if (window == 0) window = 1;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    acc += values[i];
-    if (i >= window) acc -= values[i - window];
-    const std::size_t n = std::min(i + 1, window);
-    out.push_back(acc / static_cast<double>(n));
-  }
-  return out;
 }
 
 }  // namespace mgq::util

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace mgq::util {
 
@@ -49,10 +48,5 @@ double mean(std::span<const double> values);
 /// Coefficient of variation (stddev/mean); NaN for an empty span, 0 when
 /// the (nonempty) input's mean is 0.
 double coefficientOfVariation(std::span<const double> values);
-
-/// Simple fixed-width moving average; the first (window-1) outputs average
-/// over the prefix seen so far. Returns a series the same length as input.
-std::vector<double> movingAverage(std::span<const double> values,
-                                  std::size_t window);
 
 }  // namespace mgq::util

@@ -20,37 +20,32 @@ std::string Table::num(double v, int precision) {
   return os.str();
 }
 
-void Table::renderAscii(std::ostream& os) const {
-  std::vector<std::size_t> widths(header_.size());
+void Table::render(std::ostream& os) const {
+  // Terminal columns: UTF-8 continuation bytes take none.
+  auto width = [](const std::string& cell) {
+    return static_cast<std::size_t>(
+        std::count_if(cell.begin(), cell.end(),
+                      [](char ch) { return (ch & 0xC0) != 0x80; }));
+  };
+  // Three dashes at least: the shortest delimiter cell every Markdown
+  // dialect accepts.
+  std::vector<std::size_t> widths(header_.size(), 3);
   for (std::size_t c = 0; c < header_.size(); ++c) {
-    widths[c] = header_[c].size();
+    widths[c] = std::max(widths[c], width(header_[c]));
     for (const auto& row : rows_) {
-      widths[c] = std::max(widths[c], row[c].size());
+      widths[c] = std::max(widths[c], width(row[c]));
     }
   }
   auto renderLine = [&](const std::vector<std::string>& cells) {
     for (std::size_t c = 0; c < cells.size(); ++c) {
-      os << std::left << std::setw(static_cast<int>(widths[c]) + 2)
-         << cells[c];
+      os << "| " << cells[c]
+         << std::string(widths[c] - width(cells[c]) + 1, ' ');
     }
-    os << '\n';
+    os << "|\n";
   };
   renderLine(header_);
-  std::size_t total = 0;
-  for (auto w : widths) total += w + 2;
-  os << std::string(total, '-') << '\n';
-  for (const auto& row : rows_) renderLine(row);
-}
-
-void Table::renderCsv(std::ostream& os) const {
-  auto renderLine = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c) os << ',';
-      os << cells[c];
-    }
-    os << '\n';
-  };
-  renderLine(header_);
+  for (auto w : widths) os << '|' << std::string(w + 2, '-');
+  os << "|\n";
   for (const auto& row : rows_) renderLine(row);
 }
 

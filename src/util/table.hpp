@@ -1,4 +1,4 @@
-// ASCII table / CSV emission used by the paper's suites and the CLIs to
+// Markdown table emission used by the paper's suites and the CLIs to
 // print the same rows and series the paper reports.
 #pragma once
 
@@ -8,9 +8,9 @@
 
 namespace mgq::util {
 
-/// Collects rows of string cells and renders either an aligned ASCII table
-/// (for human reading) or CSV (for plotting). Column count is fixed by the
-/// header; short rows are padded with empty cells.
+/// Collects rows of string cells and renders them as an aligned Markdown
+/// table, readable on a terminal and pasteable into a document. Column
+/// count is fixed by the header; short rows are padded with empty cells.
 class Table {
  public:
   explicit Table(std::vector<std::string> header);
@@ -20,8 +20,7 @@ class Table {
   /// Convenience: formats doubles with the given precision.
   static std::string num(double v, int precision = 1);
 
-  void renderAscii(std::ostream& os) const;
-  void renderCsv(std::ostream& os) const;
+  void render(std::ostream& os) const;
 
   std::size_t rowCount() const { return rows_.size(); }
 

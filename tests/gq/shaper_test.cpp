@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
-
 #include "gara/gara.hpp"
 #include "gara/resource_manager.hpp"
 #include "net/network.hpp"
@@ -25,33 +23,6 @@ struct Pair {
   net::Host* a;
   net::Host* b;
 };
-
-TEST(ShaperTest, SpanSendPreservesContent) {
-  sim::Simulator sim;
-  Pair pair(sim);
-  tcp::TcpListener listener(*pair.b, 5000);
-  std::vector<std::uint8_t> received;
-  auto server = [](tcp::TcpListener& l,
-                   std::vector<std::uint8_t>& out) -> Task<> {
-    auto s = co_await l.accept();
-    out.resize(10'000);
-    co_await s->recvExactly(out);
-  };
-  auto client = [](net::Host& h, net::NodeId dst) -> Task<> {
-    auto s = co_await tcp::TcpSocket::connect(h, dst, 5000);
-    std::vector<std::uint8_t> data(10'000);
-    std::iota(data.begin(), data.end(), 0);
-    ShapedSocket shaped(*s, 1e6, 4'000);
-    co_await shaped.send(data);
-  };
-  sim.spawn(server(listener, received));
-  sim.spawn(client(*pair.a, pair.b->id()));
-  sim.runFor(Duration::seconds(30));
-  ASSERT_EQ(received.size(), 10'000u);
-  for (std::size_t i = 0; i < received.size(); ++i) {
-    ASSERT_EQ(received[i], static_cast<std::uint8_t>(i & 0xff)) << i;
-  }
-}
 
 TEST(ShaperTest, SendTakesAtLeastTheShapedTime) {
   sim::Simulator sim;

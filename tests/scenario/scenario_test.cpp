@@ -145,6 +145,15 @@ TEST(ScenarioRegistry, SuiteExportsNeverOverwriteScenarioExports) {
   EXPECT_EQ(findSuite("fig1_under"), nullptr);
 }
 
+TEST(ScenarioRegistry, SuiteCtestsCoverEveryPaperSuite) {
+  // MGQ_SUITES is the build's list, one suite_<name> ctest per entry.
+  std::string names;
+  for (const auto& suite : paperSuites()) {
+    names += (names.empty() ? "" : ",") + suite.name;
+  }
+  EXPECT_EQ(names, MGQ_SUITES);
+}
+
 TEST(Sweep, ExpandsCrossProductWithLabels) {
   const auto base = quickSpec();
   const auto specs = expandSweep(

@@ -120,25 +120,5 @@ TEST(WeightedPercentileTest, ClampsOutOfRangeP) {
   EXPECT_DOUBLE_EQ(weightedPercentile(v, w, 200), 3.0);
 }
 
-TEST(MovingAverageTest, WindowOfOneIsIdentity) {
-  const std::array<double, 3> v{1, 5, 9};
-  EXPECT_EQ(movingAverage(v, 1), (std::vector<double>{1, 5, 9}));
-}
-
-TEST(MovingAverageTest, PrefixAveragesThenWindow) {
-  const std::array<double, 4> v{2, 4, 6, 8};
-  const auto out = movingAverage(v, 2);
-  ASSERT_EQ(out.size(), 4u);
-  EXPECT_DOUBLE_EQ(out[0], 2.0);
-  EXPECT_DOUBLE_EQ(out[1], 3.0);
-  EXPECT_DOUBLE_EQ(out[2], 5.0);
-  EXPECT_DOUBLE_EQ(out[3], 7.0);
-}
-
-TEST(MovingAverageTest, ZeroWindowTreatedAsOne) {
-  const std::array<double, 2> v{3, 7};
-  EXPECT_EQ(movingAverage(v, 0), (std::vector<double>{3, 7}));
-}
-
 }  // namespace
 }  // namespace mgq::util

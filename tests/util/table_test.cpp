@@ -7,32 +7,29 @@
 namespace mgq::util {
 namespace {
 
-TEST(TableTest, CsvOutput) {
-  Table t({"a", "b"});
-  t.addRow({"1", "2"});
-  t.addRow({"3", "4"});
-  std::ostringstream os;
-  t.renderCsv(os);
-  EXPECT_EQ(os.str(), "a,b\n1,2\n3,4\n");
-}
-
 TEST(TableTest, ShortRowsArePadded) {
   Table t({"a", "b", "c"});
   t.addRow({"1"});
   std::ostringstream os;
-  t.renderCsv(os);
-  EXPECT_EQ(os.str(), "a,b,c\n1,,\n");
+  t.render(os);
+  EXPECT_EQ(os.str(),
+            "| a   | b   | c   |\n"
+            "|-----|-----|-----|\n"
+            "| 1   |     |     |\n");
 }
 
-TEST(TableTest, AsciiAlignsColumns) {
+TEST(TableTest, MarkdownAlignsColumns) {
+  // A multi-byte UTF-8 character takes one column.
   Table t({"col", "x"});
   t.addRow({"longvalue", "1"});
+  t.addRow({"§5.4", "22"});
   std::ostringstream os;
-  t.renderAscii(os);
-  const auto text = os.str();
-  EXPECT_NE(text.find("col"), std::string::npos);
-  EXPECT_NE(text.find("longvalue"), std::string::npos);
-  EXPECT_NE(text.find("---"), std::string::npos);
+  t.render(os);
+  EXPECT_EQ(os.str(),
+            "| col       | x   |\n"
+            "|-----------|-----|\n"
+            "| longvalue | 1   |\n"
+            "| §5.4      | 22  |\n");
 }
 
 TEST(TableTest, NumFormatsPrecision) {

@@ -82,7 +82,7 @@ int listScenarios(const std::string& filter) {
   for (const auto* info : entries) {
     table.addRow({info->name, info->paper_ref, info->title});
   }
-  table.renderAscii(std::cout);
+  table.render(std::cout);
   std::printf("%zu scenario(s)\n\n", entries.size());
 
   util::Table suites({"suite", "paper_ref", "title"});
@@ -92,7 +92,7 @@ int listScenarios(const std::string& filter) {
     suites.addRow({suite.name, suite.paper_ref, suite.title});
     ++listed;
   }
-  suites.renderAscii(std::cout);
+  suites.render(std::cout);
   std::printf("%zu suite(s)\n", listed);
   return 0;
 }
@@ -217,7 +217,7 @@ int sweepScenario(const std::string& name,
     table.addRow(std::move(row));
     checks.merge(results[i].checks);
   }
-  table.renderAscii(std::cout);
+  table.render(std::cout);
 
   checks.check(obs::exportMultiRunBenchJson(name + "_sweep",
                                             scenario::runExports(results),
