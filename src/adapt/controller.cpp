@@ -10,12 +10,7 @@ namespace mgq::adapt {
 QosController::QosController(sim::Simulator& sim,
                              gara::BandwidthBroker& broker,
                              BandwidthArbiter& arbiter, Config config)
-    : sim_(&sim), broker_(&broker), arbiter_(&arbiter), config_(config) {
-  if (config_.cadence_seconds <= 0.0) config_.cadence_seconds = 0.5;
-  if (config_.ewma_alpha <= 0.0 || config_.ewma_alpha > 1.0) {
-    config_.ewma_alpha = 0.4;
-  }
-}
+    : sim_(&sim), broker_(&broker), arbiter_(&arbiter), config_(config) {}
 
 std::size_t QosController::addTenant(
     TenantConfig config, gara::BandwidthBroker::PathReservation* path) {
@@ -23,7 +18,6 @@ std::size_t QosController::addTenant(
       .name = std::move(config.name),
       .path = path,
       .policy = AdaptationPolicy(config.policy),
-      .estimator = DemandEstimator(config_.ewma_alpha),
   });
   tenant->estimator.setInputs(std::move(config.inputs));
   tenant->shaper = config.shaper;

@@ -38,10 +38,8 @@ namespace mgq::adapt {
 class QosController {
  public:
   struct Config {
-    /// Control-loop tick interval (simulated seconds).
+    /// Control-loop tick interval (simulated seconds, > 0).
     double cadence_seconds = 0.5;
-    /// Default EWMA smoothing for tenant demand estimators.
-    double ewma_alpha = 0.4;
     /// Policy defaults applied to tenants that do not override.
     AdaptationPolicy::Config policy;
   };

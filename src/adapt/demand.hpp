@@ -46,7 +46,8 @@ class DemandEstimator {
     std::function<const net::TokenBucket*()> policer;
   };
 
-  explicit DemandEstimator(double ewma_alpha) : alpha_(ewma_alpha) {}
+  /// EWMA smoothing weight of each new interval's rate.
+  static constexpr double kAlpha = 0.4;
 
   void setInputs(Inputs inputs) { inputs_ = std::move(inputs); }
 
@@ -55,14 +56,12 @@ class DemandEstimator {
   const DemandSample& sample(double dt_seconds);
 
   const DemandSample& current() const { return sample_; }
-  double alpha() const { return alpha_; }
 
  private:
-  double ewma(double previous, double interval_rate) const {
-    return previous + alpha_ * (interval_rate - previous);
+  static double ewma(double previous, double interval_rate) {
+    return previous + kAlpha * (interval_rate - previous);
   }
 
-  double alpha_;
   Inputs inputs_;
   DemandSample sample_;
   bool primed_ = false;

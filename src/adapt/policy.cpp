@@ -16,25 +16,9 @@ const char* adaptActionName(AdaptAction a) {
   return "?";
 }
 
-AdaptationPolicy::Config AdaptationPolicy::sanitize(Config c) {
-  if (c.headroom < 1.0) c.headroom = 1.0;
-  if (c.grow_threshold < 1.0) c.grow_threshold = 1.0;
-  if (c.shrink_threshold > 1.0) c.shrink_threshold = 1.0;
-  if (c.shrink_threshold < 0.0) c.shrink_threshold = 0.0;
-  if (c.grow_multiplier < 1.0) c.grow_multiplier = 1.0;
-  c.shrink_step = std::clamp(c.shrink_step, 1e-3, 1.0);
-  if (c.floor_bps < 0.0) c.floor_bps = 0.0;
-  if (c.ceiling_bps > 0.0 && c.ceiling_bps < c.floor_bps) {
-    c.ceiling_bps = c.floor_bps;
-  }
-  if (c.grow_cooldown_seconds < 0.0) c.grow_cooldown_seconds = 0.0;
-  if (c.shrink_cooldown_seconds < 0.0) c.shrink_cooldown_seconds = 0.0;
-  return c;
-}
-
 double AdaptationPolicy::growCooldown() const {
   const int backoff = std::min(refusals_, 3);  // 1x..8x
-  return config_.grow_cooldown_seconds * static_cast<double>(1 << backoff);
+  return kGrowCooldownSeconds * static_cast<double>(1 << backoff);
 }
 
 AdaptDecision AdaptationPolicy::decide(const DemandSample& demand,
@@ -49,24 +33,24 @@ AdaptDecision AdaptationPolicy::decide(const DemandSample& demand,
   if (config_.ceiling_bps > 0.0) target = std::min(target, config_.ceiling_bps);
   d.clamped = target != raw_target;
 
-  if (target > current_bps * config_.grow_threshold) {
+  if (target > current_bps * kGrowThreshold) {
     if (now_seconds - last_grow_ < growCooldown()) {
       d.reason = "grow-cooldown";
       return d;
     }
     d.action = AdaptAction::kGrow;
-    d.target_bps = std::min(target, current_bps * config_.grow_multiplier);
+    d.target_bps = std::min(target, current_bps * kGrowMultiplier);
     d.reason = "demand above band";
     return d;
   }
-  if (target < current_bps * config_.shrink_threshold) {
-    if (now_seconds - last_shrink_ < config_.shrink_cooldown_seconds) {
+  if (target < current_bps * kShrinkThreshold) {
+    if (now_seconds - last_shrink_ < kShrinkCooldownSeconds) {
       d.reason = "shrink-cooldown";
       return d;
     }
     d.action = AdaptAction::kShrink;
     d.target_bps =
-        std::max(target, current_bps * (1.0 - config_.shrink_step));
+        std::max(target, current_bps * (1.0 - kShrinkStep));
     d.reason = "demand below band";
     return d;
   }

@@ -32,35 +32,30 @@ struct AdaptDecision {
 class AdaptationPolicy {
  public:
   struct Config {
-    /// Target reservation = demand × headroom.
+    /// Target reservation = demand × headroom (>= 1).
     double headroom = 1.25;
-    /// Hysteresis band: grow only when target > current × grow_threshold,
-    /// shrink only when target < current × shrink_threshold. Keeping
-    /// shrink_threshold < 1 < grow_threshold < headroom leaves a hold
-    /// band so a steady demand settles instead of flapping.
-    double grow_threshold = 1.05;
-    double shrink_threshold = 0.70;
-    /// Multiplicative increase: one grow step raises the amount by at
-    /// most this factor (TCP-style probing toward an unknown demand).
-    double grow_multiplier = 1.6;
-    /// Step decrease: one shrink step sheds at most this fraction of the
-    /// current amount (gradual release, so a demand blip recovers fast).
-    double shrink_step = 0.5;
     /// Per-reservation clamps (bits/second). ceiling <= 0 = unlimited.
     double floor_bps = 0.0;
     double ceiling_bps = 0.0;
-    /// Minimum spacing between actions in the same direction.
-    double grow_cooldown_seconds = 1.0;
-    double shrink_cooldown_seconds = 2.0;
   };
 
-  /// Clamps a config into its sane domain (mirrors
-  /// QosAgent::sanitizeRecoveryPolicy): headroom/multiplier floored at 1,
-  /// thresholds ordered around 1, shrink_step into (0, 1], negative
-  /// cooldowns/floors zeroed, ceiling raised to the floor.
-  static Config sanitize(Config config);
+  /// Hysteresis band: grow only when target > current × kGrowThreshold,
+  /// shrink only when target < current × kShrinkThreshold. Keeping
+  /// kShrinkThreshold < 1 < kGrowThreshold < headroom leaves a hold band
+  /// so a steady demand settles instead of flapping.
+  static constexpr double kGrowThreshold = 1.05;
+  static constexpr double kShrinkThreshold = 0.70;
+  /// Multiplicative increase: one grow step raises the amount by at most
+  /// this factor (TCP-style probing toward an unknown demand).
+  static constexpr double kGrowMultiplier = 1.6;
+  /// Step decrease: one shrink step sheds at most this fraction of the
+  /// current amount (gradual release, so a demand blip recovers fast).
+  static constexpr double kShrinkStep = 0.5;
+  /// Minimum spacing between actions in the same direction (seconds).
+  static constexpr double kGrowCooldownSeconds = 1.0;
+  static constexpr double kShrinkCooldownSeconds = 2.0;
 
-  explicit AdaptationPolicy(Config config) : config_(sanitize(config)) {}
+  explicit AdaptationPolicy(Config config) : config_(config) {}
 
   /// One control decision for a reservation currently sized
   /// `current_bps`, given the latest demand sample, at simulated time

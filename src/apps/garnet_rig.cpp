@@ -16,8 +16,7 @@ mpi::World::Config worldConfig(net::GarnetTopology& garnet,
   return config;
 }
 
-gq::QosAgent::Config agentConfig(net::GarnetTopology& garnet,
-                                 const gq::QosAgent::RecoveryPolicy& recovery) {
+gq::QosAgent::Config agentConfig(net::GarnetTopology& garnet, bool recovery) {
   gq::QosAgent::Config config;
   config.default_network_resource = "net-forward";
   config.recovery = recovery;

@@ -43,9 +43,9 @@ class GarnetRig {
       tcp.max_rto = sim::Duration::seconds(4.0);
     }
     tcp::TcpConfig tcp;
-    /// QoS-agent failure handling (default: no retries — a lost
-    /// reservation degrades to best effort and stays there).
-    gq::QosAgent::RecoveryPolicy recovery;
+    /// QoS-agent failure recovery (gq::QosAgent::Config::recovery; off:
+    /// a lost reservation degrades to best effort and stays there).
+    bool recovery = false;
     std::uint64_t seed = 1;
   };
 

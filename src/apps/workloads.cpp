@@ -236,8 +236,7 @@ std::int64_t phasedBulkOfferedBytesAt(const PhasedBulkConfig& config,
 }
 
 sim::Task<> phasedBulkSender(sim::Simulator& sim, gq::ShapedSocket& socket,
-                             PhasedBulkConfig config, sim::TimePoint until,
-                             PhasedBulkStats* stats) {
+                             PhasedBulkConfig config, sim::TimePoint until) {
   const double interval = config.chunk_interval_seconds > 0.0
                               ? config.chunk_interval_seconds
                               : 0.010;
@@ -250,30 +249,19 @@ sim::Task<> phasedBulkSender(sim::Simulator& sim, gq::ShapedSocket& socket,
   const double period = config.bulk_seconds + config.idle_seconds;
   const double deadline = until.toSeconds();
   double t = 0.0;
-  int last_phase = -1;
   while (t < deadline) {
     if (config.bulk_seconds > 0.0 && period > 0.0) {
       const double full_periods = std::floor(t / period);
-      const double pos = t - full_periods * period;
-      if (pos >= config.bulk_seconds) {
+      if (t - full_periods * period >= config.bulk_seconds) {
         // Idle phase: jump to the next bulk start.
         t = (full_periods + 1.0) * period;
         continue;
       }
-      const int phase = static_cast<int>(full_periods);
-      if (phase != last_phase) {
-        last_phase = phase;
-        if (stats != nullptr) ++stats->bulk_phases;
-      }
-    } else if (last_phase < 0) {
-      last_phase = 0;
-      if (stats != nullptr) ++stats->bulk_phases;
     }
     if (sim.now().toSeconds() < t) {
       co_await sim.delayUntil(sim::TimePoint::fromSeconds(t));
     }
     co_await socket.sendBulk(chunk);
-    if (stats != nullptr) stats->sent_bytes += chunk;
     t += interval;
   }
 }

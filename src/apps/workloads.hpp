@@ -115,11 +115,6 @@ struct PhasedBulkConfig {
   double idle_seconds = 0.0;
 };
 
-struct PhasedBulkStats {
-  std::int64_t sent_bytes = 0;
-  int bulk_phases = 0;  // bulk phases entered (≥ 1 once sending starts)
-};
-
 /// Seconds of bulk phase elapsed by simulated time `t_seconds` — the
 /// integral of the on/off schedule, independent of whether the sender
 /// kept up.
@@ -140,7 +135,6 @@ std::int64_t phasedBulkOfferedBytesAt(const PhasedBulkConfig& config,
 /// following phases later, and idle phases skip straight to the next
 /// bulk start.
 sim::Task<> phasedBulkSender(sim::Simulator& sim, gq::ShapedSocket& socket,
-                             PhasedBulkConfig config, sim::TimePoint until,
-                             PhasedBulkStats* stats);
+                             PhasedBulkConfig config, sim::TimePoint until);
 
 }  // namespace mgq::apps

@@ -21,8 +21,7 @@ struct Category {
   FaultAction restore = FaultAction::kUp;
   /// The start event's parameter: uniform in [lo, hi], or lo (no draw)
   /// when the range is empty.
-  double lo = 0.0;
-  double hi = 0.0;
+  ParamRange param{0.0, 0.0};
   /// false: single events with no restore (reservation churn).
   bool paired = true;
 };
@@ -36,13 +35,14 @@ void add(std::vector<FaultEvent>& out, double t_seconds, const char* target,
 /// Starts are Poisson with mean gap 100/rate; a paired episode restores
 /// at min(start + exponential duration, horizon), and the next start is
 /// drawn from the restore time, so episodes never overlap.
-void generateCategory(sim::Rng& rng, const Category& c, double warmup,
-                      double horizon, std::vector<FaultEvent>& out) {
+void generateCategory(sim::Rng& rng, const Category& c, double horizon,
+                      std::vector<FaultEvent>& out) {
   if (c.rate <= 0.0) return;
   const double mean_gap = 100.0 / c.rate;
-  double t = warmup + rng.exponential(mean_gap);
+  double t = kWarmupSeconds + rng.exponential(mean_gap);
   while (t < horizon) {
-    const double param = c.hi > c.lo ? rng.uniform(c.lo, c.hi) : c.lo;
+    const auto [lo, hi] = c.param;
+    const double param = hi > lo ? rng.uniform(lo, hi) : lo;
     add(out, t, c.target, c.start, param);
     if (c.paired) {
       t = std::min(t + rng.exponential(c.mean_seconds), horizon);
@@ -65,37 +65,40 @@ ChaosPlan ChaosPlanGenerator::generate(const std::string& scenario,
   const auto& p = profile_;
   constexpr auto kLossStart = FaultAction::kLossStart;
   constexpr auto kLossStop = FaultAction::kLossStop;
+  constexpr ParamRange kCorrupt{0.005, 0.05};
+  constexpr ParamRange kDuplicate{0.01, 0.1};
+  constexpr ParamRange kReorder{0.01, 0.1};
   // Stream order is part of every plan: category k draws from its own
   // Rng seeded seed + k × golden ratio, so tuning one category's rate
   // does not reshuffle the others. The control-plane and then the
   // adversarial categories come last: appending streams never reshuffles
-  // earlier ones, so existing soak plans stay byte-identical.
+  // earlier ones, so existing soak plans stay byte-identical. The second
+  // column is the mean episode duration in seconds.
   const Category categories[] = {
-      {kEdgeLink, p.link_flaps_per_100s, p.mean_flap_seconds},
-      {kEdgeLoss, p.loss_episodes_per_100s, p.mean_loss_seconds, kLossStart,
-       kLossStop, p.loss_min, p.loss_max},
-      {kNetForwardManager, p.manager_outages_per_100s, p.mean_outage_seconds},
-      {kNetReverseManager, p.manager_outages_per_100s, p.mean_outage_seconds},
-      {kSenderCpuHog, p.cpu_hog_bursts_per_100s, p.mean_hog_seconds},
+      {kEdgeLink, p.link_flaps_per_100s, 0.4},
+      {kEdgeLoss, p.loss_episodes_per_100s, 1.5, kLossStart, kLossStop,
+       kLossProbability},
+      {kNetForwardManager, p.manager_outages_per_100s, 0.8},
+      {kNetReverseManager, p.manager_outages_per_100s, 0.8},
+      {kSenderCpuHog, p.cpu_hog_bursts_per_100s, 2.0},
       {kReservationChurn, p.reservation_cancels_per_100s, 0.0,
-       FaultAction::kDown, FaultAction::kUp, 0.0, 0.0, /*paired=*/false},
+       FaultAction::kDown, FaultAction::kUp, {}, /*paired=*/false},
       {kReservationChurn, p.reservation_modifies_per_100s, 0.0, kLossStart,
-       kLossStop, p.modify_min, p.modify_max, /*paired=*/false},
-      {kQosAgent, p.agent_crashes_per_100s, p.mean_crash_downtime_seconds},
-      {kLeaseRenewals, p.renewal_storms_per_100s, p.mean_storm_seconds},
-      {kEdgeCorrupt, p.corruption_episodes_per_100s, p.mean_corruption_seconds,
-       kLossStart, kLossStop, p.corrupt_min, p.corrupt_max},
-      {kEdgeDup, p.duplicate_episodes_per_100s, p.mean_duplicate_seconds,
-       kLossStart, kLossStop, p.duplicate_min, p.duplicate_max},
-      {kEdgeReorder, p.reorder_episodes_per_100s, p.mean_reorder_seconds,
-       kLossStart, kLossStop, p.reorder_min, p.reorder_max},
-      {kEdgePartition, p.partition_episodes_per_100s,
-       p.mean_partition_seconds},
+       kLossStop, kModifyFactor, /*paired=*/false},
+      {kQosAgent, p.agent_crashes_per_100s, 1.0},
+      {kLeaseRenewals, p.renewal_storms_per_100s, 2.0},
+      {kEdgeCorrupt, p.corruption_episodes_per_100s, 1.5, kLossStart,
+       kLossStop, kCorrupt},
+      {kEdgeDup, p.duplicate_episodes_per_100s, 1.5, kLossStart, kLossStop,
+       kDuplicate},
+      {kEdgeReorder, p.reorder_episodes_per_100s, 1.5, kLossStart, kLossStop,
+       kReorder},
+      {kEdgePartition, p.partition_episodes_per_100s, 0.6},
   };
   std::uint64_t stream = 0;
   for (const auto& c : categories) {
     sim::Rng rng(seed + (++stream) * 0x9e3779b97f4a7c15ULL);
-    generateCategory(rng, c, p.warmup_seconds, horizon_seconds, plan.events);
+    generateCategory(rng, c, horizon_seconds, plan.events);
   }
 
   // Stable: equal-timestamp events keep the fixed category order above,

@@ -20,9 +20,25 @@
 
 namespace mgq::chaos {
 
-/// Distribution spec for one chaos category mix. Rates are episodes per
-/// 100 simulated seconds (0 disables a category). Each category drives
-/// one target of the fault-target table (scenario/fault_targets.hpp).
+/// No events before this time — lets connections and inline reservations
+/// establish first.
+inline constexpr double kWarmupSeconds = 0.5;
+
+/// A start event's parameter range: uniform in [lo, hi].
+struct ParamRange {
+  double lo;
+  double hi;
+};
+/// Drop probability of a loss episode.
+inline constexpr ParamRange kLossProbability{0.05, 0.5};
+/// Factor a modify storm scales the victim reservation's amount by.
+inline constexpr ParamRange kModifyFactor{0.5, 2.0};
+
+/// The chaos workload's input vector: one rate per category, in episodes
+/// per 100 simulated seconds (0 disables a category). Each category
+/// drives one target of the fault-target table
+/// (scenario/fault_targets.hpp); its mean episode duration and parameter
+/// range are fixed in the generator's category table.
 struct ChaosProfile {
   double link_flaps_per_100s = 4.0;
   double loss_episodes_per_100s = 4.0;
@@ -45,39 +61,6 @@ struct ChaosProfile {
   double duplicate_episodes_per_100s = 0.0;
   double reorder_episodes_per_100s = 0.0;
   double partition_episodes_per_100s = 0.0;
-
-  // Mean episode durations (seconds, exponential).
-  double mean_flap_seconds = 0.4;
-  double mean_loss_seconds = 1.5;
-  double mean_outage_seconds = 0.8;
-  double mean_hog_seconds = 2.0;
-  double mean_crash_downtime_seconds = 1.0;
-  double mean_storm_seconds = 2.0;
-  double mean_corruption_seconds = 1.5;
-  double mean_duplicate_seconds = 1.5;
-  double mean_reorder_seconds = 1.5;
-  double mean_partition_seconds = 0.6;
-
-  /// Drop probability of a loss episode: uniform in [loss_min, loss_max].
-  double loss_min = 0.05;
-  double loss_max = 0.5;
-  /// Modify storms scale the victim reservation's amount by a uniform
-  /// factor in [modify_min, modify_max].
-  double modify_min = 0.5;
-  double modify_max = 2.0;
-  /// Per-packet probabilities of a corruption / duplication / reorder
-  /// episode: uniform in [lo, hi] per episode.
-  double corrupt_min = 0.005;
-  double corrupt_max = 0.05;
-  double duplicate_min = 0.01;
-  double duplicate_max = 0.1;
-  double reorder_min = 0.01;
-  double reorder_max = 0.1;
-
-  /// No events before this time — lets connections and inline
-  /// reservations establish first.
-  double warmup_seconds = 0.5;
-
 };
 
 class ChaosPlanGenerator {

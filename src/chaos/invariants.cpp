@@ -26,34 +26,23 @@ std::string formatTraceEvent(const obs::TraceEvent& e) {
 
 }  // namespace
 
-InvariantMonitor::InvariantMonitor(sim::Simulator& sim,
-                                   double cadence_seconds,
-                                   std::size_t max_violations)
-    : sim_(sim),
-      cadence_(sim::Duration::seconds(cadence_seconds)),
-      max_violations_(max_violations),
-      last_seen_(sim.now()) {}
+InvariantMonitor::InvariantMonitor(sim::Simulator& sim)
+    : sim_(sim), last_seen_(sim.now()) {}
 
 void InvariantMonitor::addCheck(std::string name,
                                 std::function<std::string()> check) {
   checks_.push_back({std::move(name), std::move(check)});
 }
 
-void InvariantMonitor::attachTrace(const obs::TraceBuffer* trace,
-                                   std::size_t tail_events) {
-  trace_ = trace;
-  tail_events_ = tail_events;
-}
-
 void InvariantMonitor::arm() {
   if (armed_) return;
   armed_ = true;
-  sim_.schedule(cadence_, [this] { tick(); });
+  sim_.schedule(kCadence, [this] { tick(); });
 }
 
 void InvariantMonitor::tick() {
   sweep();
-  sim_.schedule(cadence_, [this] { tick(); });
+  sim_.schedule(kCadence, [this] { tick(); });
 }
 
 void InvariantMonitor::sweep() {
@@ -73,7 +62,7 @@ void InvariantMonitor::sweep() {
 
 void InvariantMonitor::report(const std::string& name,
                               const std::string& message) {
-  if (violations_.size() >= max_violations_) return;
+  if (violations_.size() >= kMaxViolations) return;
   InvariantViolation v;
   v.t_seconds = sim_.now().toSeconds();
   v.name = name;
@@ -81,7 +70,7 @@ void InvariantMonitor::report(const std::string& name,
   if (trace_ != nullptr) {
     const auto& events = trace_->events();
     const std::size_t n = events.size();
-    const std::size_t from = n > tail_events_ ? n - tail_events_ : 0;
+    const std::size_t from = n > kTraceTail ? n - kTraceTail : 0;
     for (std::size_t i = from; i < n; ++i) {
       v.trace_tail.push_back(formatTraceEvent(events[i]));
     }
@@ -294,7 +283,8 @@ void attachStandardInvariants(InvariantMonitor& monitor,
       auto* leases = built.resil->leases.get();
       monitor.addCheck("lease-safety", [leases, sim]() -> std::string {
         const auto now = sim->now();
-        const auto limit = leases->config().grace + sim::Duration::millis(1);
+        const auto limit =
+            resil::LeaseManager::kGrace + sim::Duration::millis(1);
         for (const auto& lease : leases->leases()) {
           if (now > lease.deadline + limit) {
             char buf[160];

@@ -54,11 +54,16 @@ struct InvariantViolation {
 
 class InvariantMonitor {
  public:
-  /// Sweeps every `cadence_seconds` of simulated time once armed;
-  /// recording stops after `max_violations` (a broken invariant usually
-  /// fails every subsequent sweep — the first reports are the signal).
-  explicit InvariantMonitor(sim::Simulator& sim, double cadence_seconds = 0.25,
-                            std::size_t max_violations = 16);
+  /// Simulated time between sweeps once armed.
+  static constexpr sim::Duration kCadence = sim::Duration::millis(250);
+  /// Recording stops after this many violations (a broken invariant
+  /// usually fails every subsequent sweep — the first reports are the
+  /// signal).
+  static constexpr std::size_t kMaxViolations = 16;
+  /// Trace-buffer events attached to each violation.
+  static constexpr std::size_t kTraceTail = 8;
+
+  explicit InvariantMonitor(sim::Simulator& sim);
   InvariantMonitor(const InvariantMonitor&) = delete;
   InvariantMonitor& operator=(const InvariantMonitor&) = delete;
 
@@ -67,7 +72,7 @@ class InvariantMonitor {
   void addCheck(std::string name, std::function<std::string()> check);
 
   /// Attach the run's trace buffer so violations carry its tail.
-  void attachTrace(const obs::TraceBuffer* trace, std::size_t tail_events = 8);
+  void attachTrace(const obs::TraceBuffer* trace) { trace_ = trace; }
 
   /// Starts the cadence sweep (self-rescheduling simulator event).
   void arm();
@@ -95,12 +100,9 @@ class InvariantMonitor {
   void tick();
 
   sim::Simulator& sim_;
-  sim::Duration cadence_;
-  std::size_t max_violations_;
   std::vector<Check> checks_;
   std::vector<InvariantViolation> violations_;
   const obs::TraceBuffer* trace_ = nullptr;
-  std::size_t tail_events_ = 8;
   sim::TimePoint last_seen_ = sim::TimePoint::zero();
   bool armed_ = false;
 };

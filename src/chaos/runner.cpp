@@ -115,11 +115,8 @@ ChaosRunReport ChaosRunner::runPlan(const ChaosPlan& plan,
     // The builder scheduled the plan on the scenario's injector; the
     // chaos-only targets join its table before the first event fires.
     targets = registerChaosTargets(built);
-    monitor = std::make_unique<InvariantMonitor>(
-        built.rig.sim, options.cadence_seconds, options.max_violations);
-    if (built.trace != nullptr) {
-      monitor->attachTrace(built.trace.get(), options.trace_tail);
-    }
+    monitor = std::make_unique<InvariantMonitor>(built.rig.sim);
+    if (built.trace != nullptr) monitor->attachTrace(built.trace.get());
     attachStandardInvariants(*monitor, built);
     monitor->arm();
     if (options.prepare) options.prepare(built, targets);

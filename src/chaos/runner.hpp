@@ -33,10 +33,6 @@ struct ChaosOptions {
   /// Simulated horizon per run; <= 0 derives it from the scenario's own
   /// stop time (spec.run_until_seconds or the workload deadline).
   double horizon_seconds = 0.0;
-  /// Invariant sweep cadence (simulated seconds).
-  double cadence_seconds = 0.25;
-  std::size_t max_violations = 16;
-  std::size_t trace_tail = 8;
   /// Seed-sweep worker threads; <= 0 uses hardware concurrency, 1 runs
   /// on the calling thread. Each run owns its Simulator, so results are
   /// identical to serial execution.

@@ -63,17 +63,15 @@ bool qosTransitionLegal(QosRequestState from, QosRequestState to) {
       return from == S::kPending || from == S::kRecovering ||
              from == S::kDegraded || from == S::kNone || from == S::kReleased;
     case S::kDenied:
-      // Initial denial, retries exhausted without degrade, or an
-      // unrecoverable loss when retrying is disabled.
-      return from == S::kPending || from == S::kRecovering ||
-             from == S::kGranted;
+      // A refused request with recovery off; a lost one degrades.
+      return from == S::kPending;
     case S::kReleased:
       return true;  // release() applies from any state
     case S::kRecovering:
       // A lost reservation, or an initial denial entering the retry loop.
       return from == S::kGranted || from == S::kPending;
     case S::kDegraded:
-      // Retries exhausted, or an immediate degrade when retrying is off.
+      // Retries exhausted, or an immediate degrade when recovery is off.
       return from == S::kRecovering || from == S::kGranted;
   }
   return false;
@@ -91,26 +89,8 @@ double protocolOverheadFactor(int max_message_size, int mss) {
   return std::max(wire / max_message_size, 1.03);
 }
 
-QosAgent::RecoveryPolicy QosAgent::sanitizeRecoveryPolicy(
-    RecoveryPolicy policy) {
-  if (policy.max_retries < 0) policy.max_retries = 0;
-  if (policy.initial_backoff <= sim::Duration::zero()) {
-    policy.initial_backoff = sim::Duration::millis(1);
-  }
-  if (policy.backoff_multiplier < 1.0) policy.backoff_multiplier = 1.0;
-  if (policy.max_backoff < policy.initial_backoff) {
-    policy.max_backoff = policy.initial_backoff;
-  }
-  policy.jitter = std::clamp(policy.jitter, 0.0, 0.9);
-  if (policy.reescalate_interval < sim::Duration::zero()) {
-    policy.reescalate_interval = sim::Duration::zero();
-  }
-  return policy;
-}
-
 QosAgent::QosAgent(mpi::World& world, gara::Gara& gara, Config config)
     : world_(world), gara_(gara), config_(std::move(config)) {
-  config_.recovery = sanitizeRecoveryPolicy(config_.recovery);
   keyval_ = world_.attributes().create();
   world_.attributes().setPutHook(
       keyval_, [this](mpi::Comm& comm, mpi::Keyval, void* value) {
@@ -280,21 +260,11 @@ void QosAgent::onReservationFailed(const mpi::Comm& comm,
   for (const auto& handle : status.reservations) gara_.cancel(handle);
   status.reservations.clear();
 
-  const auto& policy = config_.recovery;
-  if (policy.max_retries <= 0 && policy.degrade_to_best_effort &&
-      policy.reescalate_interval <= sim::Duration::zero()) {
-    // Recovery fully disabled: fall to best effort for good.
+  if (!config_.recovery) {
+    // Fall to best effort for good.
     setState(key, QosRequestState::kDegraded);
     countEvent("qos.degraded");
     traceEvent("degraded", static_cast<std::uint64_t>(comm.context()),
-               attr.bandwidth_kbps, reason);
-    notifySettled(key);
-    return;
-  }
-  if (policy.max_retries <= 0 && !policy.degrade_to_best_effort) {
-    setState(key, QosRequestState::kDenied);
-    countEvent("qos.denied");
-    traceEvent("denied", static_cast<std::uint64_t>(comm.context()),
                attr.bandwidth_kbps, reason);
     notifySettled(key);
     return;
@@ -306,29 +276,21 @@ void QosAgent::onReservationFailed(const mpi::Comm& comm,
 sim::Task<> QosAgent::recover(mpi::Comm comm, QosAttribute attr,
                               std::uint64_t generation) {
   const auto key = keyOf(comm);
-  const auto& policy = config_.recovery;
   auto& sim = world_.simulator();
   int attempt = 0;
   for (;;) {
     sim::Duration backoff;
-    if (attempt < policy.max_retries) {
-      // Exponentiate in double seconds and clamp before converting back:
-      // multiplying Durations directly can overflow their int64 nanosecond
-      // representation for large multipliers/attempt counts (the backoff
-      // must saturate at max_backoff, never wrap to a bogus TimePoint).
-      const double cap = policy.max_backoff.toSeconds();
-      double seconds = policy.initial_backoff.toSeconds();
+    if (attempt < kMaxRetries) {
+      const double cap = kMaxBackoff.toSeconds();
+      double seconds = kInitialBackoff.toSeconds();
       for (int i = 0; i < attempt && seconds < cap; ++i) {
-        seconds *= policy.backoff_multiplier;
+        seconds *= kBackoffMultiplier;
       }
       backoff = sim::Duration::seconds(std::min(seconds, cap));
     } else {
-      backoff = policy.reescalate_interval;  // degraded background probing
+      backoff = kReescalateInterval;  // degraded background probing
     }
-    if (policy.jitter > 0.0) {
-      backoff = backoff * sim.rng().uniform(1.0 - policy.jitter,
-                                            1.0 + policy.jitter);
-    }
+    backoff = backoff * sim.rng().uniform(1.0 - kJitter, 1.0 + kJitter);
     co_await sim.delay(backoff);
     if (generations_[key] != generation) co_return;  // superseded re-put
 
@@ -356,17 +318,7 @@ sim::Task<> QosAgent::recover(mpi::Comm comm, QosAttribute attr,
       co_return;
     }
     status.error = outcome.error;
-    if (attempt < policy.max_retries) continue;
-    if (!policy.degrade_to_best_effort) {
-      setState(key, QosRequestState::kDenied);
-      countEvent("qos.denied");
-      traceEvent("denied", static_cast<std::uint64_t>(comm.context()),
-                 attr.bandwidth_kbps, outcome.error);
-      notifySettled(key);
-      MGQ_LOG(kWarn) << "QoS recovery exhausted for context "
-                     << comm.context() << ": " << outcome.error;
-      co_return;
-    }
+    if (attempt < kMaxRetries) continue;
     if (status.state != QosRequestState::kDegraded) {
       setState(key, QosRequestState::kDegraded);
       countEvent("qos.degraded");
@@ -376,7 +328,6 @@ sim::Task<> QosAgent::recover(mpi::Comm comm, QosAttribute attr,
       MGQ_LOG(kWarn) << "QoS degraded to best effort for context "
                      << comm.context() << ": " << outcome.error;
     }
-    if (policy.reescalate_interval <= sim::Duration::zero()) co_return;
   }
 }
 
@@ -404,7 +355,7 @@ sim::Task<> QosAgent::applyQos(mpi::Comm comm, QosAttribute attr,
   traceEvent("denied", static_cast<std::uint64_t>(comm.context()),
              attr.bandwidth_kbps, outcome.error);
   statuses_[key].error = outcome.error;
-  if (config_.recovery.max_retries > 0) {
+  if (config_.recovery) {
     // Initial denial also goes through the retry loop: capacity may free
     // up (another job's reservation expiring) moments later.
     setState(key, QosRequestState::kRecovering);
@@ -429,30 +380,12 @@ bool QosAgent::settled(const StatusKey& key) const {
 }
 
 sim::Task<> QosAgent::awaitSettled(const mpi::Comm& comm) {
-  (void)co_await awaitSettled(comm, sim::Duration::infinite());
-}
-
-sim::Task<bool> QosAgent::awaitSettled(const mpi::Comm& comm,
-                                       sim::Duration timeout) {
   const auto key = keyOf(comm);
   auto [it, inserted] = settled_.try_emplace(key, nullptr);
   if (inserted) {
     it->second = std::make_unique<sim::Condition>(world_.simulator());
   }
-  auto* cond = it->second.get();
-  bool timed_out = false;
-  sim::EventId timer = 0;
-  if (timeout < sim::Duration::infinite()) {
-    timer = world_.simulator().schedule(timeout, [cond, &timed_out] {
-      timed_out = true;
-      cond->notifyAll();
-    });
-  }
-  co_await awaitUntil(*cond, [this, key, &timed_out] {
-    return timed_out || settled(key);
-  });
-  if (timer != 0 && !timed_out) world_.simulator().cancel(timer);
-  co_return settled(key);
+  co_await awaitUntil(*it->second, [this, key] { return settled(key); });
 }
 
 void QosAgent::release(const mpi::Comm& comm) {

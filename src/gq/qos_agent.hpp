@@ -33,37 +33,21 @@ namespace mgq::gq {
 
 class QosAgent {
  public:
-  /// What the agent does when a granted reservation fails mid-lifetime
-  /// (link flap, manager revocation) or a retried request keeps being
-  /// denied. Backoff is exponential with seeded jitter drawn from the
-  /// simulator's Rng, so recovery timing is reproducible per seed.
-  struct RecoveryPolicy {
-    /// Retry attempts after a failure before giving up / degrading.
-    /// 0 disables retrying: a lost reservation immediately degrades (or
-    /// is reported kDenied when degrade_to_best_effort is false).
-    int max_retries = 0;
-    sim::Duration initial_backoff = sim::Duration::millis(250);
-    double backoff_multiplier = 2.0;
-    sim::Duration max_backoff = sim::Duration::seconds(8.0);
-    /// Backoff is scaled by a uniform factor in [1-jitter, 1+jitter].
-    double jitter = 0.1;
-    /// After retries are exhausted, mark the communicator kDegraded and
-    /// let traffic run best-effort instead of reporting kDenied.
-    bool degrade_to_best_effort = true;
-    /// While degraded, keep probing at this interval and transparently
-    /// re-escalate to premium when capacity returns. The zero() default
-    /// disables re-escalation (a degraded communicator stays degraded).
-    sim::Duration reescalate_interval = sim::Duration::zero();
-  };
-
-  /// Clamps a policy into its sane domain instead of letting nonsense
-  /// values produce silent timing bugs: negative retries → 0, zero or
-  /// negative initial_backoff → 1ms, multiplier < 1 → 1 (no shrinkage),
-  /// max_backoff below initial → initial, jitter clamped to [0, 0.9]
-  /// (jitter ≥ 1 could scale a backoff to zero or negative), negative
-  /// reescalate_interval → disabled. Applied to Config::recovery at
-  /// construction; exposed for direct testing.
-  static RecoveryPolicy sanitizeRecoveryPolicy(RecoveryPolicy policy);
+  // Failure recovery (Config::recovery). A lost reservation, or a first
+  // request that is refused, is retried up to kMaxRetries times with
+  // exponential backoff (kInitialBackoff × kBackoffMultiplier^n, capped
+  // at kMaxBackoff) scaled by a seeded jitter uniform in
+  // [1 - kJitter, 1 + kJitter] drawn from the simulator's Rng, so
+  // recovery timing is reproducible per seed. Exhausted retries degrade
+  // the communicator to best effort and keep probing every
+  // kReescalateInterval (jittered alike) until capacity returns.
+  static constexpr int kMaxRetries = 6;
+  static constexpr sim::Duration kInitialBackoff = sim::Duration::millis(250);
+  static constexpr double kBackoffMultiplier = 2.0;
+  static constexpr sim::Duration kMaxBackoff = sim::Duration::seconds(2.0);
+  static constexpr double kJitter = 0.1;
+  static constexpr sim::Duration kReescalateInterval =
+      sim::Duration::seconds(2.0);
 
   struct Config {
     /// GARA resource used for a flow when `resource_resolver` is unset or
@@ -72,9 +56,10 @@ class QosAgent {
     /// Maps a concrete flow to the GARA network resource managing its
     /// path (multi-domain deployments register one manager per edge).
     std::function<std::string(const net::FlowKey&)> resource_resolver;
-    /// Failure handling; the default (no retries, degrade on loss) keeps
-    /// the paper's fire-and-forget request semantics.
-    RecoveryPolicy recovery;
+    /// Off (the paper's fire-and-forget request semantics): a lost
+    /// reservation degrades to best effort for good, and a refused
+    /// request is reported kDenied. On: both enter the retry loop above.
+    bool recovery = false;
   };
 
   /// Registers the QoS keyval on the world's attribute registry.
@@ -94,10 +79,6 @@ class QosAgent {
   /// unsettled states).
   sim::Task<> awaitSettled(const mpi::Comm& comm);
 
-  /// As above, but gives up after `timeout` of simulated time. Returns
-  /// true if the request settled, false on deadline expiry.
-  sim::Task<bool> awaitSettled(const mpi::Comm& comm, sim::Duration timeout);
-
   /// Releases any reservations this rank holds for the communicator.
   void release(const mpi::Comm& comm);
 
@@ -106,9 +87,6 @@ class QosAgent {
   double networkReservationBps(const QosAttribute& attr) const;
 
   gara::Gara& gara() { return gara_; }
-
-  /// The sanitized failure-handling policy in effect.
-  const RecoveryPolicy& recoveryPolicy() const { return config_.recovery; }
 
   // --- control-plane resilience -------------------------------------------
 
@@ -179,7 +157,7 @@ class QosAgent {
              std::uint64_t generation,
              std::vector<gara::ReservationHandle> handles);
   /// Reacts to a kFailed transition of a held reservation: tears down the
-  /// sibling legs, then retries / degrades per RecoveryPolicy.
+  /// sibling legs, then degrades, or retries when recovery is on.
   void onReservationFailed(const mpi::Comm& comm, const QosAttribute& attr,
                            std::uint64_t generation,
                            const std::string& reason);

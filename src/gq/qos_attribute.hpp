@@ -55,18 +55,19 @@ enum class QosRequestState {
   kNone,       // no request made on this communicator
   kPending,    // agent still establishing flows / reserving
   kGranted,    // all reservations active
-  kDenied,     // admission or validation failed; nothing held
+  kDenied,     // the request was refused; nothing held
   kReleased,   // released by a best-effort re-put or communicator teardown
-  kRecovering, // reservation lost/denied; agent retrying per RecoveryPolicy
-  kDegraded,   // retries exhausted; flows run best-effort, re-escalation
-               // to premium continues in the background
+  kRecovering, // reservation lost/denied; agent retrying (recovery on)
+  kDegraded,   // reservation lost; flows run best-effort (with recovery
+               // on, re-escalation to premium continues in the background)
 };
 
 const char* qosRequestStateName(QosRequestState s);
 
 /// The agent's state machine, as a predicate: true when `from -> to` is
 /// one of the defined edges (e.g. kRecovering is entered only from
-/// kGranted or kPending, kDegraded only from kRecovering or kGranted).
+/// kGranted or kPending, kDegraded only from kRecovering or kGranted,
+/// kDenied only from kPending).
 /// Invariant monitors check every observed transition against this table.
 bool qosTransitionLegal(QosRequestState from, QosRequestState to);
 

@@ -14,18 +14,6 @@ namespace {
 constexpr double kLog10E = 0.4342944819032518;
 }  // namespace
 
-HeartbeatMonitor::HeartbeatMonitor(sim::Simulator& sim)
-    : HeartbeatMonitor(sim, Config{}) {}
-
-HeartbeatMonitor::HeartbeatMonitor(sim::Simulator& sim, Config config)
-    : sim_(sim), config_(config) {
-  if (config_.interval <= sim::Duration::zero()) {
-    config_.interval = sim::Duration::millis(250);
-  }
-  if (config_.phi_threshold <= 0.0) config_.phi_threshold = 2.0;
-  if (config_.window < 2) config_.window = 2;
-}
-
 void HeartbeatMonitor::attachObservability(obs::MetricsRegistry* metrics,
                                            obs::TraceBuffer* trace) {
   metrics_ = metrics;
@@ -42,11 +30,11 @@ void HeartbeatMonitor::watch(const std::string& name, Probe probe,
   peer.probe = std::move(probe);
   peer.on_down = std::move(on_down);
   peer.last_ok = sim_.now();
-  sim_.schedule(config_.interval, [this, name] { tick(name); });
+  sim_.schedule(kInterval, [this, name] { tick(name); });
 }
 
 double HeartbeatMonitor::meanIntervalOf(const Peer& peer) const {
-  if (peer.intervals.empty()) return config_.interval.toSeconds();
+  if (peer.intervals.empty()) return kInterval.toSeconds();
   double sum = 0.0;
   for (const auto s : peer.intervals) sum += s;
   return std::max(sum / static_cast<double>(peer.intervals.size()), 1e-9);
@@ -79,9 +67,9 @@ void HeartbeatMonitor::tick(const std::string& name) {
       // inflate the learned mean (and deafen the detector) afterwards.
       const double gap =
           std::min((sim_.now() - peer.last_ok).toSeconds(),
-                   3.0 * config_.interval.toSeconds());
+                   3.0 * kInterval.toSeconds());
       peer.intervals.push_back(std::max(gap, 1e-9));
-      while (peer.intervals.size() > config_.window) {
+      while (peer.intervals.size() > kWindow) {
         peer.intervals.pop_front();
       }
       peer.last_ok = sim_.now();
@@ -97,7 +85,7 @@ void HeartbeatMonitor::tick(const std::string& name) {
     if (metrics_ != nullptr) {
       metrics_->gauge("resil.heartbeat.phi." + name).set(phi);
     }
-    if (!peer.down_reported && phi > config_.phi_threshold) {
+    if (!peer.down_reported && phi > kPhiThreshold) {
       peer.down_reported = true;
       count("resil.heartbeat.manager_down");
       if (trace_ != nullptr) {
@@ -106,7 +94,7 @@ void HeartbeatMonitor::tick(const std::string& name) {
       if (peer.on_down) peer.on_down(name, phi);
     }
   }
-  sim_.schedule(config_.interval, [this, name] { tick(name); });
+  sim_.schedule(kInterval, [this, name] { tick(name); });
 }
 
 void HeartbeatMonitor::suspend() { suspended_ = true; }
@@ -126,7 +114,7 @@ void attachManagerHeartbeats(HeartbeatMonitor& monitor, gara::Gara& gara) {
         name, [manager] { return manager->reachable(); },
         [&gara, manager](const std::string& which, double phi) {
           // Fail the suspected manager's live reservations so the agent's
-          // RecoveryPolicy reacts now, not on the next request.
+          // recovery reacts now, not on the next request.
           std::ostringstream reason;
           reason << "manager '" << which << "' suspected down (phi="
                  << phi << ")";

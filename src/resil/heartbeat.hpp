@@ -4,10 +4,10 @@
 // The monitor probes each watched peer on a fixed interval and keeps a
 // phi-accrual-style suspicion score: phi = -log10 P(silence this long),
 // under an exponential model fitted to the observed inter-arrival times
-// of successful probes. Crossing the configurable threshold fires the
+// of successful probes. Crossing the threshold fires the
 // peer's down handler exactly once per outage; a successful probe after
 // an outage re-arms it. This turns a silently dead per-domain manager
-// into an explicit manager-down event for the existing RecoveryPolicy,
+// into an explicit manager-down event for the agent's failure recovery,
 // instead of waiting for the next reservation request to fail.
 #pragma once
 
@@ -32,28 +32,25 @@ namespace mgq::resil {
 
 class HeartbeatMonitor {
  public:
-  struct Config {
-    sim::Duration interval = sim::Duration::millis(250);
-    /// Suspicion threshold; phi = 2 means "this silence had probability
-    /// 1e-2 under the learned inter-arrival distribution".
-    double phi_threshold = 2.0;
-    /// Sliding window of successful-probe inter-arrival samples.
-    std::size_t window = 16;
-  };
+  static constexpr sim::Duration kInterval = sim::Duration::millis(250);
+  /// Suspicion threshold; phi = 2 means "this silence had probability
+  /// 1e-2 under the learned inter-arrival distribution".
+  static constexpr double kPhiThreshold = 2.0;
+  /// Sliding window of successful-probe inter-arrival samples.
+  static constexpr std::size_t kWindow = 16;
 
   /// Probe the peer's control channel; true = reachable now.
   using Probe = std::function<bool()>;
   using DownHandler = std::function<void(const std::string& name, double phi)>;
 
-  HeartbeatMonitor(sim::Simulator& sim, Config config);
-  explicit HeartbeatMonitor(sim::Simulator& sim);
+  explicit HeartbeatMonitor(sim::Simulator& sim) : sim_(sim) {}
   HeartbeatMonitor(const HeartbeatMonitor&) = delete;
   HeartbeatMonitor& operator=(const HeartbeatMonitor&) = delete;
 
   void attachObservability(obs::MetricsRegistry* metrics,
                            obs::TraceBuffer* trace);
 
-  /// Starts probing `name` every interval. The down handler fires once
+  /// Starts probing `name` every kInterval. The down handler fires once
   /// when phi crosses the threshold and re-arms after recovery.
   void watch(const std::string& name, Probe probe, DownHandler on_down);
 
@@ -68,7 +65,6 @@ class HeartbeatMonitor {
   double phi(const std::string& name) const;
   bool suspected(const std::string& name) const;
   std::size_t watchedCount() const { return peers_.size(); }
-  const Config& config() const { return config_; }
 
  private:
   struct Peer {
@@ -85,7 +81,6 @@ class HeartbeatMonitor {
   void count(const char* counter);
 
   sim::Simulator& sim_;
-  Config config_;
   std::map<std::string, Peer> peers_;
   bool suspended_ = false;
   obs::MetricsRegistry* metrics_ = nullptr;

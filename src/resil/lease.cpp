@@ -8,18 +8,9 @@
 
 namespace mgq::resil {
 
-LeaseManager::LeaseManager(sim::Simulator& sim, gara::Gara& gara)
-    : LeaseManager(sim, gara, Config{}) {}
-
 LeaseManager::LeaseManager(sim::Simulator& sim, gara::Gara& gara,
-                           Config config)
-    : sim_(sim), gara_(gara), config_(config) {
-  if (config_.renew_fraction <= 0.0 || config_.renew_fraction >= 1.0) {
-    config_.renew_fraction = 0.5;
-  }
-  if (config_.grace < sim::Duration::zero()) {
-    config_.grace = sim::Duration::zero();
-  }
+                           sim::Duration default_duration)
+    : sim_(sim), gara_(gara), default_duration_(default_duration) {
   gara_.addLifecycleListener([this](const char* op,
                                     const gara::ReservationHandle& handle,
                                     const std::string&, const std::string&) {
@@ -49,7 +40,7 @@ void LeaseManager::onLifecycle(const char* op,
 
 void LeaseManager::startLease(const gara::ReservationHandle& handle) {
   auto duration = handle->request().lease;
-  if (duration <= sim::Duration::zero()) duration = config_.default_duration;
+  if (duration <= sim::Duration::zero()) duration = default_duration_;
   if (duration <= sim::Duration::zero()) return;  // unleased
 
   const auto id = handle->id();
@@ -66,7 +57,7 @@ void LeaseManager::startLease(const gara::ReservationHandle& handle) {
 }
 
 void LeaseManager::scheduleRenewal(std::uint64_t id, sim::Duration duration) {
-  const auto tick = duration * config_.renew_fraction;
+  const auto tick = duration * kRenewFraction;
   sim_.schedule(tick, [this, id] {
     const auto it = leases_.find(id);
     if (it == leases_.end()) return;  // lease retired; stop ticking
@@ -81,10 +72,10 @@ void LeaseManager::scheduleRenewal(std::uint64_t id, sim::Duration duration) {
 }
 
 void LeaseManager::armGuard(std::uint64_t id, sim::TimePoint deadline) {
-  sim_.scheduleAt(deadline + config_.grace, [this, id] {
+  sim_.scheduleAt(deadline + kGrace, [this, id] {
     const auto it = leases_.find(id);
     if (it == leases_.end()) return;
-    if (sim_.now() < it->second.deadline + config_.grace) {
+    if (sim_.now() < it->second.deadline + kGrace) {
       armGuard(id, it->second.deadline);  // renewed since; chase it
       return;
     }

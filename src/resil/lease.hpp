@@ -26,24 +26,21 @@ namespace mgq::resil {
 
 class LeaseManager {
  public:
-  struct Config {
-    /// Lease applied to reservations that do not carry their own
-    /// `ReservationRequest::lease`; zero leaves those unleased.
-    sim::Duration default_duration = sim::Duration::zero();
-    /// Renewals fire every duration * renew_fraction (must be < 1 so a
-    /// healthy holder always renews before expiry).
-    double renew_fraction = 0.5;
-    /// Slack past the deadline before the guard hard-expires — absorbs
-    /// same-tick renewal/guard ordering.
-    sim::Duration grace = sim::Duration::millis(250);
-  };
+  /// Renewals fire every duration * kRenewFraction (< 1, so a healthy
+  /// holder always renews before expiry).
+  static constexpr double kRenewFraction = 0.5;
+  /// Slack past the deadline before the guard hard-expires — absorbs
+  /// same-tick renewal/guard ordering.
+  static constexpr sim::Duration kGrace = sim::Duration::millis(250);
 
   /// Subscribes to `gara`'s lifecycle events: admitted/adopted
   /// reservations with a lease start being tracked, terminal ones drop
-  /// their lease. Construct before reservations are made and after the
+  /// their lease. `default_duration` is the lease of reservations that do
+  /// not carry their own `ReservationRequest::lease`; zero leaves those
+  /// unleased. Construct before reservations are made and after the
   /// journal is attached (listeners fire in attach order).
-  LeaseManager(sim::Simulator& sim, gara::Gara& gara, Config config);
-  LeaseManager(sim::Simulator& sim, gara::Gara& gara);
+  LeaseManager(sim::Simulator& sim, gara::Gara& gara,
+               sim::Duration default_duration);
   LeaseManager(const LeaseManager&) = delete;
   LeaseManager& operator=(const LeaseManager&) = delete;
 
@@ -51,7 +48,7 @@ class LeaseManager {
                            obs::TraceBuffer* trace);
 
   /// Holder crashed: stop extending deadlines. Leases then hard-expire
-  /// after at most duration + grace.
+  /// after at most duration + kGrace.
   void suspendRenewals();
   /// Holder restarted: every surviving lease is renewed immediately and
   /// the periodic renewals resume.
@@ -68,7 +65,6 @@ class LeaseManager {
   /// lease-safety invariant's view.
   std::vector<LeaseInfo> leases() const;
   std::size_t leaseCount() const { return leases_.size(); }
-  const Config& config() const { return config_; }
 
  private:
   struct Lease {
@@ -85,7 +81,7 @@ class LeaseManager {
 
   sim::Simulator& sim_;
   gara::Gara& gara_;
-  Config config_;
+  sim::Duration default_duration_;
   std::map<std::uint64_t, Lease> leases_;  // ordered: deterministic sweeps
   bool suspended_ = false;
   obs::MetricsRegistry* metrics_ = nullptr;

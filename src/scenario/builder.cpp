@@ -180,8 +180,7 @@ Task<> adaptiveTenantClient(BuiltScenario& b,
   }
 
   co_await apps::phasedBulkSender(rig.sim, *t.shaper, pc,
-                                  TimePoint::fromSeconds(until_seconds),
-                                  &t.stats);
+                                  TimePoint::fromSeconds(until_seconds));
 }
 
 void wireAdaptiveTenants(BuiltScenario& b, const AdaptiveTenantsWorkload& w) {
@@ -377,11 +376,10 @@ std::unique_ptr<BuiltScenario> ScenarioBuilder::build(
           std::make_unique<resil::LeaseManager>(rig.sim, rig.gara, *lease);
       resil.leases->attachObservability(built->metrics.get(),
                                         built->trace.get());
-      rig.agent.setReservationLease(lease->default_duration);
+      rig.agent.setReservationLease(*lease);
     }
-    if (const auto& heartbeats = spec.resil->heartbeats) {
-      resil.heartbeats =
-          std::make_unique<resil::HeartbeatMonitor>(rig.sim, *heartbeats);
+    if (spec.resil->heartbeats) {
+      resil.heartbeats = std::make_unique<resil::HeartbeatMonitor>(rig.sim);
       resil.heartbeats->attachObservability(built->metrics.get(),
                                             built->trace.get());
       resil::attachManagerHeartbeats(*resil.heartbeats, rig.gara);

@@ -82,7 +82,6 @@ struct BuiltScenario {
     std::unique_ptr<tcp::TcpSocket> socket;    // client side, once connected
     std::unique_ptr<gq::ShapedSocket> shaper;  // paces to the reservation
     gara::BandwidthBroker::PathReservation path;
-    apps::PhasedBulkStats stats;
     double initial_bps = 0.0;
     std::size_t controller_index = 0;
   };

@@ -298,15 +298,7 @@ ScenarioSpec pingLatencySpec(const std::string& name, bool low_latency) {
 ScenarioSpec faultRecoverySpec(const std::string& name, bool recovery_on) {
   ScenarioSpec spec;
   spec.name = name;
-  if (recovery_on) {
-    spec.rig.recovery.max_retries = 6;
-    spec.rig.recovery.initial_backoff = sim::Duration::millis(250);
-    spec.rig.recovery.backoff_multiplier = 2.0;
-    spec.rig.recovery.max_backoff = sim::Duration::seconds(2.0);
-    spec.rig.recovery.jitter = 0.1;
-    spec.rig.recovery.degrade_to_best_effort = true;
-    spec.rig.recovery.reescalate_interval = sim::Duration::seconds(2.0);
-  }
+  spec.rig.recovery = recovery_on;
   VisualizationWorkload w;
   w.frames_per_second = 100.0;
   w.frame_bytes = 37'500;  // 100 fps x 37.5 KB = 30 Mb/s
@@ -355,13 +347,7 @@ ScenarioSpec faultRecoverySpec(const std::string& name, bool recovery_on) {
 ScenarioSpec crashRecoverySpec(const std::string& name) {
   ScenarioSpec spec;
   spec.name = name;
-  spec.rig.recovery.max_retries = 6;
-  spec.rig.recovery.initial_backoff = sim::Duration::millis(250);
-  spec.rig.recovery.backoff_multiplier = 2.0;
-  spec.rig.recovery.max_backoff = sim::Duration::seconds(2.0);
-  spec.rig.recovery.jitter = 0.1;
-  spec.rig.recovery.degrade_to_best_effort = true;
-  spec.rig.recovery.reescalate_interval = sim::Duration::seconds(2.0);
+  spec.rig.recovery = true;
   VisualizationWorkload w;
   w.frames_per_second = 100.0;
   w.frame_bytes = 37'500;  // 100 fps x 37.5 KB = 30 Mb/s
@@ -377,9 +363,8 @@ ScenarioSpec crashRecoverySpec(const std::string& name) {
   // leases hard-expire enforcement ~2.25 s into the outage, and the
   // restart at t=25 replays the journal, reconciles every manager, and
   // re-issues the surviving QoS intent.
-  resil::LeaseManager::Config lease;
-  lease.default_duration = sim::Duration::seconds(2.0);
-  spec.resil = ResilienceSpec{lease, resil::HeartbeatMonitor::Config{}};
+  spec.resil = ResilienceSpec{sim::Duration::seconds(2.0),
+                              /*heartbeats=*/true};
   spec.agent_crashes.push_back(AgentCrashSpec{20.0, 5.0});
   spec.run_until_seconds = 60.0;
   const auto pre = [](const ScenarioResult& res) {
@@ -661,7 +646,7 @@ void registerPaperScenarios(ScenarioRegistry& registry) {
                 "Low-latency-class ablation: best effort", "§4.1",
                 [] { return pingLatencySpec("ablation_latency_be", false); }});
   registry.add({"fault_recovery_on",
-                "Link flap with the QoS agent's RecoveryPolicy enabled",
+                "Link flap with the QoS agent's recovery on",
                 "§4.2", [] {
                   return faultRecoverySpec("fault_recovery_on", true);
                 }});

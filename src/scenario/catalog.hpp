@@ -64,7 +64,7 @@ ScenarioSpec pingLatencySpec(const std::string& name, bool low_latency);
 
 /// Fault-recovery scenario: the Figure-1 rig with a premium visualization
 /// stream and a 3 s edge-link flap at t=20 s, with the QoS agent's
-/// RecoveryPolicy on or off. Includes per-run state/goodput checks.
+/// recovery on or off. Includes per-run state/goodput checks.
 ScenarioSpec faultRecoverySpec(const std::string& name, bool recovery_on);
 
 /// Adversarial-wire scenario: the Figure-1 premium flow with seeded

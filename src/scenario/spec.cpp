@@ -124,8 +124,10 @@ bool applyParam(ScenarioSpec& spec, const std::string& key, double value) {
     auto* a = std::get_if<AdaptiveTenantsWorkload>(&spec.workload);
     if (a == nullptr || !a->controller) return false;
     if (key == "adapt_cadence") {
+      if (!(value > 0)) return false;  // the loop would never advance
       a->controller->cadence_seconds = value;
     } else {
+      if (!(value >= 1)) return false;  // sizes below demand starve it
       a->controller->policy.headroom = value;
     }
     return true;
@@ -146,8 +148,7 @@ bool applyParam(ScenarioSpec& spec, const std::string& key, double value) {
       return true;
     }
     if (!spec.resil) spec.resil.emplace();
-    if (!spec.resil->lease) spec.resil->lease.emplace();
-    spec.resil->lease->default_duration = sim::Duration::seconds(value);
+    spec.resil->lease = sim::Duration::seconds(value);
     return true;
   }
   if (key == "crash_at" || key == "restart_after") {

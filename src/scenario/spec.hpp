@@ -19,8 +19,6 @@
 #include "gq/qos_attribute.hpp"
 #include "net/packet.hpp"
 #include "net/token_bucket.hpp"
-#include "resil/heartbeat.hpp"
-#include "resil/lease.hpp"
 #include "sim/fault_injector.hpp"
 #include "tcp/tcp_config.hpp"
 
@@ -198,14 +196,14 @@ struct AgentCrashSpec {
 /// Engaged, it wires the state journal and the reconciler behind the
 /// qos-agent crash/restart fault target.
 struct ResilienceSpec {
-  /// Reservation leases: agent-made reservations carry
-  /// `default_duration` and must be renewed within it or enforcement
-  /// hard-expires (reason "lease_expired") — what lets the data plane
-  /// shed zombie reservations when their controller dies.
-  std::optional<resil::LeaseManager::Config> lease;
+  /// Reservation leases: agent-made reservations carry this duration
+  /// and must be renewed within it or enforcement hard-expires (reason
+  /// "lease_expired") — what lets the data plane shed zombie
+  /// reservations when their controller dies.
+  std::optional<sim::Duration> lease;
   /// Heartbeat probing of every registered manager, with phi-accrual
-  /// suspicion driving manager-down events into the RecoveryPolicy.
-  std::optional<resil::HeartbeatMonitor::Config> heartbeats;
+  /// suspicion driving manager-down events into the agent's recovery.
+  bool heartbeats = false;
 };
 
 // --------------------------------------------------------------------------
@@ -270,9 +268,10 @@ struct ScenarioSpec {
 /// message_bytes/frame_bytes also retune the first
 /// reservation's max_message_size (they are coupled in every paper
 /// experiment). Returns false for an unknown key, one that does not
-/// apply to the spec's workload, or a value an integer key cannot take:
-/// seed must be a whole number in [0, 2^53], message_bytes and
-/// frame_bytes whole numbers in [1, INT_MAX].
+/// apply to the spec's workload, or a value the key cannot take: seed
+/// must be a whole number in [0, 2^53], message_bytes and frame_bytes
+/// whole numbers in [1, INT_MAX], adapt_cadence > 0 and
+/// adapt_headroom >= 1.
 bool applyParam(ScenarioSpec& spec, const std::string& key, double value);
 
 /// Compact value formatting for sweep labels ("4000", "1.06").

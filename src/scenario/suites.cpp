@@ -560,8 +560,8 @@ SuiteRun ablationLatency(const SweepRunner& pool, CheckReporter& checks) {
   return {std::move(results), {table}};
 }
 
-// Fault recovery: a 3 s edge-link flap at t=20 s. With the RecoveryPolicy
-// the agent re-reserves once the link is back; without it the stream
+// Fault recovery: a 3 s edge-link flap at t=20 s. With recovery on the
+// agent re-reserves once the link is back; without it the stream
 // degrades to best effort and starves. A third run replays the first.
 SuiteRun faultRecovery(const SweepRunner& pool, CheckReporter& checks) {
   auto results = pool.run({paperSpec("fault_recovery_on"),
@@ -586,8 +586,7 @@ SuiteRun faultRecovery(const SweepRunner& pool, CheckReporter& checks) {
   }
 
   checks.check(post(with) > post(without),
-               "post-flap goodput strictly higher with RecoveryPolicy "
-               "enabled");
+               "post-flap goodput strictly higher with recovery on");
   checks.check(!with.injector_log.empty() &&
                    with.injector_log == replay.injector_log,
                "scenario replay with the same seed gives a byte-identical "

@@ -24,33 +24,6 @@ class AsyncMutex {
 
   bool locked() const { return locked_; }
 
-  /// RAII-ish scope: co_await mutex.scoped() then keep the Guard alive.
-  struct Guard {
-    AsyncMutex* mutex = nullptr;
-    Guard() = default;
-    explicit Guard(AsyncMutex& m) : mutex(&m) {}
-    Guard(Guard&& o) noexcept : mutex(std::exchange(o.mutex, nullptr)) {}
-    Guard& operator=(Guard&& o) noexcept {
-      release();
-      mutex = std::exchange(o.mutex, nullptr);
-      return *this;
-    }
-    Guard(const Guard&) = delete;
-    Guard& operator=(const Guard&) = delete;
-    ~Guard() { release(); }
-    void release() {
-      if (mutex != nullptr) {
-        mutex->unlock();
-        mutex = nullptr;
-      }
-    }
-  };
-
-  Task<Guard> scoped() {
-    co_await lock();
-    co_return Guard(*this);
-  }
-
  private:
   Condition cond_;
   bool locked_ = false;

@@ -28,17 +28,6 @@ class Channel {
     co_return value;
   }
 
-  /// Non-blocking variant; returns true and fills `out` if available.
-  bool tryPop(T& out) {
-    if (items_.empty()) return false;
-    out = std::move(items_.front());
-    items_.pop_front();
-    return true;
-  }
-
-  bool empty() const { return items_.empty(); }
-  std::size_t size() const { return items_.size(); }
-
  private:
   Condition cond_;
   std::deque<T> items_;

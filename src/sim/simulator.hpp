@@ -73,9 +73,9 @@ class Simulator {
   /// destructors so that suspended coroutines — whose locals may own
   /// sockets referring to that infrastructure — are unwound while it is
   /// still alive, instead of at Simulator destruction when it is already
-  /// gone. Frame destructors may themselves enqueue wakeups (e.g. an
-  /// AsyncMutex guard unlocking), which is why the frames go first and
-  /// the cancellation sweep second.
+  /// gone. Frame destructors may themselves enqueue wakeups (e.g. a
+  /// destroyed local that notifies a Condition), which is why the frames
+  /// go first and the cancellation sweep second.
   void destroyProcesses() {
     processes_.clear();
     queue_.cancelResumeEvents();

@@ -25,7 +25,6 @@ struct TcpConfig {
 
 struct TcpStats {
   std::int64_t bytes_sent_app = 0;    // accepted from the application
-  std::int64_t bytes_acked = 0;       // cumulatively acknowledged
   std::int64_t bytes_delivered = 0;   // handed to the receiving app
   std::uint64_t segments_sent = 0;
   std::uint64_t segments_received = 0;
@@ -33,14 +32,12 @@ struct TcpStats {
   std::uint64_t retransmits = 0;       // total retransmitted segments
   std::uint64_t fast_retransmits = 0;  // triple-dupack recoveries entered
   std::uint64_t timeouts = 0;          // RTO expirations
-  std::uint64_t dup_acks_received = 0;
   // Adversarial-wire accounting (see DESIGN.md §14).
   std::uint64_t checksum_drops = 0;   // segments failing wire-checksum verify
   std::uint64_t stale_segments = 0;   // wholly below rcv_nxt (old retransmits)
   std::uint64_t ooo_duplicates = 0;   // exact-seq duplicate OOO arrivals
   std::uint64_t ooo_evictions = 0;    // OOO views evicted at the buffer bound
   std::uint64_t resets = 0;           // connection resets (stream corruption)
-  std::uint64_t pool_backpressure_waits = 0;  // send admissions deferred
 };
 
 }  // namespace mgq::tcp

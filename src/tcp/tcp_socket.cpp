@@ -201,11 +201,7 @@ void TcpSocket::close() {
 // connections could never be woken by this connection's own progress.
 bool TcpSocket::sendAdmissionOpen() {
   if (send_buf_.size() >= config_.send_buffer_bytes) return false;
-  if (pool_->underPressure() && !send_buf_.empty()) {
-    ++stats_.pool_backpressure_waits;
-    return false;
-  }
-  return true;
+  return !pool_->underPressure() || send_buf_.empty();
 }
 
 void TcpSocket::trySend() {
@@ -444,7 +440,6 @@ void TcpSocket::processAck(std::uint64_t ack, std::uint32_t window,
     const auto acked = static_cast<std::int64_t>(ack - snd_una_);
     const auto data_acked = std::min(acked, send_buf_.size());
     send_buf_.popFront(data_acked);
-    stats_.bytes_acked += data_acked;
 
     if (timing_active_ && ack >= timed_seq_) {
       rtt_.addSample(sim_.now() - timed_sent_at_);
@@ -502,7 +497,6 @@ void TcpSocket::processAck(std::uint64_t ack, std::uint32_t window,
   // unchanged advertised window: out-of-order arrivals legitimately shrink
   // the window advertised with each duplicate ACK in this model.
   if (pure_ack && ack == snd_una_ && snd_nxt_ > snd_una_) {
-    ++stats_.dup_acks_received;
     if (in_recovery_) {
       cwnd_ += config_.mss;  // inflation
       trySend();

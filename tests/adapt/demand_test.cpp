@@ -12,21 +12,21 @@ namespace {
 
 TEST(DemandEstimatorTest, FirstSamplePrimesBaselinesInsteadOfMeasuring) {
   std::int64_t offered = 1'000'000;  // pre-existing history
-  DemandEstimator est(0.5);
+  DemandEstimator est;
   est.setInputs({[&] { return offered; }, {}, {}});
   const auto& first = est.sample(0.5);
   // The counter's whole history must not read as one interval's rate.
   EXPECT_DOUBLE_EQ(first.offered_bps, 0.0);
   // The next interval measures a real delta: 62.5 KB over 0.5 s = 1 Mb/s,
-  // folded in at alpha = 0.5.
+  // folded in at kAlpha.
   offered += 62'500;
   const auto& second = est.sample(0.5);
-  EXPECT_DOUBLE_EQ(second.offered_bps, 0.5 * 1e6);
+  EXPECT_DOUBLE_EQ(second.offered_bps, DemandEstimator::kAlpha * 1e6);
 }
 
 TEST(DemandEstimatorTest, EwmaConvergesOnSteadyRate) {
   std::int64_t offered = 0;
-  DemandEstimator est(0.4);
+  DemandEstimator est;
   est.setInputs({[&] { return offered; }, {}, {}});
   est.sample(0.5);  // prime
   for (int i = 0; i < 20; ++i) {
@@ -47,7 +47,7 @@ TEST(DemandEstimatorTest, DemandIsMaxOfOfferedAndAchieved) {
 
 TEST(DemandEstimatorTest, NonPositiveIntervalIsIgnored) {
   std::int64_t offered = 0;
-  DemandEstimator est(0.5);
+  DemandEstimator est;
   est.setInputs({[&] { return offered; }, {}, {}});
   est.sample(0.5);
   offered += 1'000'000;
@@ -61,7 +61,7 @@ TEST(DemandEstimatorTest, BucketSwapResetsPolicerBaseline) {
   net::TokenBucket first(sim, 1e6, 100'000);
   net::TokenBucket second(sim, 1e6, 100'000);
   const net::TokenBucket* active = &first;
-  DemandEstimator est(1.0);
+  DemandEstimator est;
   est.setInputs({{}, {}, [&] { return active; }});
   est.sample(0.5);  // prime against `first`
 

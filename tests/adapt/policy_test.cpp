@@ -19,12 +19,6 @@ DemandSample demand(double bps) {
 AdaptationPolicy::Config config() {
   AdaptationPolicy::Config c;
   c.headroom = 1.25;
-  c.grow_threshold = 1.05;
-  c.shrink_threshold = 0.70;
-  c.grow_multiplier = 1.6;
-  c.shrink_step = 0.5;
-  c.grow_cooldown_seconds = 1.0;
-  c.shrink_cooldown_seconds = 2.0;
   return c;
 }
 
@@ -132,31 +126,6 @@ TEST(AdaptationPolicyTest, RefusalsDoubleTheGrowCooldownUpTo8x) {
   EXPECT_EQ(policy.consecutiveRefusals(), 0);
   d = policy.decide(demand(20e6), 6.4e6, 29.2);
   EXPECT_EQ(d.action, AdaptAction::kGrow);
-}
-
-TEST(AdaptationPolicyTest, SanitizeClampsNonsenseConfigs) {
-  AdaptationPolicy::Config c;
-  c.headroom = 0.2;
-  c.grow_threshold = 0.5;
-  c.shrink_threshold = 1.5;
-  c.grow_multiplier = 0.1;
-  c.shrink_step = 7.0;
-  c.floor_bps = -5.0;
-  c.ceiling_bps = 1e6;
-  c.grow_cooldown_seconds = -1.0;
-  const auto s = AdaptationPolicy::sanitize(c);
-  EXPECT_DOUBLE_EQ(s.headroom, 1.0);
-  EXPECT_DOUBLE_EQ(s.grow_threshold, 1.0);
-  EXPECT_DOUBLE_EQ(s.shrink_threshold, 1.0);
-  EXPECT_DOUBLE_EQ(s.grow_multiplier, 1.0);
-  EXPECT_DOUBLE_EQ(s.shrink_step, 1.0);
-  EXPECT_DOUBLE_EQ(s.floor_bps, 0.0);
-  EXPECT_DOUBLE_EQ(s.grow_cooldown_seconds, 0.0);
-  // Ceiling below floor is raised to the floor.
-  AdaptationPolicy::Config inverted;
-  inverted.floor_bps = 5e6;
-  inverted.ceiling_bps = 1e6;
-  EXPECT_DOUBLE_EQ(AdaptationPolicy::sanitize(inverted).ceiling_bps, 5e6);
 }
 
 TEST(AdaptationPolicyTest, ZeroCurrentAmountHolds) {

@@ -15,10 +15,10 @@
 namespace mgq::chaos {
 namespace {
 
-/// A category mix that only issues reservation-modify storms, with scale
-/// factors guaranteed to blow past the premium capacity share when
-/// admission is sabotaged (fault_recovery_on reserves ~31.8 Mb/s of the
-/// 44 Mb/s premium share; any factor >= 2 exceeds it).
+/// A category mix that only issues reservation-modify storms. Their scale
+/// factors (kModifyFactor) blow past the premium capacity share when
+/// admission is sabotaged and the factor is above ~1.38: fault_recovery_on
+/// reserves ~31.8 Mb/s of the 44 Mb/s premium share.
 ChaosProfile modifyOnlyProfile() {
   ChaosProfile profile;
   profile.link_flaps_per_100s = 0.0;
@@ -27,8 +27,6 @@ ChaosProfile modifyOnlyProfile() {
   profile.cpu_hog_bursts_per_100s = 0.0;
   profile.reservation_cancels_per_100s = 0.0;
   profile.reservation_modifies_per_100s = 60.0;
-  profile.modify_min = 2.0;
-  profile.modify_max = 4.0;
   return profile;
 }
 
@@ -80,18 +78,20 @@ TEST(ChaosRunnerTest, UnhandledChurnActionsCountAsSkippedInTheLogFooter) {
       << report.log;
 }
 
+/// Sabotages admission control: the fault proxies' slot tables accept
+/// anything while still reporting truthful usage, so an oversized modify
+/// over-admits past the premium capacity, which only the
+/// slot-conservation invariant can notice.
+void plantOverAdmission(scenario::BuiltScenario&, ChaosTargets& targets) {
+  targets.net_forward->slots().forceOverAdmissionForTest(true);
+  targets.net_reverse->slots().forceOverAdmissionForTest(true);
+}
+
 TEST(ChaosRunnerTest, PlantedOverAdmissionIsCaughtShrunkAndReplayed) {
-  // Sabotage admission control: the fault proxies' slot tables accept
-  // anything while still reporting truthful usage. A modify storm then
-  // over-admits past the premium capacity, which only the
-  // slot-conservation invariant can notice.
   ChaosOptions options;
   options.profile = modifyOnlyProfile();
   options.horizon_seconds = 3.0;
-  options.prepare = [](scenario::BuiltScenario&, ChaosTargets& targets) {
-    targets.net_forward->slots().forceOverAdmissionForTest(true);
-    targets.net_reverse->slots().forceOverAdmissionForTest(true);
-  };
+  options.prepare = plantOverAdmission;
 
   ChaosRunner runner;
   const auto outcome = runner.runSeeds("fault_recovery_on", 1, 200, options);
@@ -103,11 +103,23 @@ TEST(ChaosRunnerTest, PlantedOverAdmissionIsCaughtShrunkAndReplayed) {
   EXPECT_FALSE(failure.violations.front().trace_tail.empty())
       << "violations must carry the trace-buffer tail";
 
-  // Shrink: one modify event suffices to reproduce, so the minimal plan
-  // is exactly one event.
+  // Shrink a plan whose one doubling modify is the whole failure: the
+  // harmless 1.1x modify and the loss episode around it must go.
+  ChaosPlan plan;
+  plan.scenario = "fault_recovery_on";
+  plan.seed = 1;
+  plan.horizon_seconds = 3.0;
+  const auto at = [](double s) { return sim::TimePoint::fromSeconds(s); };
+  plan.events = {
+      {at(0.8), "reservation-churn", sim::FaultAction::kLossStart, 1.1},
+      {at(1.0), "premium-edge-loss", sim::FaultAction::kLossStart, 0.05},
+      {at(1.5), "premium-edge-loss", sim::FaultAction::kLossStop, 0.0},
+      {at(2.0), "reservation-churn", sim::FaultAction::kLossStart, 2.0},
+  };
   int steps = 0;
-  const auto minimal = runner.shrink(failure.plan, options, &steps);
-  EXPECT_EQ(minimal.events.size(), 1u) << serializeReplay(minimal);
+  const auto minimal = runner.shrink(plan, options, &steps);
+  ASSERT_EQ(minimal.events.size(), 1u) << serializeReplay(minimal);
+  EXPECT_EQ(minimal.events.front().param, 2.0);
   EXPECT_GT(steps, 0);
 
   // The replay file reproduces the shrunk run byte-identically.
@@ -124,17 +136,14 @@ TEST(ChaosRunnerTest, PlantedOverAdmissionIsCaughtShrunkAndReplayed) {
 }
 
 TEST(ChaosRunnerTest, ThreadedSeedSweepMatchesSerial) {
-  // The planted over-admission bug fails most seeds but not all: from
-  // seed 11 the sweep holds twice, then seed 13 fails with workers busy
-  // on the seeds above it (seed 14 fails too). The reports up to the
-  // first failing seed must not depend on thread count.
+  // The planted over-admission bug fails some seeds but not all: from
+  // seed 11 the sweep holds five times, then seed 16 fails with workers
+  // busy on the seeds above it. The reports up to the first failing seed
+  // must not depend on thread count.
   ChaosOptions options;
   options.profile = modifyOnlyProfile();
   options.horizon_seconds = 3.0;
-  options.prepare = [](scenario::BuiltScenario&, ChaosTargets& targets) {
-    targets.net_forward->slots().forceOverAdmissionForTest(true);
-    targets.net_reverse->slots().forceOverAdmissionForTest(true);
-  };
+  options.prepare = plantOverAdmission;
   ChaosRunner runner;
   options.threads = 1;
   const auto serial = runner.runSeeds("fault_recovery_on", 11, 12, options);
@@ -349,9 +358,7 @@ TEST(ChaosSoakTest, CrashRestartHoldsLeaseAndZombieInvariantsOver200Seeds) {
   ChaosOptions options;
   options.horizon_seconds = 4.0;
   options.profile.agent_crashes_per_100s = 60.0;
-  options.profile.mean_crash_downtime_seconds = 0.6;
   options.profile.renewal_storms_per_100s = 40.0;
-  options.profile.mean_storm_seconds = 0.8;
   ChaosRunner runner;
   const auto outcome =
       runner.runSeeds("fault_recovery_crash", 1, 200, options);

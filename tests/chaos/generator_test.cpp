@@ -25,16 +25,14 @@ TEST(ChaosGeneratorTest, SameSeedYieldsByteIdenticalPlans) {
 
 TEST(ChaosGeneratorTest, EventsAreSortedWithinWarmupAndHorizon) {
   const double horizon = 25.0;
-  ChaosProfile profile;
-  profile.warmup_seconds = 1.0;
-  const ChaosPlanGenerator generator{profile};
+  const ChaosPlanGenerator generator{ChaosProfile{}};
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const auto plan = generator.generate("fig9_combined", seed, horizon);
     TimePoint prev = TimePoint::zero();
     for (const auto& e : plan.events) {
       EXPECT_GE(e.at, prev) << "plan must be sorted";
       prev = e.at;
-      EXPECT_GE(e.at.toSeconds(), profile.warmup_seconds);
+      EXPECT_GE(e.at.toSeconds(), kWarmupSeconds);
       EXPECT_LE(e.at.toSeconds(), horizon);
     }
   }
@@ -77,21 +75,19 @@ TEST(ChaosGeneratorTest, RatesGateCategoriesAndParamsStayInRange) {
   profile.reservation_cancels_per_100s = 0.0;
   profile.reservation_modifies_per_100s = 40.0;
   profile.loss_episodes_per_100s = 40.0;
-  profile.modify_min = 2.0;
-  profile.modify_max = 4.0;
   const ChaosPlanGenerator generator{profile};
   const auto plan = generator.generate("fault_recovery_on", 3, 50.0);
   ASSERT_FALSE(plan.events.empty());
   for (const auto& e : plan.events) {
     if (e.target == "reservation-churn") {
       EXPECT_EQ(e.action, FaultAction::kLossStart);  // modify, no cancels
-      EXPECT_GE(e.param, profile.modify_min);
-      EXPECT_LT(e.param, profile.modify_max);
+      EXPECT_GE(e.param, kModifyFactor.lo);
+      EXPECT_LT(e.param, kModifyFactor.hi);
     } else {
       EXPECT_EQ(e.target, "premium-edge-loss");
       if (e.action == FaultAction::kLossStart) {
-        EXPECT_GE(e.param, profile.loss_min);
-        EXPECT_LT(e.param, profile.loss_max);
+        EXPECT_GE(e.param, kLossProbability.lo);
+        EXPECT_LT(e.param, kLossProbability.hi);
       }
     }
   }

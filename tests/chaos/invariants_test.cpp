@@ -15,7 +15,7 @@ using sim::TimePoint;
 
 TEST(InvariantMonitorTest, CadenceSweepsRunChecksAndRecordViolations) {
   sim::Simulator sim;
-  InvariantMonitor monitor(sim, /*cadence_seconds=*/0.5);
+  InvariantMonitor monitor(sim);
   int sweeps = 0;
   bool broken = false;
   monitor.addCheck("probe", [&]() -> std::string {
@@ -24,10 +24,10 @@ TEST(InvariantMonitorTest, CadenceSweepsRunChecksAndRecordViolations) {
   });
   monitor.arm();
   sim.runUntil(TimePoint::fromSeconds(2.1));
-  EXPECT_EQ(sweeps, 4);  // t = 0.5, 1.0, 1.5, 2.0
+  EXPECT_EQ(sweeps, 8);  // every 250 ms: t = 0.25, 0.5, ..., 2.0
   EXPECT_TRUE(monitor.ok());
 
-  sim.schedule(Duration::seconds(0.1), [&] { broken = true; });
+  sim.schedule(Duration::seconds(0.3), [&] { broken = true; });
   sim.runUntil(TimePoint::fromSeconds(3.1));
   ASSERT_FALSE(monitor.ok());
   EXPECT_EQ(monitor.violations().front().name, "probe");
@@ -39,19 +39,19 @@ TEST(InvariantMonitorTest, ViolationCountIsCappedAndTraceTailAttached) {
   sim::Simulator sim;
   obs::TraceBuffer trace;
   trace.setClock([&sim] { return sim.now().toSeconds(); });
-  for (int i = 0; i < 5; ++i) trace.record("test", "event", i);
+  for (int i = 0; i < 10; ++i) trace.record("test", "event", i);
 
-  InvariantMonitor monitor(sim, 0.25, /*max_violations=*/3);
-  monitor.attachTrace(&trace, /*tail_events=*/2);
+  InvariantMonitor monitor(sim);
+  monitor.attachTrace(&trace);
   monitor.addCheck("always", []() -> std::string { return "bad"; });
   monitor.arm();
-  sim.runUntil(TimePoint::fromSeconds(5.0));
+  sim.runUntil(TimePoint::fromSeconds(10.0));  // 40 failing sweeps
 
-  ASSERT_EQ(monitor.violations().size(), 3u);  // capped
+  ASSERT_EQ(monitor.violations().size(), InvariantMonitor::kMaxViolations);
   const auto& v = monitor.violations().front();
-  ASSERT_EQ(v.trace_tail.size(), 2u);  // only the tail
-  EXPECT_NE(v.trace_tail[0].find("test.event id=3"), std::string::npos);
-  EXPECT_NE(v.trace_tail[1].find("test.event id=4"), std::string::npos);
+  ASSERT_EQ(v.trace_tail.size(), InvariantMonitor::kTraceTail);
+  EXPECT_NE(v.trace_tail.front().find("test.event id=2"), std::string::npos);
+  EXPECT_NE(v.trace_tail.back().find("test.event id=9"), std::string::npos);
 }
 
 TEST(QosTransitionTest, LegalityTableMatchesTheAgentStateMachine) {
@@ -70,6 +70,9 @@ TEST(QosTransitionTest, LegalityTableMatchesTheAgentStateMachine) {
   EXPECT_FALSE(gq::qosTransitionLegal(S::kDenied, S::kRecovering));
   EXPECT_FALSE(gq::qosTransitionLegal(S::kReleased, S::kDegraded));
   EXPECT_FALSE(gq::qosTransitionLegal(S::kNone, S::kDegraded));
+  // A lost reservation degrades; only a refused request is denied.
+  EXPECT_FALSE(gq::qosTransitionLegal(S::kGranted, S::kDenied));
+  EXPECT_FALSE(gq::qosTransitionLegal(S::kRecovering, S::kDenied));
   // No self-loops, nothing returns to kNone.
   EXPECT_FALSE(gq::qosTransitionLegal(S::kGranted, S::kGranted));
   EXPECT_FALSE(gq::qosTransitionLegal(S::kGranted, S::kNone));

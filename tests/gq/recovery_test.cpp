@@ -3,12 +3,14 @@
 // are exhausted, and re-escalates to premium when capacity returns.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
 #include "apps/garnet_rig.hpp"
 #include "gara/flaky_resource_manager.hpp"
 #include "net/faults.hpp"
+#include "obs/trace.hpp"
 
 namespace mgq::gq {
 namespace {
@@ -18,29 +20,28 @@ using sim::Duration;
 using sim::Task;
 using sim::TimePoint;
 
-GarnetRig::Config rigConfig(const QosAgent::RecoveryPolicy& recovery) {
+GarnetRig::Config rigConfig(bool recovery) {
   GarnetRig::Config config;
   config.recovery = recovery;
   return config;
 }
 
-QosAgent::RecoveryPolicy fastRetries(int max_retries) {
-  QosAgent::RecoveryPolicy policy;
-  policy.max_retries = max_retries;
-  policy.initial_backoff = Duration::millis(100);
-  policy.backoff_multiplier = 2.0;
-  policy.max_backoff = Duration::millis(500);
-  policy.jitter = 0.0;  // deterministic timing for the assertions below
-  policy.degrade_to_best_effort = true;
-  policy.reescalate_interval = Duration::millis(500);
-  return policy;
+/// The longest the retry loop takes from a loss to degrading: every
+/// backoff at its +kJitter bound.
+double maxRetrySeconds() {
+  double total = 0.0;
+  double backoff = QosAgent::kInitialBackoff.toSeconds();
+  for (int i = 0; i < QosAgent::kMaxRetries; ++i) {
+    total += std::min(backoff, QosAgent::kMaxBackoff.toSeconds());
+    backoff *= QosAgent::kBackoffMultiplier;
+  }
+  return total * (1.0 + QosAgent::kJitter);
 }
 
 /// Rig with a granted 10 Mb/s premium reservation on comm rank 0; the
 /// launch bodies settle the request and park rank 1.
 struct Harness {
-  explicit Harness(const QosAgent::RecoveryPolicy& recovery)
-      : rig(rigConfig(recovery)) {
+  explicit Harness(bool recovery) : rig(rigConfig(recovery)) {
     rig.world.launch([this](mpi::Comm& comm) -> Task<> {
       if (comm.rank() == 0) {
         comm0 = &comm;
@@ -57,19 +58,31 @@ struct Harness {
     rig.gara.fail(held[0], reason);
   }
 
+  /// Occupies the whole premium share so every retry is denied by
+  /// admission control.
+  gara::ReservationHandle blockPremiumShare() {
+    gara::ReservationRequest request;
+    request.start = rig.sim.now();
+    request.amount = rig.net_forward.slots().capacity();
+    auto outcome = rig.gara.reserve("net-forward", request);
+    EXPECT_TRUE(static_cast<bool>(outcome)) << outcome.error;
+    return outcome.handle;
+  }
+
   GarnetRig rig;
   mpi::Comm* comm0 = nullptr;
   bool granted = false;
 };
 
 TEST(QosRecoveryTest, LostReservationIsRetriedAndRegranted) {
-  Harness h(fastRetries(5));
+  Harness h(/*recovery=*/true);
   h.rig.sim.runUntil(TimePoint::fromSeconds(2));
   ASSERT_TRUE(h.granted);
 
   h.rig.sim.schedule(Duration::seconds(3), [&] { h.failLeg("injected"); });
-  h.rig.sim.runUntil(TimePoint::fromSeconds(5.05));
-  // Capacity is free, so the first backed-off retry already re-grants.
+  h.rig.sim.runUntil(TimePoint::fromSeconds(5.2));
+  // Capacity is free, so the first backed-off retry (250 ms ± 10%)
+  // already re-grants.
   EXPECT_EQ(h.status().state, QosRequestState::kRecovering);
   h.rig.sim.runUntil(TimePoint::fromSeconds(6));
   const auto status = h.status();
@@ -82,7 +95,7 @@ TEST(QosRecoveryTest, LostReservationIsRetriedAndRegranted) {
 }
 
 TEST(QosRecoveryTest, DefaultPolicyDegradesForGood) {
-  Harness h(QosAgent::RecoveryPolicy{});  // default: no retries
+  Harness h(/*recovery=*/false);
   h.rig.sim.runUntil(TimePoint::fromSeconds(2));
   ASSERT_TRUE(h.granted);
 
@@ -98,19 +111,8 @@ TEST(QosRecoveryTest, DefaultPolicyDegradesForGood) {
       h.rig.garnet.ingressEdgeInterface()->ingressPolicy().ruleCount(), 0u);
 }
 
-TEST(QosRecoveryTest, NoDegradeReportsDenied) {
-  QosAgent::RecoveryPolicy policy;  // max_retries = 0
-  policy.degrade_to_best_effort = false;
-  Harness h(policy);
-  h.rig.sim.runUntil(TimePoint::fromSeconds(2));
-  ASSERT_TRUE(h.granted);
-  h.failLeg("revoked");
-  EXPECT_EQ(h.status().state, QosRequestState::kDenied);
-  EXPECT_EQ(h.status().error, "revoked");
-}
-
 TEST(QosRecoveryTest, ExhaustedRetriesDegradeThenReescalate) {
-  Harness h(fastRetries(2));
+  Harness h(/*recovery=*/true);
   h.rig.sim.runUntil(TimePoint::fromSeconds(2));
   ASSERT_TRUE(h.granted);
 
@@ -119,25 +121,23 @@ TEST(QosRecoveryTest, ExhaustedRetriesDegradeThenReescalate) {
   gara::ReservationHandle blocker;
   h.rig.sim.schedule(Duration::seconds(3), [&] {
     h.failLeg("preempted");
-    gara::ReservationRequest request;
-    request.start = h.rig.sim.now();
-    request.amount = h.rig.net_forward.slots().capacity();
-    auto outcome = h.rig.gara.reserve("net-forward", request);
-    ASSERT_TRUE(static_cast<bool>(outcome)) << outcome.error;
-    blocker = outcome.handle;
+    blocker = h.blockPremiumShare();
   });
-  // Retries at ~5.1 s and ~5.3 s are denied; the request degrades and
-  // keeps probing every 500 ms.
-  h.rig.sim.runUntil(TimePoint::fromSeconds(6));
+  // Every retry is denied; the request degrades and keeps probing every
+  // kReescalateInterval.
+  const double degraded_by = 5.0 + maxRetrySeconds();
+  h.rig.sim.runUntil(TimePoint::fromSeconds(degraded_by));
   EXPECT_EQ(h.status().state, QosRequestState::kDegraded);
-  EXPECT_GE(h.status().recovery_attempts, 2);
+  EXPECT_GE(h.status().recovery_attempts, QosAgent::kMaxRetries);
 
   // Capacity returns: the next background probe re-escalates to premium.
   h.rig.gara.cancel(blocker);
-  h.rig.sim.runUntil(TimePoint::fromSeconds(8));
+  h.rig.sim.runUntil(TimePoint::fromSeconds(
+      degraded_by +
+      QosAgent::kReescalateInterval.toSeconds() * (1.0 + QosAgent::kJitter)));
   const auto status = h.status();
   EXPECT_EQ(status.state, QosRequestState::kGranted);
-  EXPECT_GE(status.recovery_attempts, 3);
+  EXPECT_GE(status.recovery_attempts, QosAgent::kMaxRetries + 1);
   ASSERT_EQ(status.reservations.size(), 1u);
   EXPECT_EQ(status.reservations[0]->state(),
             gara::ReservationState::kActive);
@@ -147,10 +147,7 @@ TEST(QosRecoveryTest, LinkFlapRecoveryEndToEnd) {
   // The full chain: interface down -> manager failure report -> kFailed ->
   // agent retries (denied while the attachment is down) -> link restored
   // -> retry granted.
-  QosAgent::RecoveryPolicy policy = fastRetries(6);
-  policy.initial_backoff = Duration::millis(250);
-  policy.max_backoff = Duration::seconds(2.0);
-  Harness h(policy);
+  Harness h(/*recovery=*/true);
   h.rig.sim.runUntil(TimePoint::fromSeconds(2));
   ASSERT_TRUE(h.granted);
 
@@ -171,52 +168,67 @@ TEST(QosRecoveryTest, LinkFlapRecoveryEndToEnd) {
 }
 
 TEST(QosRecoveryTest, RetriesAreCappedAtMaxRetries) {
-  QosAgent::RecoveryPolicy policy = fastRetries(3);
-  policy.reescalate_interval = Duration::zero();  // no background probing
-  Harness h(policy);
+  Harness h(/*recovery=*/true);
   h.rig.sim.runUntil(TimePoint::fromSeconds(2));
   ASSERT_TRUE(h.granted);
+  // The attempt count at the moment the retry loop gives up.
+  int attempts_at_degrade = -1;
+  h.rig.agent.setStateObserver(
+      [&](std::int32_t, QosRequestState, QosRequestState to) {
+        if (to == QosRequestState::kDegraded) {
+          attempts_at_degrade = h.status().recovery_attempts;
+        }
+      });
 
   // Fail the held leg, then immediately occupy the whole premium share so
-  // every retry is denied, and let the retry loop run far past its budget.
+  // every retry is denied, and let the loop run far past its budget.
   h.failLeg("preempted");
-  gara::ReservationRequest request;
-  request.start = h.rig.sim.now();
-  request.amount = h.rig.net_forward.slots().capacity();
-  auto blocker = h.rig.gara.reserve("net-forward", request);
-  ASSERT_TRUE(static_cast<bool>(blocker)) << blocker.error;
+  h.blockPremiumShare();
   h.rig.sim.runUntil(TimePoint::fromSeconds(60));
 
-  const auto status = h.status();
-  EXPECT_EQ(status.state, QosRequestState::kDegraded);
-  EXPECT_EQ(status.recovery_attempts, 3) << "retries must stop at the cap";
+  EXPECT_EQ(h.status().state, QosRequestState::kDegraded);
+  EXPECT_EQ(attempts_at_degrade, QosAgent::kMaxRetries)
+      << "retries must stop at the cap";
+  h.rig.agent.setStateObserver({});
 }
 
-TEST(QosRecoveryTest, HugeBackoffMultiplierSaturatesAtMaxBackoff) {
-  // A pathological multiplier used to overflow the int64 nanosecond
-  // Duration before the max_backoff clamp applied; the backoff must
-  // saturate at max_backoff instead, keeping retries on schedule.
-  QosAgent::RecoveryPolicy policy = fastRetries(3);
-  policy.initial_backoff = Duration::millis(100);
-  policy.backoff_multiplier = 1e12;
-  policy.max_backoff = Duration::millis(500);
-  policy.reescalate_interval = Duration::zero();
-  Harness h(policy);
+TEST(QosRecoveryTest, BackoffDoublesThenSaturatesAtMaxBackoff) {
+  // Retry n waits kInitialBackoff × kBackoffMultiplier^n, capped at
+  // kMaxBackoff, each scaled by the ±kJitter draw; once degraded, the
+  // probes come every kReescalateInterval.
+  Harness h(/*recovery=*/true);
+  obs::TraceBuffer trace;
+  trace.setClock([&h] { return h.rig.sim.now().toSeconds(); });
+  h.rig.agent.attachObservability(nullptr, &trace);
   h.rig.sim.runUntil(TimePoint::fromSeconds(2));
   ASSERT_TRUE(h.granted);
 
   h.failLeg("preempted");
-  gara::ReservationRequest request;
-  request.start = h.rig.sim.now();
-  request.amount = h.rig.net_forward.slots().capacity();
-  auto blocker = h.rig.gara.reserve("net-forward", request);
-  ASSERT_TRUE(static_cast<bool>(blocker)) << blocker.error;
-  // Three retries at <= 500 ms apart all fit well inside 4 s; an
-  // overflowed backoff would park the retry loop forever (or crash).
-  h.rig.sim.runUntil(TimePoint::fromSeconds(6));
-  const auto status = h.status();
-  EXPECT_EQ(status.state, QosRequestState::kDegraded);
-  EXPECT_EQ(status.recovery_attempts, 3);
+  h.blockPremiumShare();
+  const double lost_at = h.rig.sim.now().toSeconds();
+  h.rig.sim.runUntil(TimePoint::fromSeconds(30));
+
+  std::vector<double> retries;
+  for (const auto& e : trace.events()) {
+    if (e.event == "retry") retries.push_back(e.t_seconds);
+  }
+  // Six backed-off retries, then at least two probes.
+  ASSERT_GE(retries.size(),
+            static_cast<std::size_t>(QosAgent::kMaxRetries) + 2);
+  double previous = lost_at;
+  double backoff = QosAgent::kInitialBackoff.toSeconds();
+  for (std::size_t i = 0; i < retries.size(); ++i) {
+    const double expected =
+        static_cast<int>(i) < QosAgent::kMaxRetries
+            ? std::min(backoff, QosAgent::kMaxBackoff.toSeconds())
+            : QosAgent::kReescalateInterval.toSeconds();
+    const double gap = retries[i] - previous;
+    EXPECT_GE(gap, expected * (1.0 - QosAgent::kJitter) - 1e-9) << i;
+    EXPECT_LE(gap, expected * (1.0 + QosAgent::kJitter) + 1e-3) << i;
+    previous = retries[i];
+    backoff *= QosAgent::kBackoffMultiplier;
+  }
+  h.rig.agent.attachObservability(nullptr, nullptr);
 }
 
 TEST(QosRecoveryTest, RepeatedManagerFlapsDriveRecoveringToDegraded) {
@@ -225,7 +237,7 @@ TEST(QosRecoveryTest, RepeatedManagerFlapsDriveRecoveringToDegraded) {
   // denies the retries while in outage — the request must walk
   // kGranted -> kRecovering -> kDegraded, then re-escalate once the
   // manager comes back.
-  Harness h(fastRetries(2));
+  Harness h(/*recovery=*/true);
   gara::FlakyResourceManager proxy(h.rig.net_forward);
   h.rig.gara.registerManager("net-forward", proxy);
 
@@ -238,13 +250,16 @@ TEST(QosRecoveryTest, RepeatedManagerFlapsDriveRecoveringToDegraded) {
   h.rig.sim.runUntil(TimePoint::fromSeconds(2));
   ASSERT_TRUE(h.granted);
 
-  // Outage at t=5 (revoking the active reservation), restored at t=8 —
-  // long enough that both retries are denied by the unreachable manager.
+  // Outage at t=5 (revoking the active reservation), restored after the
+  // retry loop's worst case — long enough that every retry is denied by
+  // the unreachable manager.
+  const double degraded_by = 5.0 + maxRetrySeconds();
   auto target = proxy.faultTarget();
   h.rig.sim.schedule(Duration::seconds(3), [&] { target.down(); });
-  h.rig.sim.schedule(Duration::seconds(6), [&] { target.up(); });
+  h.rig.sim.schedule(Duration::seconds(degraded_by - 2.0),
+                     [&] { target.up(); });
 
-  h.rig.sim.runUntil(TimePoint::fromSeconds(7.5));
+  h.rig.sim.runUntil(TimePoint::fromSeconds(degraded_by));
   EXPECT_EQ(h.status().state, QosRequestState::kDegraded);
 
   auto has_edge = [&edges](QosRequestState from, QosRequestState to) {
@@ -259,13 +274,15 @@ TEST(QosRecoveryTest, RepeatedManagerFlapsDriveRecoveringToDegraded) {
                        QosRequestState::kDegraded));
 
   // Manager restored: the degraded request's background probe re-grants.
-  h.rig.sim.runUntil(TimePoint::fromSeconds(12));
+  h.rig.sim.runUntil(TimePoint::fromSeconds(
+      degraded_by +
+      QosAgent::kReescalateInterval.toSeconds() * (1.0 + QosAgent::kJitter)));
   EXPECT_EQ(h.status().state, QosRequestState::kGranted);
   h.rig.agent.setStateObserver({});
 }
 
-TEST(QosRecoveryTest, AwaitSettledDeadlineExpiresWhileRecovering) {
-  GarnetRig rig(rigConfig(fastRetries(100)));
+TEST(QosRecoveryTest, AwaitSettledParksWhileRecovering) {
+  GarnetRig rig(rigConfig(/*recovery=*/true));
   // Occupy the premium share up front: the initial request is denied and
   // enters the retry loop instead of settling.
   gara::ReservationRequest request;
@@ -273,27 +290,28 @@ TEST(QosRecoveryTest, AwaitSettledDeadlineExpiresWhileRecovering) {
   auto blocker = rig.gara.reserve("net-forward", request);
   ASSERT_TRUE(static_cast<bool>(blocker)) << blocker.error;
 
-  bool deadline_hit = false;
-  bool settled_after_release = false;
-  QosRequestState final_state = QosRequestState::kNone;
+  mpi::Comm* comm0 = nullptr;
+  bool settled = false;
   rig.world.launch([&](mpi::Comm& comm) -> Task<> {
     if (comm.rank() != 0) co_return;
+    comm0 = &comm;
     rig.premium_attr.qosclass = QosClass::kPremium;
     rig.premium_attr.bandwidth_kbps = 10'000.0;
     rig.premium_attr.max_message_size = 37'500;
     comm.attrPut(rig.agent.keyval(), &rig.premium_attr);
-    deadline_hit =
-        !co_await rig.agent.awaitSettled(comm, Duration::seconds(2));
-    // Free the capacity; the retry loop should now settle the request.
-    rig.gara.cancel(blocker.handle);
-    settled_after_release =
-        co_await rig.agent.awaitSettled(comm, Duration::seconds(30));
-    final_state = rig.agent.status(comm).state;
+    co_await rig.agent.awaitSettled(comm);
+    settled = true;
   });
+  rig.sim.runUntil(TimePoint::fromSeconds(2));
+  ASSERT_NE(comm0, nullptr);
+  EXPECT_FALSE(settled) << "the waiter must stay parked while recovering";
+  EXPECT_EQ(rig.agent.status(*comm0).state, QosRequestState::kRecovering);
+
+  // Free the capacity; the retry loop settles the request and wakes it.
+  rig.gara.cancel(blocker.handle);
   rig.sim.runUntil(TimePoint::fromSeconds(60));
-  EXPECT_TRUE(deadline_hit);
-  EXPECT_TRUE(settled_after_release);
-  EXPECT_EQ(final_state, QosRequestState::kGranted);
+  EXPECT_TRUE(settled);
+  EXPECT_EQ(rig.agent.status(*comm0).state, QosRequestState::kGranted);
 }
 
 }  // namespace

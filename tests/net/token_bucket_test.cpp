@@ -97,6 +97,21 @@ TEST(TokenBucketTest, ForceConsumeWithinDepthDoesNotClamp) {
   EXPECT_EQ(tb.stats().force_clamped, 0u);
 }
 
+TEST(TokenBucketTest, ForceConsumeClampsOnlyPastTheDepth) {
+  // The clamp boundary: a debt of exactly one depth is the floor itself
+  // and is kept as is; one byte more is clamped back to it.
+  sim::Simulator s;
+  TokenBucket exact(s, 8000.0, 1000);
+  exact.forceConsume(2000);  // full bucket - 2000 = -depth
+  EXPECT_DOUBLE_EQ(exact.tokens(), -1000.0);
+  EXPECT_EQ(exact.stats().force_clamped, 0u);
+
+  TokenBucket past(s, 8000.0, 1000);
+  past.forceConsume(2001);  // -depth - 1
+  EXPECT_DOUBLE_EQ(past.tokens(), -1000.0);
+  EXPECT_EQ(past.stats().force_clamped, 1u);
+}
+
 TEST(TokenBucketTest, StatsCountConformedAndPoliced) {
   sim::Simulator s;
   TokenBucket tb(s, 8000.0, 1000);

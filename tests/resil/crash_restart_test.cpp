@@ -25,8 +25,8 @@ TEST(CrashRestartScenarioTest, RegistryCarriesTheCrashScenario) {
   const auto spec = info->make();
   ASSERT_TRUE(spec.resil.has_value());
   ASSERT_TRUE(spec.resil->lease.has_value());
-  EXPECT_EQ(spec.resil->lease->default_duration, sim::Duration::seconds(2.0));
-  EXPECT_TRUE(spec.resil->heartbeats.has_value());
+  EXPECT_EQ(*spec.resil->lease, sim::Duration::seconds(2.0));
+  EXPECT_TRUE(spec.resil->heartbeats);
   ASSERT_EQ(spec.agent_crashes.size(), 1u);
   EXPECT_DOUBLE_EQ(spec.agent_crashes[0].at_seconds, 20.0);
   EXPECT_DOUBLE_EQ(spec.agent_crashes[0].restart_after_seconds, 5.0);
@@ -65,7 +65,7 @@ TEST(CrashRestartScenarioTest, CrashTimingIsTunableViaParams) {
   EXPECT_DOUBLE_EQ(spec.agent_crashes[0].restart_after_seconds, 2.0);
   ASSERT_TRUE(spec.resil.has_value());
   ASSERT_TRUE(spec.resil->lease.has_value());
-  EXPECT_EQ(spec.resil->lease->default_duration, sim::Duration::seconds(1.0));
+  EXPECT_EQ(*spec.resil->lease, sim::Duration::seconds(1.0));
   EXPECT_TRUE(applyParam(spec, "lease_seconds", 0.0));
   ASSERT_TRUE(spec.resil.has_value());
   EXPECT_FALSE(spec.resil->lease.has_value());
@@ -81,6 +81,7 @@ TEST(CrashRestartScenarioTest, CrashTimingIsTunableViaParams) {
     ASSERT_TRUE(applyParam(bare, key, 1.0)) << key;
     ASSERT_TRUE(bare.resil.has_value()) << key;
     EXPECT_FALSE(bare.resil->lease.has_value()) << key;
+    EXPECT_FALSE(bare.resil->heartbeats) << key;
     ASSERT_EQ(bare.agent_crashes.size(), 1u) << key;
     const auto built = ScenarioBuilder{}.build(bare);
     ASSERT_NE(built->resil, nullptr) << key;

@@ -33,7 +33,7 @@ TEST(HeartbeatMonitorTest, HealthyPeerNeverSuspected) {
   monitor.watch("peer", [] { return true; }, nullptr);
   sim.runUntil(TimePoint::fromSeconds(30));
   EXPECT_FALSE(monitor.suspected("peer"));
-  EXPECT_LT(monitor.phi("peer"), monitor.config().phi_threshold);
+  EXPECT_LT(monitor.phi("peer"), HeartbeatMonitor::kPhiThreshold);
 }
 
 TEST(HeartbeatMonitorTest, SilenceRaisesPhiAndFiresDownOnce) {
@@ -56,7 +56,7 @@ TEST(HeartbeatMonitorTest, SilenceRaisesPhiAndFiresDownOnce) {
   EXPECT_TRUE(monitor.suspected("peer"));
   // One outage, one down event — not one per tick.
   ASSERT_EQ(down_phis.size(), 1u);
-  EXPECT_GT(down_phis[0], monitor.config().phi_threshold);
+  EXPECT_GT(down_phis[0], HeartbeatMonitor::kPhiThreshold);
   EXPECT_EQ(metrics.counter("resil.heartbeat.manager_down").value(), 1.0);
 }
 

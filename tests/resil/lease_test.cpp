@@ -34,16 +34,11 @@ class RecordingManager : public gara::ResourceManager {
 
 struct Fixture {
   explicit Fixture(double default_lease_s = 0.0)
-      : gara(sim), manager(100.0), leases(sim, gara, makeConfig(default_lease_s)) {
+      : gara(sim),
+        manager(100.0),
+        leases(sim, gara, Duration::seconds(default_lease_s)) {
     gara.registerManager("rec", manager);
     leases.attachObservability(&metrics, nullptr);
-  }
-  static LeaseManager::Config makeConfig(double default_lease_s) {
-    LeaseManager::Config config;
-    if (default_lease_s > 0) {
-      config.default_duration = Duration::seconds(default_lease_s);
-    }
-    return config;
   }
   gara::ReservationRequest request(double amount, double lease_s = 0.0) {
     gara::ReservationRequest r;

@@ -37,18 +37,11 @@ class RecordingManager : public gara::ResourceManager {
 struct Fixture {
   explicit Fixture(double default_lease_s = 0.0)
       : gara(sim), manager(100.0), journal(sim),
-        leases(sim, gara, leaseConfig(default_lease_s)),
+        leases(sim, gara, Duration::seconds(default_lease_s)),
         reconciler(gara, journal, &leases) {
     gara.registerManager("rec", manager);
     journal.attach(gara);
     reconciler.attachObservability(&metrics, nullptr);
-  }
-  static LeaseManager::Config leaseConfig(double default_lease_s) {
-    LeaseManager::Config config;
-    if (default_lease_s > 0) {
-      config.default_duration = Duration::seconds(default_lease_s);
-    }
-    return config;
   }
   gara::ReservationRequest request(double amount) {
     gara::ReservationRequest r;

@@ -70,56 +70,5 @@ TEST(AsyncMutexTest, FifoHandoff) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(AsyncMutexTest, ScopedGuardReleasesOnDestruction) {
-  Simulator sim;
-  AsyncMutex mutex(sim);
-  bool second_ran = false;
-  auto first = [](Simulator& s, AsyncMutex& m) -> Task<> {
-    {
-      auto guard = co_await m.scoped();
-      co_await s.delay(Duration::millis(5));
-    }  // guard released here
-    co_return;
-  };
-  auto second = [](AsyncMutex& m, bool& flag) -> Task<> {
-    co_await m.lock();
-    flag = true;
-    m.unlock();
-  };
-  sim.spawn(first(sim, mutex));
-  sim.runFor(Duration::millis(1));
-  sim.spawn(second(mutex, second_ran));
-  sim.run();
-  EXPECT_TRUE(second_ran);
-  EXPECT_FALSE(mutex.locked());
-}
-
-TEST(AsyncMutexTest, GuardMoveTransfersOwnership) {
-  Simulator sim;
-  AsyncMutex mutex(sim);
-  auto proc = [](AsyncMutex& m) -> Task<> {
-    auto g1 = co_await m.scoped();
-    AsyncMutex::Guard g2 = std::move(g1);
-    EXPECT_TRUE(m.locked());
-    g2.release();
-    EXPECT_FALSE(m.locked());
-  };
-  sim.spawn(proc(mutex));
-  sim.run();
-}
-
-TEST(AsyncMutexTest, ManualReleaseThenDestructionIsSafe) {
-  Simulator sim;
-  AsyncMutex mutex(sim);
-  auto proc = [](AsyncMutex& m) -> Task<> {
-    auto guard = co_await m.scoped();
-    guard.release();
-    guard.release();  // idempotent
-    EXPECT_FALSE(m.locked());
-  };
-  sim.spawn(proc(mutex));
-  sim.run();
-}
-
 }  // namespace
 }  // namespace mgq::sim

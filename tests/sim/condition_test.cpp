@@ -153,17 +153,6 @@ TEST(ChannelTest, PopBlocksUntilPush) {
   EXPECT_DOUBLE_EQ(pop_time, 2.0);
 }
 
-TEST(ChannelTest, TryPopNonBlocking) {
-  Simulator sim;
-  Channel<int> chan(sim);
-  int out = 0;
-  EXPECT_FALSE(chan.tryPop(out));
-  chan.push(5);
-  EXPECT_TRUE(chan.tryPop(out));
-  EXPECT_EQ(out, 5);
-  EXPECT_TRUE(chan.empty());
-}
-
 TEST(ChannelTest, MultipleConsumersEachGetOneItem) {
   Simulator sim;
   Channel<int> chan(sim);
