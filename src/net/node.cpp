@@ -80,24 +80,27 @@ void Interface::setUp(bool up) {
   }
 }
 
+// Most serialization ends find the qdisc empty; the inline empty() test
+// spares them the out-of-line dequeue and its disengaged optional.
 void Interface::transmitNext() {
-  if (!up_) {
+  if (!up_ || qdisc_.empty()) {
     transmitting_ = false;
     return;
   }
-  auto next = qdisc_.dequeue();
-  if (!next) {
-    transmitting_ = false;
-    return;
-  }
-  startTransmit(std::move(*next));
+  startTransmit(std::move(*qdisc_.dequeue()));
 }
 
+// Consecutive packets mostly share a size (MTU data, bare ACKs, fixed
+// contention datagrams), so the last size's serialization time is kept.
+// The memo is exact: rate_bps_ is set once, in connect().
 void Interface::startTransmit(Packet&& p) {
-  const auto tx_time = sim::transmissionTime(p.size_bytes, rate_bps_);
+  if (p.size_bytes != tx_memo_bytes_) {
+    tx_memo_bytes_ = p.size_bytes;
+    tx_memo_time_ = sim::transmissionTime(p.size_bytes, rate_bps_);
+  }
   ++stats_.tx_packets;
   wire_.push_back(std::move(p));
-  sim_.schedule(tx_time, [this] { onSerialized(); });
+  sim_.schedule(tx_memo_time_, [this] { onSerialized(); });
 }
 
 // Serialization complete: the packet at the back of `wire_` propagates to

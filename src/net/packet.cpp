@@ -17,6 +17,16 @@ std::uint64_t mix64(std::uint64_t x) {
 /// Sets a pattern-tag fold apart from any hash of real bytes.
 constexpr std::uint64_t kPatternMarker = 0x7061747465726e00ull;
 
+/// Start state and multiplier of the real-byte chains. It is odd, so
+/// each multiply is invertible.
+constexpr std::uint64_t kChainPrime = 0x100000001b3ull;
+
+std::uint64_t loadWord(const std::uint8_t* p) {
+  std::uint64_t w;
+  std::memcpy(&w, p, 8);
+  return w;
+}
+
 }  // namespace
 
 std::uint32_t tcpWireChecksum(const TcpHeader& h) {
@@ -33,23 +43,35 @@ std::uint32_t tcpWireChecksum(const TcpHeader& h) {
                  h.payload.size());
     return static_cast<std::uint32_t>(acc ^ (acc >> 32));
   }
+  // Real bytes: four independent multiply-xor chains over 32-byte blocks,
+  // word i of a block feeding chain i, so the multiply latency of one
+  // chain overlaps the others. The words after the last whole block and
+  // the length-tagged tail continue chain 0. Each step is a bijection of
+  // the chain state, so a single flipped bit changes exactly one chain,
+  // and the distinct offsets keep chains with equal states from looking
+  // alike.
   const std::uint8_t* p = h.payload.empty() ? nullptr : h.payload.data();
   std::size_t n = h.payload.size();
-  std::uint64_t sum = 0x100000001b3ull;
-  while (n >= 8) {
-    std::uint64_t w;
-    std::memcpy(&w, p, 8);
-    sum = (sum ^ w) * 0x100000001b3ull;
-    p += 8;
-    n -= 8;
+  std::uint64_t c0 = kChainPrime;
+  std::uint64_t c1 = kChainPrime;
+  std::uint64_t c2 = kChainPrime;
+  std::uint64_t c3 = kChainPrime;
+  for (; n >= 32; p += 32, n -= 32) {
+    c0 = (c0 ^ loadWord(p)) * kChainPrime;
+    c1 = (c1 ^ loadWord(p + 8)) * kChainPrime;
+    c2 = (c2 ^ loadWord(p + 16)) * kChainPrime;
+    c3 = (c3 ^ loadWord(p + 24)) * kChainPrime;
+  }
+  for (; n >= 8; p += 8, n -= 8) {
+    c0 = (c0 ^ loadWord(p)) * kChainPrime;
   }
   if (n > 0) {
     std::uint64_t w = 0;
     std::memcpy(&w, p, n);
-    sum = (sum ^ w ^ (static_cast<std::uint64_t>(n) << 56)) *
-          0x100000001b3ull;
+    c0 = (c0 ^ w ^ (static_cast<std::uint64_t>(n) << 56)) * kChainPrime;
   }
-  acc ^= mix64(sum ^ h.payload.size());
+  acc ^= mix64(c0 ^ h.payload.size()) ^ mix64(c1 + 1) ^ mix64(c2 + 2) ^
+         mix64(c3 + 3);
   return static_cast<std::uint32_t>(acc ^ (acc >> 32));
 }
 

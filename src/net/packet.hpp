@@ -85,14 +85,15 @@ struct TcpHeader {
 /// Wire checksum over a TCP segment's header fields (seq, ack, window,
 /// flags) and payload — everything a fault injector may flip. The
 /// `checksum` field itself is excluded. Real payload bytes (MPI payloads,
-/// application sends) are hashed word-at-a-time with multiply-xor. A
-/// pattern-tagged payload (bulk transfers, see net/buffer.hpp) is defined
-/// by its tag, so the hash folds (tag marker, first byte's phase, length)
-/// in O(1) instead of reading bytes. A splitmix finalizer makes any single
-/// bit flip avalanche into the result. A corrupted copy of a tagged
-/// payload holds real bytes, so its hash is the byte hash and it fails the
-/// stamped fold. Stamped by the sender at segment emission, verified at
-/// receive (see tcp/tcp_socket.cpp).
+/// application sends) are hashed word-at-a-time by four interleaved
+/// multiply-xor chains. A pattern-tagged payload (bulk transfers, see
+/// net/buffer.hpp) is defined by its tag, so the hash folds (tag marker,
+/// first byte's phase, length) in O(1) instead of reading bytes. A
+/// splitmix finalizer makes any single bit flip avalanche into the
+/// result. A corrupted copy of a tagged payload holds real bytes, so its
+/// hash is the byte hash and it fails the stamped fold. Stamped by the
+/// sender at segment emission, verified at receive (see
+/// tcp/tcp_socket.cpp).
 std::uint32_t tcpWireChecksum(const TcpHeader& h);
 
 /// UDP datagram metadata. UDP traffic is size-only: no datagram carries

@@ -80,10 +80,4 @@ std::optional<Packet> DsQdisc::dequeue() {
   return std::nullopt;
 }
 
-bool DsQdisc::empty() const {
-  return classQueue(Dscp::kExpedited).empty() &&
-         classQueue(Dscp::kLowLatency).empty() &&
-         classQueue(Dscp::kBestEffort).empty();
-}
-
 }  // namespace mgq::net

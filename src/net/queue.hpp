@@ -75,7 +75,9 @@ class DsQdisc {
   /// See DropTailQueue::passThrough; routed to the packet's class band.
   bool passThrough(const Packet& p);
 
-  bool empty() const;
+  bool empty() const {
+    return queues_[0].empty() && queues_[1].empty() && queues_[2].empty();
+  }
   const DropTailQueue& classQueue(Dscp d) const;
 
  private:

@@ -45,6 +45,7 @@ bool applyParam(ScenarioSpec& spec, const std::string& key, double value) {
     return false;
   }
   if (key == "bucket_divisor") {
+    if (!(value > 0)) return false;  // the bucket depth divides by it
     if (auto* r = firstNetworkReservation(spec)) {
       r->bucket_divisor = value;
       return true;
@@ -61,6 +62,8 @@ bool applyParam(ScenarioSpec& spec, const std::string& key, double value) {
     return true;
   }
   if (key == "contention_bps") {
+    // The rig reads a rate <= 0 as "the default rate".
+    if (!(value > 0)) return false;
     spec.contention.enabled = true;
     spec.contention.rate_bps = value;
     return true;
@@ -98,7 +101,7 @@ bool applyParam(ScenarioSpec& spec, const std::string& key, double value) {
   }
   if (key == "fps") {
     auto* w = std::get_if<VisualizationWorkload>(&spec.workload);
-    if (w == nullptr) return false;
+    if (w == nullptr || !(value > 0)) return false;  // frame period 1/fps
     w->frames_per_second = value;
     return true;
   }
@@ -163,6 +166,7 @@ bool applyParam(ScenarioSpec& spec, const std::string& key, double value) {
     return true;
   }
   if (key == "seconds") {
+    if (!(value > 0)) return false;  // a run that measures nothing
     if (auto* p = std::get_if<PingPongWorkload>(&spec.workload)) {
       p->seconds = value;
       return true;

@@ -194,6 +194,17 @@ TEST(Sweep, ExpandsCrossProductWithLabels) {
       {base, "adapt_cadence", 0.25},
       {frames, "adapt_headroom", 2.0},
       {static_tenants, "adapt_cadence", 0.25},
+      // Values no run can mean: a frame period of 1/0, the rig's
+      // "default rate" sentinel, a bucket depth divided by zero and a run
+      // that measures nothing.
+      {frames, "fps", 0},
+      {frames, "fps", -10},
+      {frames, "fps", std::nan("")},
+      {base, "contention_bps", 0},
+      {base, "contention_bps", -5},
+      {base, "bucket_divisor", 0},
+      {base, "seconds", -1},
+      {frames, "seconds", 0},
   };
   auto integers = [](const ScenarioSpec& spec) {
     std::int64_t bytes = 0;
