@@ -90,17 +90,11 @@ void Interface::transmitNext() {
   startTransmit(std::move(*qdisc_.dequeue()));
 }
 
-// Consecutive packets mostly share a size (MTU data, bare ACKs, fixed
-// contention datagrams), so the last size's serialization time is kept.
-// The memo is exact: rate_bps_ is set once, in connect().
 void Interface::startTransmit(Packet&& p) {
-  if (p.size_bytes != tx_memo_bytes_) {
-    tx_memo_bytes_ = p.size_bytes;
-    tx_memo_time_ = sim::transmissionTime(p.size_bytes, rate_bps_);
-  }
+  const auto tx_time = sim::transmissionTime(p.size_bytes, rate_bps_);
   ++stats_.tx_packets;
   wire_.push_back(std::move(p));
-  sim_.schedule(tx_memo_time_, [this] { onSerialized(); });
+  sim_.schedule(tx_time, [this] { onSerialized(); });
 }
 
 // Serialization complete: the packet at the back of `wire_` propagates to

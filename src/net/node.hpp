@@ -113,9 +113,6 @@ class Interface {
   Interface* peer_ = nullptr;
   double rate_bps_ = 0.0;
   sim::Duration delay_ = sim::Duration::zero();
-  // startTransmit's last (packet size, serialization time) pair.
-  std::int32_t tx_memo_bytes_ = -1;
-  sim::Duration tx_memo_time_ = sim::Duration::zero();
   DsQdisc qdisc_;
   DsPolicy ingress_policy_;
   // Packets the interface holds while their timer events are pending, so

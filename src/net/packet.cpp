@@ -7,7 +7,7 @@ namespace mgq::net {
 namespace {
 
 /// splitmix64 finalizer — same mixer FlowKeyHash uses.
-std::uint64_t mix64(std::uint64_t x) {
+constexpr std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
@@ -20,6 +20,13 @@ constexpr std::uint64_t kPatternMarker = 0x7061747465726e00ull;
 /// Start state and multiplier of the real-byte chains. It is odd, so
 /// each multiply is invertible.
 constexpr std::uint64_t kChainPrime = 0x100000001b3ull;
+
+/// Chains 1-3's combined finalizers while they still hold their start
+/// state: every payload shorter than one 32-byte block, bare ACKs, SYNs
+/// and FINs included.
+constexpr std::uint64_t kUnreadChains = mix64(kChainPrime + 1) ^
+                                        mix64(kChainPrime + 2) ^
+                                        mix64(kChainPrime + 3);
 
 std::uint64_t loadWord(const std::uint8_t* p) {
   std::uint64_t w;
@@ -53,14 +60,18 @@ std::uint32_t tcpWireChecksum(const TcpHeader& h) {
   const std::uint8_t* p = h.payload.empty() ? nullptr : h.payload.data();
   std::size_t n = h.payload.size();
   std::uint64_t c0 = kChainPrime;
-  std::uint64_t c1 = kChainPrime;
-  std::uint64_t c2 = kChainPrime;
-  std::uint64_t c3 = kChainPrime;
-  for (; n >= 32; p += 32, n -= 32) {
-    c0 = (c0 ^ loadWord(p)) * kChainPrime;
-    c1 = (c1 ^ loadWord(p + 8)) * kChainPrime;
-    c2 = (c2 ^ loadWord(p + 16)) * kChainPrime;
-    c3 = (c3 ^ loadWord(p + 24)) * kChainPrime;
+  std::uint64_t others = kUnreadChains;
+  if (n >= 32) {
+    std::uint64_t c1 = kChainPrime;
+    std::uint64_t c2 = kChainPrime;
+    std::uint64_t c3 = kChainPrime;
+    for (; n >= 32; p += 32, n -= 32) {
+      c0 = (c0 ^ loadWord(p)) * kChainPrime;
+      c1 = (c1 ^ loadWord(p + 8)) * kChainPrime;
+      c2 = (c2 ^ loadWord(p + 16)) * kChainPrime;
+      c3 = (c3 ^ loadWord(p + 24)) * kChainPrime;
+    }
+    others = mix64(c1 + 1) ^ mix64(c2 + 2) ^ mix64(c3 + 3);
   }
   for (; n >= 8; p += 8, n -= 8) {
     c0 = (c0 ^ loadWord(p)) * kChainPrime;
@@ -70,8 +81,7 @@ std::uint32_t tcpWireChecksum(const TcpHeader& h) {
     std::memcpy(&w, p, n);
     c0 = (c0 ^ w ^ (static_cast<std::uint64_t>(n) << 56)) * kChainPrime;
   }
-  acc ^= mix64(c0 ^ h.payload.size()) ^ mix64(c1 + 1) ^ mix64(c2 + 2) ^
-         mix64(c3 + 3);
+  acc ^= mix64(c0 ^ h.payload.size()) ^ others;
   return static_cast<std::uint32_t>(acc ^ (acc >> 32));
 }
 

@@ -27,6 +27,9 @@ bool wholeNumber(double value, double lo, double hi, std::int64_t& out) {
 
 constexpr double kMaxSeed = 9007199254740992.0;  // 2^53: doubles stay exact
 constexpr double kMaxBytes = INT_MAX;  // max_message_size is an int
+// Duration::seconds casts seconds * 1e9 to int64 nanoseconds, which hold
+// about 9.2e9 s; 1e9 s leaves room for the offsets a run adds to a span.
+constexpr double kMaxSeconds = 1e9;
 
 }  // namespace
 
@@ -101,7 +104,8 @@ bool applyParam(ScenarioSpec& spec, const std::string& key, double value) {
   }
   if (key == "fps") {
     auto* w = std::get_if<VisualizationWorkload>(&spec.workload);
-    if (w == nullptr || !(value > 0)) return false;  // frame period 1/fps
+    // The frame period 1/fps must fit in a Duration.
+    if (w == nullptr || !(value >= 1 / kMaxSeconds)) return false;
     w->frames_per_second = value;
     return true;
   }
@@ -166,7 +170,8 @@ bool applyParam(ScenarioSpec& spec, const std::string& key, double value) {
     return true;
   }
   if (key == "seconds") {
-    if (!(value > 0)) return false;  // a run that measures nothing
+    // A run that measures nothing, or longer than a Duration holds.
+    if (!(value > 0 && value <= kMaxSeconds)) return false;
     if (auto* p = std::get_if<PingPongWorkload>(&spec.workload)) {
       p->seconds = value;
       return true;

@@ -194,17 +194,21 @@ TEST(Sweep, ExpandsCrossProductWithLabels) {
       {base, "adapt_cadence", 0.25},
       {frames, "adapt_headroom", 2.0},
       {static_tenants, "adapt_cadence", 0.25},
-      // Values no run can mean: a frame period of 1/0, the rig's
-      // "default rate" sentinel, a bucket depth divided by zero and a run
-      // that measures nothing.
+      // Values no run can mean: a frame period of 1/0 or longer than a
+      // Duration holds, the rig's "default rate" sentinel, a bucket depth
+      // divided by zero, and a run that measures nothing or overflows a
+      // Duration.
       {frames, "fps", 0},
       {frames, "fps", -10},
       {frames, "fps", std::nan("")},
+      {frames, "fps", 1e-10},
       {base, "contention_bps", 0},
       {base, "contention_bps", -5},
       {base, "bucket_divisor", 0},
       {base, "seconds", -1},
       {frames, "seconds", 0},
+      {base, "seconds", 1e10},
+      {frames, "seconds", std::nan("")},
   };
   auto integers = [](const ScenarioSpec& spec) {
     std::int64_t bytes = 0;
@@ -231,6 +235,8 @@ TEST(Sweep, ExpandsCrossProductWithLabels) {
   EXPECT_EQ(largest.seed, 0u);
   auto resized = frames;
   ASSERT_TRUE(applyParam(resized, "frame_bytes", 2'500));
+  ASSERT_TRUE(applyParam(resized, "fps", 1e-9));  // a 1e9 s period
+  ASSERT_TRUE(applyParam(resized, "seconds", 1e9));
   EXPECT_EQ(std::get<VisualizationWorkload>(resized.workload).frame_bytes,
             2'500);
   auto adaptive = adaptPhaseShiftSpec("adaptive", true);
